@@ -1140,8 +1140,9 @@ let parse_cmd =
                     print_profile eng;
                     match !last with
                     | Ok v ->
-                        if not quiet then
-                          Fmt.pr "%s@." (Rats.Value.to_string v);
+                        if not quiet then (
+                          print_string (Rats.Value.to_string v);
+                          print_newline ());
                         0
                     | Error e ->
                         (* the session's source: line starts patched
@@ -1235,7 +1236,9 @@ let parse_cmd =
                 print_profile eng_used;
                 match out.Rats.Engine.result with
                 | Ok v ->
-                    if not quiet then Fmt.pr "%s@." (Rats.Value.to_string v);
+                    if not quiet then (
+                      print_string (Rats.Value.to_string v);
+                      print_newline ());
                     0
                 | Error e ->
                     Fmt.epr "%s@." (Rats.Parse_error.to_string ~source e);

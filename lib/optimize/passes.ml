@@ -55,9 +55,8 @@ let inline_pass ?(threshold = 12) ?ctx g =
   let rec iterate ctx g rounds =
     if rounds = 0 then g
     else
-      let a = Analysis_ctx.analysis (ctx_for ?ctx g) in
-      let recursive (p : Production.t) =
-        SSet.mem p.name (Analysis.reachable_from a (Expr.refs p.expr))
+      let cyclic =
+        Analysis.recursive (Analysis_ctx.analysis (ctx_for ?ctx g))
       in
       let inlinable = Hashtbl.create 16 in
       List.iter
@@ -71,7 +70,7 @@ let inline_pass ?(threshold = 12) ?ctx g =
           if
             want
             && (not (String.equal p.name (Grammar.start g)))
-            && not (recursive p)
+            && not (SSet.mem p.name cyclic)
           then
             let ex = expansion_of p in
             (* A top-level Bind would leak its label into host sequences. *)

@@ -3,13 +3,17 @@ module StringSet = Set.Make (String)
 
 type nullability = Never_empty | May_be_empty
 
+(* Every table is computed on first use: a pass that asks only for
+   reachability (inlining, pruning) never pays for the nullable, FIRST,
+   stateful and unit fixpoints. *)
 type t = {
   grammar : Grammar.t;
-  nullable_tbl : (string, bool) Hashtbl.t;
-  first_tbl : (string, Charset.t) Hashtbl.t;
-  stateful_tbl : (string, bool) Hashtbl.t;
-  unit_tbl : (string, bool) Hashtbl.t;
+  mutable nullable_memo : (string, bool) Hashtbl.t option;
+  mutable first_memo : (string, Charset.t) Hashtbl.t option;
+  mutable stateful_memo : (string, bool) Hashtbl.t option;
+  mutable unit_memo : (string, bool) Hashtbl.t option;
   mutable reachable_memo : StringSet.t option;
+  mutable recursive_memo : StringSet.t option;
 }
 
 let grammar a = a.grammar
@@ -176,32 +180,68 @@ let compute_unit g =
   tbl
 
 let analyze g =
-  let nullable_tbl = compute_nullable g in
   {
     grammar = g;
-    nullable_tbl;
-    first_tbl = compute_first g nullable_tbl;
-    stateful_tbl = compute_stateful g;
-    unit_tbl = compute_unit g;
+    nullable_memo = None;
+    first_memo = None;
+    stateful_memo = None;
+    unit_memo = None;
     reachable_memo = None;
+    recursive_memo = None;
   }
 
-let nullable a n = try Hashtbl.find a.nullable_tbl n with Not_found -> false
+let nullable_tbl a =
+  match a.nullable_memo with
+  | Some t -> t
+  | None ->
+      let t = compute_nullable a.grammar in
+      a.nullable_memo <- Some t;
+      t
+
+let first_tbl a =
+  match a.first_memo with
+  | Some t -> t
+  | None ->
+      let t = compute_first a.grammar (nullable_tbl a) in
+      a.first_memo <- Some t;
+      t
+
+let stateful_tbl a =
+  match a.stateful_memo with
+  | Some t -> t
+  | None ->
+      let t = compute_stateful a.grammar in
+      a.stateful_memo <- Some t;
+      t
+
+let unit_tbl a =
+  match a.unit_memo with
+  | Some t -> t
+  | None ->
+      let t = compute_unit a.grammar in
+      a.unit_memo <- Some t;
+      t
+
+let nullable a n = try Hashtbl.find (nullable_tbl a) n with Not_found -> false
 
 let expr_nullable a e =
-  expr_nullable_env (fun n -> nullable a n) e
+  let tbl = nullable_tbl a in
+  expr_nullable_env (fun n -> try Hashtbl.find tbl n with Not_found -> false) e
 
-let first a n = try Hashtbl.find a.first_tbl n with Not_found -> Charset.empty
+let first a n = try Hashtbl.find (first_tbl a) n with Not_found -> Charset.empty
 
 let expr_first a e =
-  expr_first_env ~first:(first a) ~nullable:(nullable a) e
+  let firsts = first_tbl a and nulls = nullable_tbl a in
+  expr_first_env
+    ~first:(fun n -> try Hashtbl.find firsts n with Not_found -> Charset.empty)
+    ~nullable:(fun n -> try Hashtbl.find nulls n with Not_found -> false)
+    e
 
-let stateful a n = try Hashtbl.find a.stateful_tbl n with Not_found -> false
+let stateful a n = try Hashtbl.find (stateful_tbl a) n with Not_found -> false
 
 let expr_yields_unit a e =
-  expr_unit_env
-    (fun n -> try Hashtbl.find a.unit_tbl n with Not_found -> false)
-    e
+  let tbl = unit_tbl a in
+  expr_unit_env (fun n -> try Hashtbl.find tbl n with Not_found -> false) e
 
 (* A production's memo slot never needs a value when every successful
    full-mode run of its body leaves [Value.Unit] in the register: Void
@@ -263,6 +303,57 @@ let reachable a =
       let s = reachable_from a roots in
       a.reachable_memo <- Some s;
       s
+
+(* Productions on a reference cycle (a self-reference included): the
+   strongly connected components of the reference graph, found in one
+   Tarjan pass. References to undefined names lead nowhere. *)
+let recursive a =
+  match a.recursive_memo with
+  | Some s -> s
+  | None ->
+      let index = Hashtbl.create 64 and low = Hashtbl.create 64 in
+      let on_stack = Hashtbl.create 64 in
+      let stack = ref [] and next = ref 0 and acc = ref StringSet.empty in
+      let rec visit n (p : Production.t) =
+        Hashtbl.replace index n !next;
+        Hashtbl.replace low n !next;
+        incr next;
+        stack := n :: !stack;
+        Hashtbl.replace on_stack n ();
+        let self = ref false in
+        List.iter
+          (fun m ->
+            if String.equal m n then self := true;
+            match Grammar.find a.grammar m with
+            | None -> ()
+            | Some q ->
+                if not (Hashtbl.mem index m) then (
+                  visit m q;
+                  Hashtbl.replace low n
+                    (min (Hashtbl.find low n) (Hashtbl.find low m)))
+                else if Hashtbl.mem on_stack m then
+                  Hashtbl.replace low n
+                    (min (Hashtbl.find low n) (Hashtbl.find index m)))
+          (Expr.refs p.expr);
+        if Hashtbl.find low n = Hashtbl.find index n then (
+          let rec pop members =
+            match !stack with
+            | m :: rest ->
+                stack := rest;
+                Hashtbl.remove on_stack m;
+                if String.equal m n then m :: members else pop (m :: members)
+            | [] -> members
+          in
+          match pop [] with
+          | [ _ ] when not !self -> ()
+          | members -> List.iter (fun m -> acc := StringSet.add m !acc) members)
+      in
+      List.iter
+        (fun (p : Production.t) ->
+          if not (Hashtbl.mem index p.name) then visit p.name p)
+        (Grammar.productions a.grammar);
+      a.recursive_memo <- Some !acc;
+      !acc
 
 let ref_count a name =
   let count_in (p : Production.t) =

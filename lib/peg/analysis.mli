@@ -17,12 +17,16 @@ type nullability =
   | May_be_empty  (** can succeed without consuming *)
 
 type t
-(** Analysis results for one grammar, computed once by {!analyze}. *)
+(** Analysis results for one grammar. Each table (nullability, FIRST
+    sets, statefulness, unit values, reachability, recursion) is
+    computed when a query first needs it and kept for later queries, so
+    a caller pays only for the facts it asks about. *)
 
 val analyze : Grammar.t -> t
 (** Requires a closed grammar (no dangling references); dangling
     references are treated as failing expressions but should be reported
-    via {!Grammar.check_closed} first. *)
+    via {!Grammar.check_closed} first. Cheap: no table is computed
+    until queried. *)
 
 val grammar : t -> Grammar.t
 
@@ -72,6 +76,12 @@ val reachable : t -> StringSet.t
 (** Productions reachable from the start symbol. *)
 
 val reachable_from : t -> string list -> StringSet.t
+
+val recursive : t -> StringSet.t
+(** Productions that can reach themselves through one or more
+    references: [n] is in the set iff [n] is in
+    [reachable_from a (Expr.refs body_of_n)]. One strongly connected
+    components pass over the whole grammar. *)
 
 (** {1 Reference counts} *)
 

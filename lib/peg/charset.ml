@@ -79,10 +79,19 @@ let compare a b =
 let subset a b = equal (inter a b) a
 let disjoint a b = is_empty (inter a b)
 
+(* Walks the set a word at a time, each word as two 32-bit native-int
+   halves: empty words cost one compare, and no member test boxes. *)
 let iter f s =
-  for b = 0 to 255 do
-    let c = Char.chr b in
-    if mem c s then f c
+  let rec bits b x =
+    if x <> 0 then (
+      if x land 1 = 1 then f (Char.unsafe_chr b);
+      bits (b + 1) (x lsr 1))
+  in
+  for i = 0 to 3 do
+    let w = word s i in
+    if w <> 0L then (
+      bits (64 * i) (Int64.to_int w land 0xFFFF_FFFF);
+      bits ((64 * i) + 32) (Int64.to_int (Int64.shift_right_logical w 32)))
   done
 
 let fold f s init =
@@ -98,31 +107,31 @@ let hash s =
   (h s.w0 * 31 + h s.w1) * 31 + (h s.w2 * 31 + h s.w3)
 
 (* Printing: collapse into ranges, escape the unprintable. *)
-let escape_char c =
+let add_escaped b c =
   match c with
-  | '\n' -> "\\n"
-  | '\t' -> "\\t"
-  | '\r' -> "\\r"
-  | '\\' -> "\\\\"
-  | ']' -> "\\]"
-  | '-' -> "\\-"
-  | '^' -> "\\^"
-  | c when Char.code c >= 32 && Char.code c < 127 -> String.make 1 c
-  | c -> Printf.sprintf "\\x%02x" (Char.code c)
+  | '\n' -> Buffer.add_string b "\\n"
+  | '\t' -> Buffer.add_string b "\\t"
+  | '\r' -> Buffer.add_string b "\\r"
+  | '\\' -> Buffer.add_string b "\\\\"
+  | ']' -> Buffer.add_string b "\\]"
+  | '-' -> Buffer.add_string b "\\-"
+  | '^' -> Buffer.add_string b "\\^"
+  | c when Char.code c >= 32 && Char.code c < 127 -> Buffer.add_char b c
+  | c -> Printf.bprintf b "\\x%02x" (Char.code c)
 
+(* Maximal runs of members, ascending, as byte codes. *)
 let ranges s =
-  let rec go b acc cur =
-    if b > 255 then
-      match cur with None -> List.rev acc | Some r -> List.rev (r :: acc)
-    else
-      let present = mem (Char.chr b) s in
-      match (cur, present) with
-      | None, false -> go (b + 1) acc None
-      | None, true -> go (b + 1) acc (Some (b, b))
-      | Some (lo, _), true -> go (b + 1) acc (Some (lo, b))
-      | Some r, false -> go (b + 1) (r :: acc) None
-  in
-  go 0 [] None
+  let acc = ref [] and lo = ref (-1) and hi = ref (-2) in
+  iter
+    (fun c ->
+      let b = Char.code c in
+      if b <> !hi + 1 then (
+        if !lo >= 0 then acc := (!lo, !hi) :: !acc;
+        lo := b);
+      hi := b)
+    s;
+  if !lo >= 0 then acc := (!lo, !hi) :: !acc;
+  List.rev !acc
 
 let to_ranges s =
   List.map (fun (lo, hi) -> (Char.chr lo, Char.chr hi)) (ranges s)
@@ -130,18 +139,16 @@ let to_ranges s =
 let of_ranges rs =
   List.fold_left (fun acc (lo, hi) -> union acc (range lo hi)) empty rs
 
-let pp ppf s =
-  Format.pp_print_string ppf "[";
+let to_string s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '[';
   List.iter
     (fun (lo, hi) ->
-      if lo = hi then Format.pp_print_string ppf (escape_char (Char.chr lo))
-      else if hi = lo + 1 then
-        Format.fprintf ppf "%s%s" (escape_char (Char.chr lo))
-          (escape_char (Char.chr hi))
-      else
-        Format.fprintf ppf "%s-%s" (escape_char (Char.chr lo))
-          (escape_char (Char.chr hi)))
+      add_escaped b (Char.chr lo);
+      if hi > lo + 1 then Buffer.add_char b '-';
+      if hi > lo then add_escaped b (Char.chr hi))
     (ranges s);
-  Format.pp_print_string ppf "]"
+  Buffer.add_char b ']';
+  Buffer.contents b
 
-let to_string s = Format.asprintf "%a" pp s
+let pp ppf s = Format.pp_print_string ppf (to_string s)

@@ -63,9 +63,12 @@ val name : t -> string option
 
 val to_string : t -> string
 (** Render as a compact s-expression, spans omitted — stable, used in
-    golden tests. *)
+    golden tests. Byte-identical to [Format.asprintf "%a" pp], written
+    directly into a buffer without [Format]. *)
 
 val pp : Format.formatter -> t -> unit
+(** The [Format] printer: [hv 1] list boxes and [hv 2] node boxes. The
+    oracle {!to_string} is tested against. *)
 
 val equal : t -> t -> bool
 (** Structural equality {e ignoring spans} — what tests usually want when

@@ -100,21 +100,17 @@ let restore_tables st saved =
 
 (* --- compilation -------------------------------------------------------- *)
 
-(* Character classes and FIRST-set dispatch guards test one byte per
-   visit, so they compile to 256-byte lookup tables (the VM does the
-   same); [Charset.mem] on the four-word bit vector would box an Int64
-   per probe. *)
-let bitmap_of_charset set =
-  let bm = Bytes.make 256 '\000' in
-  Charset.iter (fun c -> Bytes.set bm (Char.code c) '\001') set;
-  bm
-
+(* Character classes and FIRST-set dispatch guards probe bitmaps
+   lowered by [Charmap]. *)
 let bitmap_mem bm c = Bytes.unsafe_get bm (Char.code c) <> '\000'
 
 type compile_ctx = {
   parser : t;
   analysis : Analysis.t;
   config : Config.t;
+  charsets : Charmap.t;
+      (* one lowering per distinct set, shared by the full and the
+         recognizer compilation of every body *)
   obs : Observe.t option;
       (* when set, choice compilation marks alternative coverage and
          pushes backtrack events; call instrumentation lives in the
@@ -272,8 +268,7 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
           record st (pos + m) desc;
           -1)
   | Expr.Cls set ->
-      let desc = Charset.to_string set in
-      let bm = bitmap_of_charset set in
+      let bm, desc = Charmap.lower ctx.charsets set in
       if lean then
         fun st pos ->
           look st pos;
@@ -613,8 +608,8 @@ and compile_alt ctx ~lean ?(tail = false) alts =
       (List.map
          (fun (a : Expr.alt) ->
            let first, eps = Analysis.expr_first ctx.analysis a.body in
-           let desc = Charset.to_string first in
-           (compile_branch a.body, bitmap_of_charset first, eps, desc))
+           let bm, desc = Charmap.lower ctx.charsets first in
+           (compile_branch a.body, bm, eps, desc))
          alts)
   in
   let n = Array.length compiled in
@@ -760,7 +755,9 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
           obs;
         }
       in
-      let ctx = { parser; analysis; config; obs } in
+      let ctx =
+        { parser; analysis; config; charsets = Charmap.create (); obs }
+      in
       (* Governor hooks, always compiled in: unlimited budgets are
          [max_int] sentinels, so the ungoverned path costs one decrement
          and two compares per invocation. Fuel is charged once per

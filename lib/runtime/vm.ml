@@ -158,11 +158,6 @@ let tail_parts = function
   | Value.Node n when String.equal n.Value.name tail_name -> n.Value.children
   | _ -> assert false
 
-let bitmap_of_charset set =
-  let bm = Bytes.make 256 '\000' in
-  Charset.iter (fun c -> Bytes.set bm (Char.code c) '\001') set;
-  bm
-
 let bitmap_mem bm c = Bytes.unsafe_get bm (Char.code c) <> '\000'
 
 (* --- compilation --------------------------------------------------------- *)
@@ -193,6 +188,7 @@ type ctx = {
   buf : buf;
   analysis : Analysis.t;
   config : Config.t;
+  charsets : Charmap.t;  (* one lowering per distinct set *)
   prod_ids : (string, int) Hashtbl.t;
   prods : Production.t array;
   slots : int array;
@@ -218,13 +214,15 @@ let peel_bind (e : Expr.t) =
 
 (* One-byte matchers that the fused forms above can stand in for, as a
    bitmap plus the expected-set description their failure records. *)
-let fused_bitmap (e : Expr.t) =
+let fused_bitmap ctx (e : Expr.t) =
   match e.it with
   | Expr.Chr c ->
       let bm = Bytes.make 256 '\000' in
       Bytes.set bm (Char.code c) '\001';
       Some (bm, Pretty.quote_char c, false)
-  | Expr.Cls set -> Some (bitmap_of_charset set, Charset.to_string set, true)
+  | Expr.Cls set ->
+      let bm, desc = Charmap.lower ctx.charsets set in
+      Some (bm, desc, true)
   | Expr.Any -> Some (Bytes.make 256 '\001', "any character", true)
   | _ -> None
 
@@ -237,8 +235,8 @@ let rec emit ctx ~lean (e : Expr.t) =
   | Expr.Chr c -> emit_instr b (IChar (c, Pretty.quote_char c, not lean))
   | Expr.Str s -> emit_instr b (IStr (s, Pretty.quote_string s, not lean))
   | Expr.Cls set ->
-      emit_instr b
-        (ISet (bitmap_of_charset set, Charset.to_string set, not lean))
+      let bm, desc = Charmap.lower ctx.charsets set in
+      emit_instr b (ISet (bm, desc, not lean))
   | Expr.Ref name -> (
       match Hashtbl.find_opt ctx.prod_ids name with
       | Some id ->
@@ -250,7 +248,7 @@ let rec emit ctx ~lean (e : Expr.t) =
   | Expr.Alt alts -> emit_alt ctx ~lean ~tail:false alts
   | Expr.Star x -> (
       let lean' = lean || Analysis.expr_yields_unit ctx.analysis x in
-      match if lean' then fused_bitmap x else None with
+      match if lean' then fused_bitmap ctx x else None with
       | Some (bm, desc, _) ->
           emit_instr b (ISpan (bm, desc));
           if not lean then emit_instr b ISetUnit
@@ -264,7 +262,7 @@ let rec emit ctx ~lean (e : Expr.t) =
             emit_instr b IPopList))
   | Expr.Plus x -> (
       let lean' = lean || Analysis.expr_yields_unit ctx.analysis x in
-      match if lean' then fused_bitmap x else None with
+      match if lean' then fused_bitmap ctx x else None with
       | Some (bm, desc, _) ->
           emit ctx ~lean:true x;
           emit_instr b (ISpan (bm, desc));
@@ -281,7 +279,7 @@ let rec emit ctx ~lean (e : Expr.t) =
             emit_star_loop ctx ~collect:true x;
             emit_instr b IPopList))
   | Expr.Opt x -> (
-      match fused_bitmap x with
+      match fused_bitmap ctx x with
       | Some (bm, desc, chr_valued) ->
           let mode = if lean then 0 else if chr_valued then 2 else 1 in
           emit_instr b (IOptSet (bm, desc, mode))
@@ -293,7 +291,7 @@ let rec emit ctx ~lean (e : Expr.t) =
           if not lean then emit_instr b ISetUnit;
           patch b commit (ICommit (here b)))
   | Expr.And x -> (
-      match fused_bitmap x with
+      match fused_bitmap ctx x with
       | Some (bm, desc, _) ->
           emit_instr b (ITestAnd (bm, "&" ^ desc));
           if not lean then emit_instr b ISetUnit
@@ -313,7 +311,7 @@ let rec emit ctx ~lean (e : Expr.t) =
           if not lean then emit_instr b ISetUnit)
   | Expr.Not x -> (
       let desc = "not " ^ truncate_desc (Pretty.expr_to_string x) in
-      match fused_bitmap x with
+      match fused_bitmap ctx x with
       | Some (bm, _, _) ->
           emit_instr b (ITestNot (bm, desc));
           if not lean then emit_instr b ISetUnit
@@ -524,8 +522,8 @@ and emit_alt ctx ~lean ~tail alts =
     | _ -> None
   in
   let table = if dispatch && n > 1 then Some (reserve b) else None in
-  (* per-alternative dispatch info: entry past the test, FIRST set,
-     nullability — collected to build the one-lookup table *)
+  (* per-alternative dispatch info: entry past the test, FIRST-set
+     bitmap, nullability — collected to build the one-lookup table *)
   let entries_info = ref [] in
   (* reserved slots to patch once the exit address is known: commits
      (successful non-last alternatives pop their choice entry) and plain
@@ -539,14 +537,11 @@ and emit_alt ctx ~lean ~tail alts =
         (fun i (a : Expr.alt) ->
           let last = i = n - 1 in
           let first, eps = Analysis.expr_first ctx.analysis a.body in
+          let bm, desc = Charmap.lower ctx.charsets first in
           let test =
-            if dispatch then
-              if eps then None
-              else
-                Some (reserve b, bitmap_of_charset first, Charset.to_string first)
-            else None
+            if dispatch && not eps then Some (reserve b, bm, desc) else None
           in
-          entries_info := (here b, first, eps) :: !entries_info;
+          entries_info := (here b, bm, eps) :: !entries_info;
           (match obs_arm with
           | Some base -> emit_instr b (IObsAlt (base + i, false))
           | None -> ());
@@ -590,10 +585,10 @@ and emit_alt ctx ~lean ~tail alts =
       let tbl = Bytes.make 256 (Char.chr none_idx) in
       for byte = 255 downto 0 do
         Array.iteri
-          (fun i (_, first, eps) ->
+          (fun i (_, bm, eps) ->
             if
               Char.code (Bytes.get tbl byte) = none_idx
-              && (eps || Charset.mem (Char.chr byte) first)
+              && (eps || bitmap_mem bm (Char.chr byte))
             then Bytes.set tbl byte (Char.chr i))
           infos
       done;
@@ -641,14 +636,13 @@ let prepare ?(config = Config.vm) gram =
         (fun i (p : Production.t) -> Hashtbl.replace ids p.name i)
         prods;
       let slots, nslots = assign_slots config prods in
+      let recursive = Analysis.recursive analysis in
       let inlinable =
         Array.mapi
           (fun i (p : Production.t) ->
             slots.(i) < 0
             && Expr.size p.expr <= 32
-            && not
-                 (Analysis.StringSet.mem p.name
-                    (Analysis.reachable_from analysis (Expr.refs p.expr))))
+            && not (Analysis.StringSet.mem p.name recursive))
           prods
       in
       let stateful =
@@ -676,7 +670,7 @@ let prepare ?(config = Config.vm) gram =
         else None
       in
       let ctx =
-        { buf; analysis; config; prod_ids = ids; prods; slots; vmap;
+        { buf; analysis; config; charsets = Charmap.create (); prod_ids = ids; prods; slots; vmap;
           stateful; inlinable; inline_depth = 0;
           governed = not (Limits.is_unlimited config.Config.limits); obs }
       in

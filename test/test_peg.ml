@@ -71,6 +71,53 @@ let charset_tests =
     test "pp prints range syntax" (fun () ->
         check Alcotest.string "range" "[a-e]"
           (Charset.to_string (Charset.range 'a' 'e')));
+    test "iter, ranges and printing agree with membership" (fun () ->
+        (* reference: one [mem] per byte, runs collapsed by hand *)
+        let naive s =
+          let esc c =
+            match c with
+            | '\n' -> "\\n" | '\t' -> "\\t" | '\r' -> "\\r"
+            | '\\' -> "\\\\" | ']' -> "\\]" | '-' -> "\\-" | '^' -> "\\^"
+            | c when Char.code c >= 32 && Char.code c < 127 -> String.make 1 c
+            | c -> Printf.sprintf "\\x%02x" (Char.code c)
+          in
+          let b = Buffer.create 16 in
+          Buffer.add_char b '[';
+          let lo = ref 0 in
+          while !lo < 256 do
+            if Charset.mem (Char.chr !lo) s then (
+              let hi = ref !lo in
+              while !hi < 255 && Charset.mem (Char.chr (!hi + 1)) s do incr hi done;
+              Buffer.add_string b (esc (Char.chr !lo));
+              if !hi > !lo + 1 then Buffer.add_char b '-';
+              if !hi > !lo then Buffer.add_string b (esc (Char.chr !hi));
+              lo := !hi + 1)
+            else incr lo
+          done;
+          Buffer.add_char b ']';
+          Buffer.contents b
+        in
+        let rng = Rng.create 256 in
+        let sets =
+          Charset.empty :: Charset.full
+          :: Charset.range '\000' '\255'
+          :: Charset.of_string "\000\063\064\127\128\191\192\255"
+          :: List.init 500 (fun _ ->
+                 List.fold_left
+                   (fun acc _ ->
+                     let lo = Rng.int rng 256 in
+                     let hi = min 255 (lo + Rng.int rng 70) in
+                     Charset.union acc (Charset.range (Char.chr lo) (Char.chr hi)))
+                   Charset.empty
+                   (List.init (Rng.int rng 6) Fun.id))
+        in
+        List.iter
+          (fun s ->
+            let members = List.filter (fun c -> Charset.mem c s) (List.init 256 Char.chr) in
+            check (Alcotest.list Alcotest.char) "elements" members (Charset.elements s);
+            check Alcotest.string "to_string" (naive s) (Charset.to_string s);
+            check Alcotest.string "pp" (naive s) (Format.asprintf "%a" Charset.pp s))
+          sets);
   ]
 
 (* --- Value ------------------------------------------------------------------ *)
@@ -134,6 +181,152 @@ let value_tests =
             [ (None, Value.List [ Value.node "B" []; Value.Str "s" ]) ]
         in
         check Alcotest.int "n" 2 (Value.count_nodes v));
+  ]
+
+(* --- Renderer ------------------------------------------------------------- *)
+
+(* [Value.to_string] is a direct writer that must reproduce the layout of
+   the [Format] printer [Value.pp] byte for byte; these tests compare the
+   two on seeded random trees, on trees built to sit on the margin and
+   the maximum indentation, on every escape class, and on real parses. *)
+
+let oracle v = Format.asprintf "%a" Value.pp v
+
+let same_render what v =
+  let want = oracle v and got = Value.to_string v in
+  if not (String.equal want got) then
+    Alcotest.failf "%s: renderer differs from Format@.want:@.%s@.got:@.%s" what
+      want got
+
+let random_text rng n =
+  (* printable bytes mostly, with every escape class mixed in *)
+  String.init n (fun _ ->
+      match Rng.int rng 10 with
+      | 0 -> Rng.pick rng [| '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\x7f'; '\xff' |]
+      | _ -> Char.chr (32 + Rng.int rng 95))
+
+let random_name rng =
+  String.init (Rng.in_range rng 0 12) (fun _ -> Char.chr (97 + Rng.int rng 26))
+
+(* A random tree whose leaves and names are sized so that boxes of every
+   width occur, from far below the margin to far above it. *)
+let rec random_value rng depth =
+  let leaf () =
+    match Rng.int rng 5 with
+    | 0 -> Value.Unit
+    | 1 -> Value.Chr (Char.chr (Rng.int rng 256))
+    | 2 -> Value.Str (random_text rng (Rng.in_range rng 60 90))
+    | _ -> Value.Str (random_text rng (Rng.int rng 12))
+  in
+  if depth = 0 then leaf ()
+  else
+    match Rng.int rng 5 with
+    | 0 -> leaf ()
+    | 1 | 2 ->
+        Value.List
+          (List.init (Rng.int rng 5) (fun _ -> random_value rng (depth - 1)))
+    | _ ->
+        Value.node (random_name rng)
+          (List.init (Rng.int rng 5) (fun _ ->
+               let lbl =
+                 if Rng.int rng 3 = 0 then
+                   Some (String.make (Rng.in_range rng 1 10) 'l')
+                 else None
+               in
+               (lbl, random_value rng (depth - 1))))
+
+(* A spine [depth] boxes deep with one leaf of [n] bytes at the bottom:
+   with names and labels of varying length it puts box openings and
+   leaf ends on every column around 68 and 78. *)
+let rec spine rng depth n =
+  if depth = 0 then Value.Str (String.make n 'x')
+  else
+    let inner = spine rng (depth - 1) n in
+    match Rng.int rng 3 with
+    | 0 -> Value.List [ inner ]
+    | 1 -> Value.node (random_name rng) [ (None, inner) ]
+    | _ ->
+        Value.node (random_name rng)
+          [ (Some (random_name rng ^ "l"), inner); (None, Value.Unit) ]
+
+(* The first document of at least [target] bytes the engine accepts:
+   scale [k] doubles until the size is reached, then the seed moves on
+   past generator outputs the grammar rejects. *)
+let sized_parse eng make target =
+  let rec grow k = if String.length (make k k) >= target then k else grow (k * 2) in
+  let k = grow 1 in
+  let rec try_seed seed =
+    match Engine.parse eng (make seed k) with
+    | Ok v -> v
+    | Error _ when seed < k + 20 -> try_seed (seed + 1)
+    | Error e -> Alcotest.failf "no accepted document: %s" (Parse_error.message e)
+  in
+  try_seed k
+
+let render_tests =
+  [
+    test "escape classes" (fun () ->
+        check Alcotest.string "str" "\"\\\"\\\\\\n\\t\\r\\x00\\x1f\\x7f\\xff ~\""
+          (Value.to_string (Value.Str "\"\\\n\t\r\000\031\127\255 ~"));
+        for c = 0 to 255 do
+          same_render "chr" (Value.Chr (Char.chr c));
+          same_render "str" (Value.Str (String.make 3 (Char.chr c)))
+        done);
+    test "seeded random trees" (fun () ->
+        let rng = Rng.create 2006 in
+        for i = 1 to 20_000 do
+          same_render (Printf.sprintf "tree %d" i)
+            (random_value rng (Rng.in_range rng 1 7))
+        done);
+    test "trees on the margin and the maximum indentation" (fun () ->
+        let rng = Rng.create 68 in
+        for depth = 1 to 40 do
+          for n = 0 to 90 do
+            same_render
+              (Printf.sprintf "spine %d/%d" depth n)
+              (spine rng depth n);
+            same_render
+              (Printf.sprintf "list %d/%d" depth n)
+              (Value.List
+                 [ spine rng depth n; Value.Str (String.make (n / 3) 'y');
+                   spine rng (depth / 2) (90 - n) ])
+          done
+        done);
+    test "parses of the five grammars, 1 KB to 128 KB" (fun () ->
+        let cases =
+          [
+            ( "calc", Grammars.Calc.grammar (),
+              fun seed k ->
+                Grammars.Corpus.arith (Rng.create seed) ~size:(k * 8) );
+            ( "json", Grammars.Json.grammar (),
+              fun seed k ->
+                (* one document's depth is capped: grow as an array *)
+                "["
+                ^ String.concat ", "
+                    (List.init k (fun i ->
+                         Grammars.Corpus.json (Rng.create (seed + i)) ~size:40))
+                ^ "]" );
+            ( "minic", Grammars.Minic.grammar (),
+              fun seed k ->
+                Grammars.Corpus.minic (Rng.create seed) ~functions:k );
+            ( "minic-ext", Grammars.Minic.extended_grammar (),
+              fun seed k ->
+                Grammars.Corpus.minic_extended (Rng.create seed) ~functions:k );
+            ( "minijava", Grammars.Minijava.grammar (),
+              fun seed k ->
+                Grammars.Corpus.minijava (Rng.create seed) ~classes:k );
+          ]
+        in
+        List.iter
+          (fun (name, g, make) ->
+            let eng = Engine.prepare_exn (Pipeline.optimize g) in
+            List.iter
+              (fun kb ->
+                same_render
+                  (Printf.sprintf "%s %d KB" name kb)
+                  (sized_parse eng make (kb * 1024)))
+              [ 1; 16; 128 ])
+          cases);
   ]
 
 (* --- Expr smart constructors -------------------------------------------------- *)
@@ -284,6 +477,24 @@ let grammar_tests =
 let analysis_tests =
   let open Builder in
   [
+    test "recursive is self-reachability" (fun () ->
+        List.iter
+          (fun g ->
+            let a = Analysis.analyze g in
+            List.iter
+              (fun (p : Production.t) ->
+                check Alcotest.bool p.name
+                  (Analysis.StringSet.mem p.name
+                     (Analysis.reachable_from a (Expr.refs p.expr)))
+                  (Analysis.StringSet.mem p.name (Analysis.recursive a)))
+              (Grammar.productions g))
+          [
+            Grammars.Calc.grammar (); Grammars.Json.grammar ();
+            Grammars.Minic.grammar (); Grammars.Minic.extended_grammar ();
+            Grammars.Minijava.grammar ();
+            b_grammar
+              [ prod "S" (e "A" @: e "S"); prod "A" (c 'a'); prod "B" (e "B") ];
+          ]);
     test "nullable: star, opt, predicates" (fun () ->
         let g =
           b_grammar
@@ -493,6 +704,7 @@ let () =
     [
       ("charset", charset_tests);
       ("value", value_tests);
+      ("render", render_tests);
       ("expr", expr_tests);
       ("grammar", grammar_tests);
       ("analysis", analysis_tests);
