@@ -683,11 +683,11 @@ let parse_cmd =
           ~doc:
             "Inject deterministic faults into a --batch run (testing): a \
              comma-separated plan of seed=N, rate=F (fraction of documents \
-             hit, seeded per-document coin), trunc\\@K (truncate reads at K \
-             bytes), io\\@K (fail reads after K bytes), fuel\\@N / memo\\@N \
-             (cap those budgets so the governor trips), skew\\@NS (step the \
+             hit, seeded per-document coin), trunc@K (truncate reads at K \
+             bytes), io@K (fail reads after K bytes), fuel@N / memo@N \
+             (cap those budgets so the governor trips), skew@NS (step the \
              deadline clock by NS nanoseconds after arming). Example: \
-             'seed=7,rate=0.5,trunc\\@64,fuel\\@10000'.")
+             'seed=7,rate=0.5,trunc@64,fuel@10000'.")
   in
   let doc_timeout_arg =
     Arg.(

@@ -275,6 +275,44 @@ let rec preserves_value (e : Expr.t) =
   | Expr.Member _ ->
       false
 
+type seq_plan =
+  | Collect
+  | No_value of Expr.t list
+  | One_value of string option * (Expr.t * bool) list
+
+(* [Value.seq] drops unlabeled unit parts and collapses a singleton to
+   the part itself, so a sequence with at most one value-bearing part
+   needs no collection: the value register already carries the result,
+   provided the parts after the value-bearing one leave it alone. *)
+let seq_plan a ~lean_values es =
+  if
+    (not lean_values)
+    || List.exists
+         (fun (e : Expr.t) ->
+           match e.it with Expr.Splice _ -> true | _ -> false)
+         es
+  then Collect
+  else
+    let parts =
+      List.map
+        (fun (e : Expr.t) ->
+          match e.it with
+          | Expr.Bind (l, inner) -> (Some l, inner, true)
+          | _ -> (None, e, not (expr_yields_unit a e)))
+        es
+    in
+    let rec after_value = function
+      | [] -> []
+      | (_, _, true) :: rest -> List.map (fun (_, e, _) -> e) rest
+      | _ :: rest -> after_value rest
+    in
+    match List.filter (fun (_, _, bearing) -> bearing) parts with
+    | [] -> No_value (List.map (fun (_, e, _) -> e) parts)
+    | [ (label, _, _) ] when List.for_all preserves_value (after_value parts)
+      ->
+        One_value (label, List.map (fun (_, e, bearing) -> (e, bearing)) parts)
+    | _ -> Collect
+
 (* --- reachability ------------------------------------------------------ *)
 
 let reachable_from a roots =

@@ -70,6 +70,26 @@ val preserves_value : Expr.t -> bool
     protect the result. Both back ends consult this so they agree,
     call site for call site, on which sequences skip collection. *)
 
+(** How a full-mode (value-building) sequence is run. *)
+type seq_plan =
+  | Collect
+      (** collect every part's labeled value; the only plan without
+          lean values, or when a part is a [Splice] *)
+  | No_value of Expr.t list
+      (** no part bears a value: run these bodies (binds peeled) in
+          recognizer mode and yield [Unit] *)
+  | One_value of string option * (Expr.t * bool) list
+      (** one part bears the value: run the bodies (binds peeled), the
+          flagged one in full mode and the rest in recognizer mode, then
+          bind the value under the label, if any *)
+
+val seq_plan : t -> lean_values:bool -> Expr.t list -> seq_plan
+(** The plan both back ends lower a value-building sequence by, so they
+    agree call site for call site on which parts run in recognizer mode.
+    A sequence skips collection when its value is its one value-bearing
+    part's (what [Value.seq] reduces it to) and the parts after that one
+    {!preserves_value}. *)
+
 (** {1 Reachability} *)
 
 val reachable : t -> StringSet.t

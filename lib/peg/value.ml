@@ -16,12 +16,24 @@ and node = {
 let node ?(span = Span.dummy) name children = Node { name; children; span }
 let seq_name = "#seq"
 
+let empty_list = List []
+let empty_part = (None, empty_list)
+
+(* Unlabeled [Unit] parts carry nothing. The engines never collect
+   them, so the common case returns [parts] itself instead of a copy. *)
+let keep = function None, Unit -> false | _ -> true
+
+let drop_units parts =
+  if List.for_all keep parts then parts else List.filter keep parts
+
 let seq ?(span = Span.dummy) parts =
-  let keep = function None, Unit -> false | _ -> true in
-  match List.filter keep parts with
+  match drop_units parts with
   | [] -> Unit
   | [ (None, v) ] -> v
   | parts -> Node { name = seq_name; children = parts; span }
+
+let bind label v =
+  Node { name = seq_name; children = [ (label, v) ]; span = Span.dummy }
 
 let is_unit = function Unit -> true | _ -> false
 
@@ -29,6 +41,11 @@ let components = function
   | Unit -> []
   | Node n when n.name = seq_name -> n.children
   | v -> [ (None, v) ]
+
+let node_of_parts ~span name parts =
+  match drop_units parts with
+  | [ (None, v) ] -> Node { name; children = components v; span }
+  | parts -> Node { name; children = parts; span }
 
 let child v l =
   match v with

@@ -43,12 +43,31 @@ val seq : ?span:Span.t -> (string option * t) list -> t
     returns [Unit] for zero parts, the value itself for one unlabeled
     part, and a [seq_name] tuple node otherwise. *)
 
+val empty_list : t
+(** [List []], allocated once. Values are immutable, so every empty
+    repetition can share it. *)
+
+val empty_part : string option * t
+(** [(None, empty_list)], allocated once: the part an empty unlabeled
+    repetition contributes to a sequence. *)
+
+val bind : string option -> t -> t
+(** [bind label v] is [seq [ (label, v) ]] for a labeled part, built
+    without the filtering pass. The engines pass a [Some l] allocated at
+    compile time, so a binding allocates only its node. *)
+
 val is_unit : t -> bool
 
 val components : t -> (string option * t) list
 (** [components v] is the labeled child list a node wrapper absorbs:
     a ["#seq"] tuple yields its children, [Unit] yields [[]], anything
     else is a singleton. *)
+
+val node_of_parts : span:Span.t -> string -> (string option * t) list -> t
+(** [node_of_parts ~span name parts] is
+    [node ~span name (components (seq parts))], built without the
+    intermediate tuple node: the one node a [Node] wrapper or a generic
+    production builds around a sequence. *)
 
 val child : t -> string -> t option
 (** [child v l] is the first child of node [v] labeled [l], if any. *)

@@ -16,6 +16,8 @@ type st = {
   input : Input.t;
   len : int;
   mutable value : Value.t;
+  mutable parts : (string option * Value.t) list;
+      (* the parts a general sequence collected, in match order *)
   fail_trace : Expected.t;
   mutable tables : SSet.t SMap.t;  (* stateful-parsing tables *)
   mutable version : int;  (* bumped on every table change or rollback *)
@@ -153,17 +155,57 @@ let rec star_loop (fx : fn) st pos =
   else if p = pos then pos (* no progress; stop to guarantee termination *)
   else star_loop fx st p
 
+let list_of_rev = function
+  | [] -> Value.empty_list
+  | acc -> Value.List (List.rev acc)
+
 let rec star_collect (fx : fn) st pos acc =
   let saved = st.tables in
   let p = fx st pos in
   if p < 0 then (
     restore_tables st saved;
-    st.value <- Value.List (List.rev acc);
+    st.value <- list_of_rev acc;
     pos)
   else if p = pos then (
-    st.value <- Value.List (List.rev acc);
+    st.value <- list_of_rev acc;
     pos)
   else star_collect fx st p (st.value :: acc)
+
+(* Sequence tails produced by [compile_tail] carry their parts in a node
+   with this reserved name, so splicing never confuses "one value that
+   happens to be a tuple" with "the parts of a tail". *)
+let tail_name = "#tail"
+
+let tail_parts = function
+  | Value.Node n when String.equal n.Value.name tail_name -> n.Value.children
+  | _ -> assert false
+
+(* The general value-building sequence: run parts [i..n) from [pos]
+   and, on success, leave their labeled values in [st.parts], in match
+   order (unlabeled units carry nothing; a splice contributes a tail's
+   parts). The list is consed on the way back out of the recursion, so
+   it needs no reversal; the recursion is as deep as the sequence is
+   long. *)
+let rec seq_collect (parts : (string option * fn * bool) array) n st i pos =
+  if i >= n then (
+    st.parts <- [];
+    pos)
+  else
+    let label, fn, splice = Array.unsafe_get parts i in
+    let p = fn st pos in
+    if p < 0 then -1
+    else
+      let v = st.value in
+      let q = seq_collect parts n st (i + 1) p in
+      (if q >= 0 then
+         if splice then st.parts <- tail_parts v @ st.parts
+         else
+           match (label, v) with
+           | None, Value.Unit -> ()
+           | None, _ when v == Value.empty_list ->
+               st.parts <- Value.empty_part :: st.parts
+           | _ -> st.parts <- (label, v) :: st.parts);
+      q
 
 let alt_first_viable st pos (first : Bytes.t) eps =
   eps
@@ -202,15 +244,6 @@ let pred_body_desc (x : Expr.t) =
 (* Peel a top-level Bind to expose the label a sequence records. *)
 let peel_bind (e : Expr.t) =
   match e.it with Expr.Bind (l, inner) -> (Some l, inner) | _ -> (None, e)
-
-(* Sequence tails produced by [compile_tail] carry their parts in a node
-   with this reserved name, so splicing never confuses "one value that
-   happens to be a tuple" with "the parts of a tail". *)
-let tail_name = "#tail"
-
-let tail_parts = function
-  | Value.Node n when String.equal n.Value.name tail_name -> n.Value.children
-  | _ -> assert false
 
 let rec compile ctx ~lean (e : Expr.t) : fn =
   match e.it with
@@ -311,34 +344,24 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
       else compile_star ctx ~lean x
   | Expr.Plus x ->
       if (not lean) && Analysis.expr_yields_unit ctx.analysis x then (
-        let one = compile ctx ~lean:true x in
-        let star = compile_star ctx ~lean:true x in
+        let fx = compile ctx ~lean:true x in
         fun st pos ->
-          let p = one st pos in
+          let p = fx st pos in
           if p < 0 then -1
           else (
-            let p' = star st p in
+            let p' = star_loop fx st p in
             st.value <- Value.Unit;
             p'))
       else
-        let star = compile_star ctx ~lean x in
-        let one = compile ctx ~lean x in
+        let fx = compile ctx ~lean x in
         if lean then
           fun st pos ->
-            let p = one st pos in
-            if p < 0 then -1 else star st p
+            let p = fx st pos in
+            if p < 0 then -1 else star_loop fx st p
         else
           fun st pos ->
-            let p = one st pos in
-            if p < 0 then -1
-            else
-              let first = st.value in
-              let p' = star st p in
-              (* star in full mode always succeeds with a List *)
-              (match st.value with
-              | Value.List rest -> st.value <- Value.List (first :: rest)
-              | _ -> st.value <- Value.List [ first ]);
-              p'
+            let p = fx st pos in
+            if p < 0 then -1 else star_collect fx st p [ st.value ]
   | Expr.Opt x ->
       let fx = compile ctx ~lean x in
       fun st pos ->
@@ -383,11 +406,12 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
       let fx = compile ctx ~lean x in
       if lean then fx
       else
+        let label = Some label in
         fun st pos ->
           let p = fx st pos in
           if p < 0 then -1
           else (
-            st.value <- Value.seq [ (Some label, st.value) ];
+            st.value <- Value.bind label st.value;
             p)
   | Expr.Token x ->
       let fx = compile ctx ~lean:(lean || ctx.config.Config.lean_values) x in
@@ -400,17 +424,7 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
             st.value <- Value.Str (Input.sub_string st.input pos (p - pos));
             p)
   | Expr.Node (name, x) ->
-      let fx = compile ctx ~lean x in
-      if lean then fx
-      else
-        fun st pos ->
-          let p = fx st pos in
-          if p < 0 then -1
-          else (
-            st.value <-
-              Value.node ~span:(Span.v ~start_:pos ~stop:p) name
-                (Value.components st.value);
-            p)
+      if lean then compile ctx ~lean x else compile_node ctx name x
   | Expr.Drop x ->
       let fx = compile ctx ~lean:(lean || ctx.config.Config.lean_values) x in
       if lean then fx
@@ -465,113 +479,89 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
             record st pos desc;
             -1)
 
-and compile_seq ctx ~lean ?(tail = false) es =
+(* A [Node] wrapper or generic production named [name] around [e]:
+   a collecting sequence builds the node itself from its parts, a
+   choice hands the same rule to each alternative, and any other body
+   is wrapped. Each way builds exactly [Value.node name
+   (Value.components v)] for the value [v] [e] alone would yield,
+   spanning what [e] matched. *)
+and compile_node ctx name (e : Expr.t) : fn =
+  let wrap () =
+    let fx = compile ctx ~lean:false e in
+    fun st pos ->
+      let p = fx st pos in
+      if p < 0 then -1
+      else (
+        st.value <-
+          Value.node ~span:(Span.v ~start_:pos ~stop:p) name
+            (Value.components st.value);
+        p)
+  in
+  match e.it with
+  | Expr.Seq es -> (
+      match
+        Analysis.seq_plan ctx.analysis
+          ~lean_values:ctx.config.Config.lean_values es
+      with
+      | Analysis.Collect ->
+          compile_collect ctx es (fun span parts ->
+              Value.node_of_parts ~span name parts)
+      | Analysis.No_value _ | Analysis.One_value _ -> wrap ())
+  | Expr.Alt alts -> compile_alt ctx ~lean:false ~node:name alts
+  | _ -> wrap ()
+
+(* A sequence that collects its parts and builds its value with
+   [finish] from its span and the parts. *)
+and compile_collect ctx es finish =
+  let parts =
+    Array.of_list
+      (List.map
+         (fun (e : Expr.t) ->
+           match e.it with
+           | Expr.Splice inner -> (None, compile_tail ctx inner, true)
+           | _ ->
+               let label, inner = peel_bind e in
+               (label, compile ctx ~lean:false inner, false))
+         es)
+  in
+  let n = Array.length parts in
+  fun st pos ->
+    let p = seq_collect parts n st 0 pos in
+    if p >= 0 then st.value <- finish (Span.v ~start_:pos ~stop:p) st.parts;
+    p
+
+and compile_seq ctx ~lean es =
+  let chain fns finish =
+    let fns = Array.of_list fns in
+    let n = Array.length fns in
+    fun st pos ->
+      let p = seq_loop fns n st 0 pos in
+      if p >= 0 then finish st;
+      p
+  in
   if lean then (
     let fns = Array.of_list (List.map (compile ctx ~lean:true) es) in
     let n = Array.length fns in
     fun st pos -> seq_loop fns n st 0 pos)
   else
-    let general () =
-    let parts =
-      Array.of_list
-        (List.map
-           (fun (e : Expr.t) ->
-             match e.it with
-             | Expr.Splice inner -> (None, compile_tail ctx inner, true)
-             | _ ->
-                 let label, inner = peel_bind e in
-                 (label, compile ctx ~lean:false inner, false))
-           es)
-    in
-    let n = Array.length parts in
-    let finish =
-      if tail then fun st pos0 pos acc ->
-        st.value <-
-          Value.node ~span:(Span.v ~start_:pos0 ~stop:pos) tail_name
-            (List.rev acc)
-      else fun st pos0 pos acc ->
-        st.value <-
-          Value.seq ~span:(Span.v ~start_:pos0 ~stop:pos) (List.rev acc)
-    in
-    fun st pos0 ->
-      let rec go i pos acc =
-        if i >= n then (
-          finish st pos0 pos acc;
-          pos)
-        else
-          let label, fn, splice = parts.(i) in
-          let p = fn st pos in
-          if p < 0 then -1
-          else
-            let acc =
-              if splice then List.rev_append (tail_parts st.value) acc
-              else
-                match (label, st.value) with
-                | None, Value.Unit -> acc
-                | _ -> (label, st.value) :: acc
-            in
-            go (i + 1) p acc
-      in
-      go 0 pos0 []
-    in
-    if
-      tail
-      || (not ctx.config.Config.lean_values)
-      || List.exists
-           (fun (e : Expr.t) ->
-             match e.it with Expr.Splice _ -> true | _ -> false)
-           es
-    then general ()
-    else
-      (* [Value.seq] drops unlabeled unit parts and collapses a
-         singleton to the part itself (lib/peg/value.ml), so a sequence
-         with at most one value-bearing part needs no collection: the
-         value register already carries the result — provided the parts
-         after the value-bearing one leave the register alone. The VM's
-         [emit_seq] makes the same decision from the same analysis, so
-         both back ends run the same call sites in recognizer mode. *)
-      let info =
-        List.map
-          (fun e ->
-            let label, inner = peel_bind e in
-            ( label,
-              inner,
-              label <> None
-              || not (Analysis.expr_yields_unit ctx.analysis inner) ))
-          es
-      in
-      let rec after_value = function
-        | [] -> []
-        | (_, _, true) :: rest -> List.map (fun (_, i, _) -> i) rest
-        | _ :: rest -> after_value rest
-      in
-      let chain fns finish =
-        let fns = Array.of_list fns in
-        let n = Array.length fns in
-        fun st pos ->
-          let p = seq_loop fns n st 0 pos in
-          if p < 0 then -1
-          else (
-            finish st;
-            p)
-      in
-      match List.filter (fun (_, _, bearing) -> bearing) info with
-      | [] ->
-          chain
-            (List.map (fun (_, inner, _) -> compile ctx ~lean:true inner) info)
-            (fun st -> st.value <- Value.Unit)
-      | [ (label, _, _) ]
-        when List.for_all Analysis.preserves_value (after_value info) ->
-          chain
-            (List.map
-               (fun (_, inner, bearing) ->
-                 compile ctx ~lean:(not bearing) inner)
-               info)
-            (match label with
-            | None -> fun _ -> ()
-            | Some l ->
-                fun st -> st.value <- Value.seq [ (Some l, st.value) ])
-      | _ -> general ()
+    match
+      Analysis.seq_plan ctx.analysis
+        ~lean_values:ctx.config.Config.lean_values es
+    with
+    | Analysis.Collect ->
+        compile_collect ctx es (fun span parts -> Value.seq ~span parts)
+    | Analysis.No_value bodies ->
+        chain
+          (List.map (compile ctx ~lean:true) bodies)
+          (fun st -> st.value <- Value.Unit)
+    | Analysis.One_value (label, parts) ->
+        chain
+          (List.map
+             (fun (body, bearing) -> compile ctx ~lean:(not bearing) body)
+             parts)
+          (match label with
+          | None -> ignore
+          | Some _ -> fun st -> st.value <- Value.bind label st.value)
 
 and compile_tail ctx (e : Expr.t) : fn =
   (* Compile [e] as a sequence tail: the value is always a [tail_name]
@@ -579,7 +569,8 @@ and compile_tail ctx (e : Expr.t) : fn =
      collapsing. Produced only by the prefix-factoring optimizer. *)
   match e.it with
   | Expr.Alt alts -> compile_alt ctx ~lean:false ~tail:true alts
-  | Expr.Seq es -> compile_seq ctx ~lean:false ~tail:true es
+  | Expr.Seq es ->
+      compile_collect ctx es (fun span parts -> Value.node ~span tail_name parts)
   | Expr.Empty ->
       fun st pos ->
         st.value <- Value.node tail_name [];
@@ -598,10 +589,13 @@ and compile_tail ctx (e : Expr.t) : fn =
               | _ -> [ (label, st.value) ]);
           p)
 
-and compile_alt ctx ~lean ?(tail = false) alts =
+and compile_alt ctx ~lean ?(tail = false) ?node alts =
   let dispatch = ctx.config.Config.dispatch in
   let compile_branch body =
-    if tail then compile_tail ctx body else compile ctx ~lean body
+    match node with
+    | _ when tail -> compile_tail ctx body
+    | Some name -> compile_node ctx name body
+    | None -> compile ctx ~lean body
   in
   let compiled =
     Array.of_list
@@ -664,18 +658,12 @@ and compile_star ctx ~lean x =
   if lean then fun st pos -> star_loop fx st pos
   else fun st pos -> star_collect fx st pos []
 
-(* Shape a production's raw body value according to its kind. *)
+(* Shape a production's raw body value according to its kind. A generic
+   body builds its own node ([compile_node]), so its shape is the
+   identity. *)
 let shape (p : Production.t) =
   match p.attrs.Attr.kind with
-  | Attr.Plain -> fun st _pos0 _pos1 -> ignore st
-  | Attr.Generic ->
-      let name = p.name in
-      fun st pos0 pos1 ->
-        st.value <-
-          Value.node
-            ~span:(Span.v ~start_:pos0 ~stop:pos1)
-            name
-            (Value.components st.value)
+  | Attr.Plain | Attr.Generic -> fun st _pos0 _pos1 -> ignore st
   | Attr.Text ->
       fun st pos0 pos1 -> st.value <- Value.Str (Input.sub_string st.input pos0 (pos1 - pos0))
   | Attr.Void -> fun st _pos0 _pos1 -> st.value <- Value.Unit
@@ -788,7 +776,11 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
                && (p.attrs.Attr.kind = Attr.Text
                   || p.attrs.Attr.kind = Attr.Void)
              in
-             let body_full = compile ctx ~lean:lean_body p.expr in
+             let body_full =
+               if p.attrs.Attr.kind = Attr.Generic then
+                 compile_node ctx p.name p.expr
+               else compile ctx ~lean:lean_body p.expr
+             in
              let body_rec = compile ctx ~lean:true p.expr in
              let shape_fn = shape p in
              let slot = slots.(i) in
@@ -1293,6 +1285,7 @@ let run_closures t ?store ?start ~require_eof input =
         input;
         len;
         value = Value.Unit;
+        parts = [];
         fail_trace = Expected.create ();
         tables = SMap.empty;
         version = (match store with Some s -> s.c_version + 1 | None -> 0);

@@ -97,18 +97,23 @@ type instr =
   | IAppendSplice  (* splice a #tail node's parts into the top frame *)
   | IAppendList  (* repetition element into the top frame *)
   | IPopSeq
+  | IPopSeqNode of string
+      (* pop-seq fused with the node wrapper or generic shape around it:
+         builds the node straight from the frame's parts *)
   | IPopTail
   | IPopTail1 of string option
   | IPopList
   | IPopToken
   | IPopNode of string
-  | IWrapBind of string
+  | IWrapBind of string option  (* [Some label], allocated once *)
   | ISpliceCollapse
   (* stateful parsing *)
   | IRecord of string
   | IMember of string * bool * string
 
-type shape = Shape_plain | Shape_generic of string | Shape_text | Shape_void
+(* A generic production's body builds its own node ([emit_node]), so
+   only text and void productions are shaped at the return. *)
+type shape = Shape_plain | Shape_text | Shape_void
 
 type scratch = {
   sc_arena : Memo_arena.t;
@@ -244,7 +249,7 @@ let rec emit ctx ~lean (e : Expr.t) =
             emit_inline ctx ~lean id
           else emit_call ctx ~lean id
       | None -> Diagnostic.failf "vm: undefined production %S" name)
-  | Expr.Seq es -> emit_seq ctx ~lean ~tail:false es
+  | Expr.Seq es -> emit_seq ctx ~lean es
   | Expr.Alt alts -> emit_alt ctx ~lean ~tail:false alts
   | Expr.Star x -> (
       let lean' = lean || Analysis.expr_yields_unit ctx.analysis x in
@@ -327,7 +332,7 @@ let rec emit ctx ~lean (e : Expr.t) =
           if not lean then emit_instr b ISetUnit)
   | Expr.Bind (label, x) ->
       emit ctx ~lean x;
-      if not lean then emit_instr b (IWrapBind label)
+      if not lean then emit_instr b (IWrapBind (Some label))
   | Expr.Token x ->
       if lean then emit ctx ~lean:true x
       else (
@@ -335,11 +340,7 @@ let rec emit ctx ~lean (e : Expr.t) =
         emit ctx ~lean:ctx.config.Config.lean_values x;
         emit_instr b IPopToken)
   | Expr.Node (name, x) ->
-      if lean then emit ctx ~lean:true x
-      else (
-        emit_instr b IPushMark;
-        emit ctx ~lean:false x;
-        emit_instr b (IPopNode name))
+      if lean then emit ctx ~lean:true x else emit_node ctx name x
   | Expr.Drop x ->
       emit ctx ~lean:(lean || ctx.config.Config.lean_values) x;
       if not lean then emit_instr b ISetUnit
@@ -399,10 +400,7 @@ and emit_inline ctx ~lean id =
    else
      match p.Production.attrs.Attr.kind with
      | Attr.Plain -> emit ctx ~lean:false p.Production.expr
-     | Attr.Generic ->
-         emit_instr b IPushMark;
-         emit ctx ~lean:false p.Production.expr;
-         emit_instr b (IPopNode p.Production.name)
+     | Attr.Generic -> emit_node ctx p.Production.name p.Production.expr
      | Attr.Text ->
          emit_instr b IPushMark;
          emit ctx ~lean:true p.Production.expr;
@@ -427,72 +425,71 @@ and emit_star_loop ctx ~collect x =
   (* both the handler and the no-progress exit land here *)
   patch b choice (IChoice (here b, false))
 
-and emit_seq ctx ~lean ~tail es =
+(* A [Node] wrapper or generic production named [name] around [e], the
+   closure engine's [compile_node]: a collecting sequence ends in one
+   [IPopSeqNode] instead of [IPopSeq] then [IPopNode], a choice hands
+   the rule to each alternative, and any other body is wrapped in a
+   frame whose offset starts the node's span. *)
+and emit_node ctx name (e : Expr.t) =
   let b = ctx.buf in
-  let general () =
+  let wrap () =
     emit_instr b IPushMark;
-    List.iter
-      (fun (e : Expr.t) ->
-        match e.it with
-        | Expr.Splice inner ->
-            emit_tail ctx inner;
-            emit_instr b IAppendSplice
-        | _ ->
-            let label, inner = peel_bind e in
-            emit ctx ~lean:false inner;
-            emit_instr b (IAppend label))
-      es;
-    emit_instr b (if tail then IPopTail else IPopSeq)
+    emit ctx ~lean:false e;
+    emit_instr b (IPopNode name)
   in
-  if lean then List.iter (emit ctx ~lean:true) es
-  else if
-    tail
-    || (not ctx.config.Config.lean_values)
-    || List.exists
-         (fun (e : Expr.t) ->
-           match e.it with Expr.Splice _ -> true | _ -> false)
-         es
-  then general ()
-  else
-    (* [Value.seq] drops unlabeled unit parts and collapses a singleton
-       to the part itself (lib/peg/value.ml), so a sequence with at most
-       one value-bearing part needs no collection frame: the value
-       register already carries the result — provided the parts after
-       the value-bearing one leave the register alone. *)
-    let parts =
-      List.map
-        (fun e ->
+  match e.it with
+  | Expr.Seq es -> (
+      match
+        Analysis.seq_plan ctx.analysis
+          ~lean_values:ctx.config.Config.lean_values es
+      with
+      | Analysis.Collect -> emit_collect ctx es (IPopSeqNode name)
+      | Analysis.No_value _ | Analysis.One_value _ -> wrap ())
+  | Expr.Alt alts -> emit_alt ctx ~lean:false ~tail:false ~node:name alts
+  | _ -> wrap ()
+
+(* A collecting sequence: a frame, each part appended, then [pop]. *)
+and emit_collect ctx es pop =
+  let b = ctx.buf in
+  emit_instr b IPushMark;
+  List.iter
+    (fun (e : Expr.t) ->
+      match e.it with
+      | Expr.Splice inner ->
+          emit_tail ctx inner;
+          emit_instr b IAppendSplice
+      | _ ->
           let label, inner = peel_bind e in
-          ( label,
-            inner,
-            label <> None || not (Analysis.expr_yields_unit ctx.analysis inner)
-          ))
-        es
-    in
-    let rec after_value = function
-      | [] -> []
-      | (_, _, true) :: rest -> List.map (fun (_, i, _) -> i) rest
-      | _ :: rest -> after_value rest
-    in
-    match List.filter (fun (_, _, bearing) -> bearing) parts with
-    | [] ->
-        List.iter (fun (_, inner, _) -> emit ctx ~lean:true inner) parts;
+          emit ctx ~lean:false inner;
+          emit_instr b (IAppend label))
+    es;
+  emit_instr b pop
+
+and emit_seq ctx ~lean es =
+  let b = ctx.buf in
+  if lean then List.iter (emit ctx ~lean:true) es
+  else
+    match
+      Analysis.seq_plan ctx.analysis
+        ~lean_values:ctx.config.Config.lean_values es
+    with
+    | Analysis.Collect -> emit_collect ctx es IPopSeq
+    | Analysis.No_value bodies ->
+        List.iter (emit ctx ~lean:true) bodies;
         emit_instr b ISetUnit
-    | [ (label, _, _) ]
-      when List.for_all Analysis.preserves_value (after_value parts) ->
+    | Analysis.One_value (label, parts) -> (
         List.iter
-          (fun (_, inner, bearing) -> emit ctx ~lean:(not bearing) inner)
+          (fun (body, bearing) -> emit ctx ~lean:(not bearing) body)
           parts;
-        (match label with
+        match label with
         | None -> ()
-        | Some l -> emit_instr b (IWrapBind l))
-    | _ -> general ()
+        | Some _ -> emit_instr b (IWrapBind label))
 
 and emit_tail ctx (e : Expr.t) =
   let b = ctx.buf in
   match e.it with
   | Expr.Alt alts -> emit_alt ctx ~lean:false ~tail:true alts
-  | Expr.Seq es -> emit_seq ctx ~lean:false ~tail:true es
+  | Expr.Seq es -> emit_collect ctx es IPopTail
   | Expr.Empty ->
       emit_instr b IPushMark;
       emit_instr b IPopTail
@@ -502,10 +499,13 @@ and emit_tail ctx (e : Expr.t) =
       emit ctx ~lean:false inner;
       emit_instr b (IPopTail1 label)
 
-and emit_alt ctx ~lean ~tail alts =
+and emit_alt ctx ~lean ~tail ?node alts =
   let b = ctx.buf in
   let emit_branch body =
-    if tail then emit_tail ctx body else emit ctx ~lean body
+    match node with
+    | _ when tail -> emit_tail ctx body
+    | Some name -> emit_node ctx name body
+    | None -> emit ctx ~lean body
   in
   let dispatch = ctx.config.Config.dispatch in
   let n = List.length alts in
@@ -691,7 +691,9 @@ let prepare ?(config = Config.vm) gram =
               && (p.attrs.Attr.kind = Attr.Text
                  || p.attrs.Attr.kind = Attr.Void)
             in
-            emit ctx ~lean:lean_body p.expr;
+            if p.attrs.Attr.kind = Attr.Generic then
+              emit_node ctx p.name p.expr
+            else emit ctx ~lean:lean_body p.expr;
             let observed = obs <> None in
             emit_instr buf
               (if slots.(i) < 0 then if observed then IObsRet else IRet
@@ -721,8 +723,7 @@ let prepare ?(config = Config.vm) gram =
               Array.map
                 (fun (p : Production.t) ->
                   match p.attrs.Attr.kind with
-                  | Attr.Plain -> Shape_plain
-                  | Attr.Generic -> Shape_generic p.name
+                  | Attr.Plain | Attr.Generic -> Shape_plain
                   | Attr.Text -> Shape_text
                   | Attr.Void -> Shape_void)
                 prods;
@@ -872,16 +873,38 @@ let push_part st label v =
 
 (* The parts collected on top of [base], oldest first, as the list the
    [Value] constructors consume. *)
-let parts_above st base =
-  let rec build i acc =
-    if i < base then acc
-    else build (i - 1) ((Array.unsafe_get st.p_label i, Array.unsafe_get st.p_value i) :: acc)
-  in
-  let parts = build (st.p_top - 1) [] in
-  (* release the stack slots so the values don't outlive the frame *)
+let rec parts_from st base i acc =
+  if i < base then acc
+  else
+    let part =
+      match (Array.unsafe_get st.p_label i, Array.unsafe_get st.p_value i) with
+      | None, v when v == Value.empty_list -> Value.empty_part
+      | part -> part
+    in
+    parts_from st base (i - 1) (part :: acc)
+
+(* Release a popped frame's stack slots so the values don't outlive it. *)
+let drop_parts st base =
   Array.fill st.p_value base (st.p_top - base) Value.Unit;
-  st.p_top <- base;
+  st.p_top <- base
+
+let parts_above st base =
+  let parts = parts_from st base (st.p_top - 1) [] in
+  drop_parts st base;
   parts
+
+let rec values_from st base i acc =
+  if i < base then acc
+  else values_from st base (i - 1) (Array.unsafe_get st.p_value i :: acc)
+
+(* A repetition's elements, unlabeled, as the [Value.List] it yields. *)
+let values_above st base =
+  let v =
+    if st.p_top = base then Value.empty_list
+    else Value.List (values_from st base (st.p_top - 1) [])
+  in
+  drop_parts st base;
+  v
 
 let push_bt st tag addr =
   ensure_stack st;
@@ -974,11 +997,6 @@ let exec (t : t) (st : st) start_ip =
   let shaped_value prod pos0 =
     match Array.unsafe_get shapes prod with
     | Shape_plain -> st.value
-    | Shape_generic name ->
-        Value.node
-          ~span:(Span.v ~start_:pos0 ~stop:st.pos)
-          name
-          (Value.components st.value)
     | Shape_text -> Value.Str (Input.sub_string inp pos0 (st.pos - pos0))
     | Shape_void -> Value.Unit
   in
@@ -1654,10 +1672,18 @@ let exec (t : t) (st : st) start_ip =
             | None, Value.Unit -> []
             | _ -> [ (label, st.value) ]);
         dispatch (ip + 1)
-    | IPopList ->
+    | IPopSeqNode name ->
         st.fp <- st.fp - 1;
         let fp = st.fp in
-        st.value <- Value.List (List.map snd (parts_above st st.f_base.(fp)));
+        st.value <-
+          Value.node_of_parts
+            ~span:(Span.v ~start_:st.f_start.(fp) ~stop:st.pos)
+            name
+            (parts_above st st.f_base.(fp));
+        dispatch (ip + 1)
+    | IPopList ->
+        st.fp <- st.fp - 1;
+        st.value <- values_above st st.f_base.(st.fp);
         dispatch (ip + 1)
     | IPopToken ->
         st.fp <- st.fp - 1;
@@ -1675,7 +1701,7 @@ let exec (t : t) (st : st) start_ip =
             (Value.components st.value);
         dispatch (ip + 1)
     | IWrapBind label ->
-        st.value <- Value.seq [ (Some label, st.value) ];
+        st.value <- Value.bind label st.value;
         dispatch (ip + 1)
     | ISpliceCollapse ->
         st.value <- Value.seq (tail_parts st.value);
@@ -2134,8 +2160,9 @@ let disassemble t =
         | IPopTail1 (Some l) -> Printf.sprintf "pop-tail1 %s:" l
         | IPopList -> "pop-list"
         | IPopToken -> "pop-token"
+        | IPopSeqNode n -> Printf.sprintf "pop-seq-node %s" n
         | IPopNode n -> Printf.sprintf "pop-node %s" n
-        | IWrapBind l -> Printf.sprintf "wrap-bind %s" l
+        | IWrapBind l -> Printf.sprintf "wrap-bind %s" (Option.get l)
         | ISpliceCollapse -> "splice-collapse"
         | IRecord tbl -> Printf.sprintf "record %s" tbl
         | IMember (tbl, pos, _) ->

@@ -42,6 +42,17 @@ let run_with_stdin contents args =
 
 let tests =
   [
+    test "parse --help prints no cmdliner error" (fun () ->
+        let err = Filename.temp_file "rml_cli" ".err" in
+        let code, out =
+          run_cmd (Printf.sprintf "%s parse --help=plain 2>%s" rml err)
+        in
+        let stderr = In_channel.with_open_bin err In_channel.input_all in
+        Sys.remove err;
+        check Alcotest.int "exit" 0 code;
+        check Alcotest.string "stderr" "" stderr;
+        check Alcotest.bool "faults doc keeps its @" true
+          (contains out "trunc@K"));
     test "analyze a grammar file" (fun () ->
         let code, out = run (Printf.sprintf "analyze %s -r tutorial.Ini" tutorial) in
         check Alcotest.int "exit" 0 code;

@@ -341,6 +341,23 @@ let vm_props =
     both "closure = bytecode (chunked+transient)" 250
       (Config.v ~memo:Config.Chunked ~honor_transient:true ());
     both "closure = bytecode (fully optimized)" 250 Config.optimized;
+    (* [Value.equal] ignores spans; structural equality does not. *)
+    QCheck.Test.make ~name:"closure = bytecode including spans" ~count:250
+      arb_case (fun (g, inputs) ->
+        List.for_all
+          (fun cfg ->
+            match (prepare_with cfg g, prepare_with (vm_of cfg) g) with
+            | Ok e1, Ok e2 ->
+                List.for_all
+                  (fun input ->
+                    match (Engine.parse e1 input, Engine.parse e2 input) with
+                    | Ok va, Ok vb -> va = vb
+                    | Error _, Error _ -> true
+                    | _ -> false)
+                  inputs
+            | Error _, Error _ -> true
+            | _ -> false)
+          [ Config.optimized; Config.packrat ]);
     QCheck.Test.make ~name:"closure = bytecode on prefixes (consumed offsets)"
       ~count:250 arb_case (fun (g, inputs) ->
         match (prepare_with Config.optimized g, prepare_with Config.vm g) with

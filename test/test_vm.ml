@@ -153,6 +153,127 @@ let corpus_tests =
         ])
     cases
 
+(* --- span-including tree equality ------------------------------------------ *)
+
+(* [Value.equal] ignores spans; these checks compare whole trees, spans
+   included, with structural equality. *)
+
+(* The first document of at least [target] bytes the closure engine
+   accepts: scale [k] doubles until the size is reached, then the seed
+   moves past generator outputs the grammar rejects. *)
+let sized_doc eng make target =
+  let rec grow k = if String.length (make k k) >= target then k else grow (k * 2) in
+  let k = grow 1 in
+  let rec try_seed seed =
+    let doc = make seed k in
+    if Engine.accepts eng doc then doc
+    else if seed < k + 20 then try_seed (seed + 1)
+    else Alcotest.failf "no accepted document of %d bytes" target
+  in
+  try_seed k
+
+let five_grammars =
+  [
+    ( "calc",
+      Grammars.Calc.grammar (),
+      fun seed k -> Grammars.Corpus.arith (Rng.create seed) ~size:(k * 8) );
+    ( "json",
+      Grammars.Json.grammar (),
+      fun seed k ->
+        (* one document's depth is capped: grow as an array *)
+        "["
+        ^ String.concat ", "
+            (List.init k (fun i ->
+                 Grammars.Corpus.json (Rng.create (seed + i)) ~size:40))
+        ^ "]" );
+    ( "minic",
+      Grammars.Minic.grammar (),
+      fun seed k -> Grammars.Corpus.minic (Rng.create seed) ~functions:k );
+    ( "minic-ext",
+      Grammars.Minic.extended_grammar (),
+      fun seed k ->
+        Grammars.Corpus.minic_extended (Rng.create seed) ~functions:k );
+    ( "minijava",
+      Grammars.Minijava.grammar (),
+      fun seed k -> Grammars.Corpus.minijava (Rng.create seed) ~classes:k );
+  ]
+
+(* A digest of a tree that, unlike [Value.to_string], covers every
+   node's span. *)
+let span_digest v =
+  let b = Buffer.create 4096 in
+  let rec go = function
+    | Value.Unit -> Buffer.add_char b 'U'
+    | Value.Chr c ->
+        Buffer.add_char b 'C';
+        Buffer.add_char b c
+    | Value.Str s -> Printf.bprintf b "S%d:%s" (String.length s) s
+    | Value.List vs ->
+        Printf.bprintf b "L%d" (List.length vs);
+        List.iter go vs
+    | Value.Node n ->
+        Printf.bprintf b "N%d:%s@%d-%d/%d" (String.length n.Value.name)
+          n.Value.name (Span.start n.Value.span) (Span.stop n.Value.span)
+          (List.length n.Value.children);
+        List.iter
+          (fun (l, v) ->
+            (match l with
+            | None -> Buffer.add_char b '-'
+            | Some l -> Printf.bprintf b "+%d:%s" (String.length l) l);
+            go v)
+          n.Value.children
+  in
+  go v;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let span_tests =
+  [
+    test "closure = vm with spans, five grammars, 1 KB to 128 KB" (fun () ->
+        List.iter
+          (fun (name, g, make) ->
+            let opt = Rats_optimize.Pipeline.optimize g in
+            let closure = Engine.prepare_exn opt in
+            let vm = prepare_vm opt in
+            List.iter
+              (fun kb ->
+                let doc = sized_doc closure make (kb * 1024) in
+                match (Engine.parse closure doc, Vm.parse vm doc) with
+                | Ok va, Ok vb ->
+                    check Alcotest.bool
+                      (Printf.sprintf "%s %d KB" name kb)
+                      true (va = vb)
+                | _ -> Alcotest.failf "%s %d KB rejected" name kb)
+              [ 1; 16; 128 ])
+          five_grammars);
+    (* Digests recorded before node construction was fused into the
+       sequence builders: the fused paths must reproduce every span. *)
+    test "demo trees keep their spans" (fun () ->
+        List.iter
+          (fun (file, g, expected) ->
+            let opt = Rats_optimize.Pipeline.optimize g in
+            let doc = In_channel.with_open_bin file In_channel.input_all in
+            List.iter
+              (fun (backend, parse) ->
+                match parse opt doc with
+                | Ok v ->
+                    check Alcotest.string
+                      (Printf.sprintf "%s (%s)" file backend)
+                      expected (span_digest v)
+                | Error _ -> Alcotest.failf "%s rejected" file)
+              [
+                ("closure", fun g doc -> Engine.parse (Engine.prepare_exn g) doc);
+                ("vm", fun g doc -> Vm.parse (prepare_vm g) doc);
+              ])
+          [
+            ( "data/demo.java",
+              Grammars.Minijava.grammar (),
+              "de8db2aa6e44c6eadf1f2359ab1e274a" );
+            ( "data/demo.c",
+              Grammars.Minic.grammar (),
+              "4a4660b4df62f9445ac4d16010da7e36" );
+          ]);
+  ]
+
 (* --- stats and disassembly ------------------------------------------------ *)
 
 let stats_tests =
@@ -216,5 +337,6 @@ let () =
       ("bitmaps", bitmap_tests);
       ("unwinding", unwind_tests);
       ("corpora", corpus_tests);
+      ("spans", span_tests);
       ("stats", stats_tests);
     ]
