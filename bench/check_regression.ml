@@ -251,8 +251,7 @@ let () =
   (* Deterministic-allocation rows; the deep-recursion closure rows are
      exempt (fiber-stack segment noise). *)
   let alloc_tracked = function
-    | "optimized interpreter" | "bytecode interpreter" | "generated parser"
-    | "hand-written" ->
+    | "optimized interpreter" | "generated parser" | "hand-written" ->
         true
     | _ -> false
   in
@@ -560,7 +559,7 @@ let () =
   (* E9 voidified-recognizer-alloc: the real calc and MiniJava grammars
      with every kind erased (what [--recognize] and the degradation
      ladder run). Same size-independence claim as above, but held per
-     (grammar, backend) since both engines report their own constant;
+     (grammar, backend) since each engine reports its own constant;
      the in-file flatness gate runs on CURRENT alone, so a pre-PR9
      baseline contributes no rows yet cannot mask a fresh leak.
      Cross-file, each row's bytes/parse is compared against the

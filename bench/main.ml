@@ -296,7 +296,6 @@ let e2 () =
       engine_contender "naive interpreter" calc Config.naive;
       engine_contender "packrat interpreter" calc Config.packrat;
       engine_contender "optimized interpreter" calc_opt Config.optimized;
-      engine_contender "bytecode interpreter" calc_opt Config.vm;
       { c_name = "generated parser"; parse = (fun s -> Result.is_ok (Bench_gen_calc.parse s)) };
       { c_name = "hand-written"; parse = (fun s -> Result.is_ok (Grammars.Calc.parse_hand s)) };
     ];
@@ -307,7 +306,6 @@ let e2 () =
       engine_contender "naive interpreter" json Config.naive;
       engine_contender "packrat interpreter" json Config.packrat;
       engine_contender "optimized interpreter" json_opt Config.optimized;
-      engine_contender "bytecode interpreter" json_opt Config.vm;
       { c_name = "generated parser"; parse = (fun s -> Result.is_ok (Bench_gen_json.parse s)) };
       { c_name = "hand-written"; parse = (fun s -> Result.is_ok (Grammars.Json.parse_hand s)) };
     ];
@@ -318,7 +316,6 @@ let e2 () =
       engine_contender "naive interpreter" minic Config.naive;
       engine_contender "packrat interpreter" minic Config.packrat;
       engine_contender "optimized interpreter" minic_opt Config.optimized;
-      engine_contender "bytecode interpreter" minic_opt Config.vm;
       { c_name = "hand-written"; parse = (fun s -> Result.is_ok (Grammars.Minic.parse_hand s)) };
     ];
   let java = Grammars.Minijava.grammar () in
@@ -328,7 +325,6 @@ let e2 () =
       engine_contender "naive interpreter" java Config.naive;
       engine_contender "packrat interpreter" java Config.packrat;
       engine_contender "optimized interpreter" java_opt Config.optimized;
-      engine_contender "bytecode interpreter" java_opt Config.vm;
       { c_name = "generated parser"; parse = (fun s -> Result.is_ok (Bench_gen_java.parse s)) };
       { c_name = "hand-written"; parse = (fun s -> Result.is_ok (Grammars.Minijava.parse_hand s)) };
     ]
@@ -444,24 +440,19 @@ let e4 () =
   header "E4: parse time scales linearly with input (Figure analogue)";
   let g = Pipeline.optimize (Grammars.Minic.grammar ()) in
   let eng = prepare g in
-  let vm = prepare ~config:Config.vm g in
-  row "  %-10s %10s %12s %8s %12s\n" "functions" "bytes" "closure ms"
-    "vm ms" "vm KB/ms";
+  row "  %-10s %10s %12s %12s\n" "functions" "bytes" "closure ms" "KB/ms";
   List.iter
     (fun functions ->
       let src = Grammars.Corpus.minic (Rng.create 1) ~functions in
       let t = time_best (fun () -> Engine.parse eng src) in
-      let tv = time_best (fun () -> Engine.parse vm src) in
       record ~experiment:"e4" ~series:"minic-scaling"
         [
           ("functions", jint functions);
           ("bytes", jint (String.length src));
           ("closure_ms", jfloat (ms t));
-          ("vm_ms", jfloat (ms tv));
         ];
-      row "  %-10d %10d %12.2f %8.2f %12.1f\n" functions (String.length src)
-        (ms t) (ms tv)
-        (float_of_int (String.length src) /. 1024. /. ms tv))
+      row "  %-10d %10d %12.2f %12.1f\n" functions (String.length src) (ms t)
+        (float_of_int (String.length src) /. 1024. /. ms t))
     (List.map scale [ 10; 20; 40; 80; 160 ]);
   row "\npathological input '((((...1...))))' (backtracking blow-up):\n";
   row "  %-7s %16s %16s %18s\n" "depth" "naive ms" "packrat ms"
@@ -488,16 +479,14 @@ let e4 () =
   let tp = time_best (fun () -> Engine.parse packrat deep) in
   row "  %-7d %16s %16.3f   (naive would not finish)\n" 3000 "-" (ms tp);
   (* Adversarial calc inputs under the hardened governor: every case
-     must come back as a structured result — never a crash — and the
-     closure and bytecode backends must agree on the outcome. *)
+     must come back as a structured result — never a crash. *)
   let sc = scale 40_000 in
   row "\nadversarial calc inputs under Limits.hardened (scale %d):\n" sc;
-  row "  %-16s %10s %22s %10s\n" "input" "bytes" "outcome (both)" "vm ms";
+  row "  %-16s %10s %22s %10s\n" "input" "bytes" "outcome" "ms";
   let calc = Pipeline.optimize (Grammars.Calc.grammar ()) in
   let closure =
     prepare ~config:(Config.with_limits Limits.hardened Config.optimized) calc
   in
-  let vm = prepare ~config:(Config.with_limits Limits.hardened Config.vm) calc in
   let outcome = function
     | Ok _ -> "ok"
     | Error (e : Parse_error.t) -> (
@@ -508,24 +497,20 @@ let e4 () =
   List.iter
     (fun (label, input) ->
       let oc = outcome (Engine.parse closure input) in
-      let ov = outcome (Engine.parse vm input) in
-      if oc <> ov then
-        failwith
-          (Printf.sprintf "e4/%s: backends disagree (%s vs %s)" label oc ov);
-      let tv = time_best ~repeats:3 (fun () -> Engine.parse vm input) in
+      let t = time_best ~repeats:3 (fun () -> Engine.parse closure input) in
       record ~experiment:"e4" ~series:"adversarial"
         [
           ("input", jstr label);
           ("bytes", jint (String.length input));
-          ("outcome", jstr ov);
-          ("vm_ms", jfloat (ms tv));
+          ("outcome", jstr oc);
+          ("ms", jfloat (ms t));
         ];
-      row "  %-16s %10d %22s %10.2f\n" label (String.length input) ov (ms tv))
+      row "  %-16s %10d %22s %10.2f\n" label (String.length input) oc (ms t))
     (Grammars.Corpus.adversarial ~scale:sc);
   (* Governor overhead: the same well-behaved corpus, unlimited budgets
-     vs huge-but-finite ones. Finite budgets keep every check live (the
-     VM even emits its govern/leave brackets) while tripping nothing, so
-     the delta is the full price of governance. Target: < 5%. *)
+     vs huge-but-finite ones. Finite budgets keep every check live while
+     tripping nothing, so the delta is the full price of governance.
+     Target: < 5%. *)
   row "\ngovernor overhead on well-behaved corpora (finite budgets, target <5%%):\n";
   row "  %-10s %-10s %14s %14s %10s\n" "corpus" "backend" "unlimited ms"
     "governed ms" "overhead";
@@ -565,7 +550,7 @@ let e4 () =
             ];
           row "  %-10s %-10s %14.2f %14.2f %9.1f%%\n" lang backend (ms t0)
             (ms t1) pct)
-        [ ("closure", Config.optimized); ("vm", Config.vm) ])
+        [ ("closure", Config.optimized) ])
     [
       ("calc", Grammars.Calc.grammar (), Lazy.force calc_corpus);
       ("minic", Grammars.Minic.grammar (), Lazy.force minic_corpus);
@@ -683,7 +668,7 @@ let e5 () =
               ("memo_degraded", jint st.Stats.memo_degraded);
               ("cold_fallbacks", jint (Session.cold_fallbacks session));
             ])
-        [ ("closure", Config.optimized); ("vm", Config.vm) ])
+        [ ("closure", Config.optimized) ])
     [
       ( "minijava",
         Grammars.Minijava.grammar (),
@@ -834,10 +819,9 @@ let e7 () =
 (* ========================================================================== *)
 
 (* Two claims, one structural and one measured. Structural: an engine
-   whose observe capabilities are all off compiles a program with no
-   observation code in it at all — checked literally, by grepping the
-   bytecode disassembly for obs-* instructions. Measured: because the
-   programs are identical, off-vs-off timing differs only by noise (the
+   whose observe capabilities are all off carries no observation sink,
+   so none of its matchers is wrapped. Measured: because the compiled
+   matchers are the same, off-vs-off timing differs only by noise (the
    CI gate allows 3%); the instrumented engine's cost is then reported
    honestly against that baseline. *)
 
@@ -850,40 +834,16 @@ let e8 () =
      the gate enforces, while a ~100 KB parse integrates over them. *)
   let corpus = Grammars.Corpus.minijava (Rng.create 2024) ~classes:100 in
   let bytes = String.length corpus in
-  let contains_obs dis =
-    let n = String.length dis in
-    let rec find i =
-      if i + 4 > n then false
-      else if String.sub dis i 4 = "obs-" then true
-      else find (i + 1)
-    in
-    find 0
-  in
-  let dis_default = Vm.disassemble (Vm.prepare_exn ~config:Config.vm g) in
-  let dis_off =
-    Vm.disassemble
-      (Vm.prepare_exn ~config:(Config.with_observe Observe.off Config.vm) g)
-  in
-  if contains_obs dis_default then
-    failwith "e8: unobserved bytecode contains obs-* instructions";
-  if dis_default <> dis_off then
-    failwith "e8: observe-off bytecode differs from the default program";
-  if
-    not
-      (contains_obs
-         (Vm.disassemble
-            (Vm.prepare_exn
-               ~config:(Config.with_observe (Observe.all ()) Config.vm)
-               g)))
-  then failwith "e8: observed bytecode contains no obs-* instructions";
-  row
-    "bytecode structure: observe-off program is byte-identical to the \
-     default (zero obs-* instructions)\n";
+  let sink config = Engine.observation (prepare ~config g) <> None in
+  if sink Config.optimized then
+    failwith "e8: the default engine carries an observation sink";
+  if sink (Config.with_observe Observe.off Config.optimized) then
+    failwith "e8: an observe-off engine carries an observation sink";
+  if not (sink (Config.with_observe (Observe.all ()) Config.optimized)) then
+    failwith "e8: an observed engine carries no observation sink";
+  row "structure: observe-off engines carry no observation sink\n";
   record ~experiment:"e8" ~series:"structure"
-    [
-      ("off_has_obs_instructions", "false");
-      ("off_matches_default_program", "true");
-    ];
+    [ ("off_has_sink", "false"); ("observed_has_sink", "true") ];
   row "\nminijava corpus: %d bytes (interleaved best-of-many)\n" bytes;
   row "  %-10s %10s %10s %10s %10s %9s %9s\n" "backend" "off ms" "off' ms"
     "on ms" "off ovh" "off gate" "on ovh";
@@ -937,8 +897,8 @@ let e8 () =
         let a = ref infinity and b = ref infinity in
         let timed eng best =
           (* A full collection before every timed run, not just the first:
-             each parse drops megabytes of garbage (the VM's chunk array
-             alone), and a run on a clean heap pays no major slices — if
+             each parse drops megabytes of garbage, and a run on a clean
+             heap pays no major slices — if
              only the first run after [Gc.compact] gets that, whichever
              engine owns that slot reads ~20% faster. *)
           Gc.full_major ();
@@ -989,7 +949,7 @@ let e8 () =
         ];
       row "  %-10s %10.2f %10.2f %10.2f %9.1f%% %9s %8.1f%%\n" label
         (ms !t_off) (ms !t_off') (ms !t_on) off_pct gate on_pct)
-    [ ("closure", Config.optimized); ("vm", Config.vm) ];
+    [ ("closure", Config.optimized) ];
   (* One observed parse: where the time goes, and what the corpus
      exercises. *)
   let eng =
@@ -1110,9 +1070,9 @@ let e9 () =
     ];
   (* Recognizer: hand-built all-Void grammars (no value is constructed
      anywhere in the body), then grow the input; the bytes/parse column
-     must stay flat. Under the bytecode backend these run entirely on
-     pooled scratch plus the engine-owned memo arena, so steady-state
-     allocation is fixed-size bookkeeping regardless of input length. *)
+     must stay flat. These run entirely on pooled scratch plus the
+     engine-owned memo arena, so steady-state allocation is fixed-size
+     bookkeeping regardless of input length. *)
   let digits = Charset.range '0' '9' in
   let expr_recog =
     let open Builder in
@@ -1146,7 +1106,7 @@ let e9 () =
   in
   List.iter
     (fun (gname, grammar, unit) ->
-      let recog = prepare ~config:Config.vm (Pipeline.optimize grammar) in
+      let recog = prepare (Pipeline.optimize grammar) in
       row "\nrecognizer (%s, all-Void), mapped input — alloc vs size:\n" gname;
       row "  %-10s %11s %14s\n" "bytes" "median ms" "bytes/parse";
       List.iter
@@ -1178,8 +1138,8 @@ let e9 () =
      [Batch.recognizer_erase] — exactly what [rml parse --recognize]
      and the degradation ladder run. Every lean-path construct is
      allocation-free, so bytes/parse is a small constant independent of
-     input size on both backends; check_regression gates the flatness
-     (max <= 1.25*min + 16 KB per grammar x backend). *)
+     input size; check_regression gates the flatness (max <= 1.25*min +
+     16 KB per grammar). *)
   let voidify g =
     match Batch.recognizer_erase g with
     | Some g' -> g'
@@ -1213,7 +1173,7 @@ let e9 () =
               row "  %-9s %-8s %10d %11.2f %14.0f\n" gname backend
                 (String.length corpus) (ms m.m_median) m.m_alloc_bytes)
             corpora)
-        [ ("closure", Config.optimized); ("vm", Config.vm) ])
+        [ ("closure", Config.optimized) ])
     [
       ( "calc",
         Grammars.Calc.grammar (),
@@ -1238,7 +1198,7 @@ let e10 () =
     | Ok rep -> rep
     | Error _ -> failwith "e10: grammar failed to compile"
   in
-  let backends = [ ("closure", Config.optimized); ("vm", Config.vm) ] in
+  let backends = [ ("closure", Config.optimized) ] in
   (* Throughput: many small calc documents through [Batch.run], each
      parsed cold under its own limits snapshot and exception backstop —
      the docs/sec here is raw engine speed plus the full per-document
@@ -1463,7 +1423,7 @@ let e11 () =
         ];
       row "  %-8s %10.2f %10.2f %8.1f%% %9s\n" label (ms !t_off) (ms !t_on)
         on_pct gate)
-    [ ("closure", Config.optimized); ("vm", Config.vm) ]
+    [ ("closure", Config.optimized) ]
 
 let experiments =
   [

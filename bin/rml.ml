@@ -104,7 +104,6 @@ let config_arg =
     | "naive" -> Ok Rats.Config.naive
     | "packrat" -> Ok Rats.Config.packrat
     | "optimized" -> Ok Rats.Config.optimized
-    | "vm" -> Ok Rats.Config.vm
     | s -> Error (`Msg (Printf.sprintf "unknown configuration %S" s))
   in
   Arg.(
@@ -113,27 +112,7 @@ let config_arg =
         (conv ((fun s -> conv_config s), fun ppf c -> Fmt.string ppf (Rats.Config.describe c)))
         Rats.Config.optimized
     & info [ "c"; "config" ] ~docv:"CONFIG"
-        ~doc:"Engine configuration: naive, packrat, optimized or vm.")
-
-let engine_arg =
-  let conv_engine = function
-    | "closure" -> Ok Rats.Config.Closure
-    | "vm" | "bytecode" -> Ok Rats.Config.Bytecode
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-  in
-  Arg.(
-    value
-    & opt
-        (some
-           (conv
-              ( (fun s -> conv_engine s),
-                fun ppf b -> Fmt.string ppf (Rats.Config.backend_name b) )))
-        None
-    & info [ "e"; "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution back end: closure (a network of OCaml closures) or vm \
-           (flat bytecode with an explicit backtrack stack). Overrides the \
-           configuration's choice.")
+        ~doc:"Engine configuration: naive, packrat or optimized.")
 
 let load_modules files builtin =
   match (files, builtin) with
@@ -182,11 +161,6 @@ let load_modules files builtin =
 let read_input input =
   if input = "-" then In_channel.input_all In_channel.stdin
   else In_channel.with_open_bin input In_channel.input_all
-
-let apply_engine engine config =
-  match engine with
-  | None -> config
-  | Some b -> Rats.Config.with_backend b config
 
 let compose_from files builtin root start =
   match load_modules files builtin with
@@ -580,11 +554,9 @@ let parse_cmd =
              values and (under the optimized configurations) allocates a \
              constant number of bytes regardless of input size. Verdicts, \
              consumed bytes, error reports, exit codes and the memo/fuel \
-             --stats counters are identical to a normal parse (only the \
-             VM's instruction counter shrinks: the voidified program \
-             compiles fewer value instructions); the tree printed on \
-             success is (). Incompatible with --edits, whose reparses \
-             exist to rebuild values.")
+             --stats counters are identical to a normal parse; the tree \
+             printed on success is (). Incompatible with --edits, whose \
+             reparses exist to rebuild values.")
   in
   let stats_arg =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print parse statistics.")
@@ -773,10 +745,10 @@ let parse_cmd =
       & info [ "stats-json" ]
           ~doc:
             "Print parse statistics as one JSON object (the machine-readable \
-             twin of --stats: same 14 counters, same order). Incompatible \
+             twin of --stats: same 12 counters, same order). Incompatible \
              with --batch, whose JSONL records carry their own counters.")
   in
-  let run files builtin root start optimize config engine fuel max_depth
+  let run files builtin root start optimize config fuel max_depth
       max_memo max_input timeout input use_stdin mmap batch batch_sep
       faults_spec doc_timeout recognize stats quiet trace edits profile ring
       metrics_out trace_out progress stats_json =
@@ -846,7 +818,6 @@ let parse_cmd =
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let config = apply_engine engine config in
         let config =
           match (fuel, max_depth, max_memo, max_input) with
           | None, None, None, None -> config
@@ -893,8 +864,6 @@ let parse_cmd =
                 | None -> ())
             | None -> ()
         in
-        if trace && config.Rats.Config.backend = Rats.Config.Bytecode then
-          Fmt.epr "note: tracing runs on the closure engine@.";
         if trace && (profile || ring <> None) then
           Fmt.epr "note: --profile/--trace-ring are ignored with --trace@.";
         let g = if optimize then Rats.Pipeline.optimize g else g in
@@ -1250,7 +1219,7 @@ let parse_cmd =
   Cmd.v (Cmd.info "parse" ~doc:"Parse an input file with a composed grammar.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg $ engine_arg $ fuel_arg $ max_depth_arg
+      $ optimize_arg $ config_arg $ fuel_arg $ max_depth_arg
       $ max_memo_arg $ max_input_arg $ timeout_arg $ input_arg $ stdin_arg
       $ mmap_arg $ batch_arg $ batch_sep_arg $ faults_arg $ doc_timeout_arg
       $ recognize_arg $ stats_arg $ quiet_arg $ trace_arg $ edits_arg
@@ -1292,13 +1261,12 @@ let profile_cmd =
              https://www.speedscope.app) or chrome (chrome://tracing and \
              Perfetto).")
   in
-  let run files builtin root start optimize config engine input top flame
+  let run files builtin root start optimize config input top flame
       flame_format =
     guarded @@ fun () ->
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let config = apply_engine engine config in
         let config =
           Rats.Config.with_observe
             { Rats.Observe.off with Rats.Observe.profile = true }
@@ -1363,7 +1331,7 @@ let profile_cmd =
           sorted cost table; optionally export a flamegraph.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg $ engine_arg $ obs_input_arg $ top_arg
+      $ optimize_arg $ config_arg $ obs_input_arg $ top_arg
       $ flame_arg $ flame_format_arg)
 
 let trace_cmd =
@@ -1391,13 +1359,12 @@ let trace_cmd =
             "Abort after N production invocations (exit 4); the trip \
              lands as the final ring event.")
   in
-  let run files builtin root start optimize config engine fuel input ring last
+  let run files builtin root start optimize config fuel input ring last
       =
     guarded @@ fun () ->
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let config = apply_engine engine config in
         let config =
           match fuel with
           | None -> config
@@ -1444,7 +1411,7 @@ let trace_cmd =
           with source excerpts.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg $ engine_arg $ fuel_arg $ obs_input_arg
+      $ optimize_arg $ config_arg $ fuel_arg $ obs_input_arg
       $ ring_arg $ last_arg)
 
 let coverage_cmd =
@@ -1464,12 +1431,11 @@ let coverage_cmd =
           ~doc:
             "Exit 1 when any production or alternative stays unexercised.")
   in
-  let run files builtin root start optimize config engine corpus strict =
+  let run files builtin root start optimize config corpus strict =
     guarded @@ fun () ->
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let config = apply_engine engine config in
         let config =
           Rats.Config.with_observe
             { Rats.Observe.off with Rats.Observe.coverage = true }
@@ -1526,31 +1492,7 @@ let coverage_cmd =
           each with its defining module.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg $ engine_arg $ corpus_arg $ strict_arg)
-
-let bytecode_cmd =
-  let run files builtin root start optimize config =
-    guarded @@ fun () ->
-    match compose_from files builtin root start with
-    | Error ds -> print_errors ds
-    | Ok g -> (
-        let g = if optimize then Rats.Pipeline.optimize g else g in
-        match Rats.Vm.prepare ~config g with
-        | Error ds -> print_errors ds
-        | Ok vm ->
-            Fmt.pr "; %d instructions, %d memo slots, %s@.%s"
-              (Rats.Vm.instruction_count vm)
-              (Rats.Vm.memo_slots vm)
-              (Rats.Config.describe (Rats.Vm.config vm))
-              (Rats.Vm.disassemble vm);
-            0)
-  in
-  Cmd.v
-    (Cmd.info "bytecode"
-       ~doc:"Compile the grammar to bytecode and print the disassembly.")
-    Term.(
-      const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg)
+      $ optimize_arg $ config_arg $ corpus_arg $ strict_arg)
 
 let generate_cmd =
   let out_arg =
@@ -1613,7 +1555,7 @@ let () =
       (Cmd.group info
          [
            modules_cmd; compose_cmd; optimize_cmd; passes_cmd; analyze_cmd;
-           parse_cmd; profile_cmd; trace_cmd; coverage_cmd; bytecode_cmd;
+           parse_cmd; profile_cmd; trace_cmd; coverage_cmd;
            generate_cmd; fmt_cmd;
          ])
   in

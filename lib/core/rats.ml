@@ -24,7 +24,6 @@ module Limits = Rats_runtime.Limits
 module Stats = Rats_runtime.Stats
 module Parse_error = Rats_runtime.Parse_error
 module Engine = Rats_runtime.Engine
-module Vm = Rats_runtime.Vm
 module Expected = Rats_runtime.Expected
 module Memo_arena = Rats_runtime.Memo_arena
 module Observe = Rats_runtime.Observe
@@ -149,8 +148,7 @@ module Session = struct
   (* Incremental pass first; any failure falls back to a cold parse so
      error reports (farthest position, expected set) are identical to a
      from-scratch parse by construction — memo hits in the incremental
-     pass hide part of the expected-set trace, exactly as the VM's
-     speculative first pass does. *)
+     pass hide part of the expected-set trace. *)
   let reparse t =
     let backstopped f =
       try f () with

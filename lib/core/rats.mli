@@ -43,7 +43,6 @@ module Limits = Rats_runtime.Limits
 module Stats = Rats_runtime.Stats
 module Parse_error = Rats_runtime.Parse_error
 module Engine = Rats_runtime.Engine
-module Vm = Rats_runtime.Vm
 module Expected = Rats_runtime.Expected
 module Memo_arena = Rats_runtime.Memo_arena
 module Observe = Rats_runtime.Observe

@@ -48,8 +48,6 @@ let registry ?inline_threshold () =
     step "+lean-values"
       "no semantic values in predicates, tokens, void productions"
       ~config:(fun c -> { c with Config.lean_values = true });
-    step "+bytecode" "flat bytecode program with an explicit backtrack stack"
-      ~config:(fun c -> { c with Config.backend = Config.Bytecode });
   ]
 
 let passes ?inline_threshold () =

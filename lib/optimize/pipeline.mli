@@ -30,9 +30,9 @@ type step = {
 }
 
 val registry : ?inline_threshold:int -> unit -> step list
-(** The eleven steps, in cumulative ladder order: baseline, +chunks,
+(** The ten steps, in cumulative ladder order: baseline, +chunks,
     +transients, +terminals, +repetitions, +inlining, +folding,
-    +factoring, +dispatch, +lean-values, +bytecode. *)
+    +factoring, +dispatch, +lean-values. *)
 
 val passes : ?inline_threshold:int -> unit -> Pass.t list
 (** The default grammar-side pipeline: every pass of every registry

@@ -58,17 +58,16 @@ val expr_yields_unit : t -> Expr.t -> bool
 val stores_no_value : t -> Production.t -> bool
 (** True when a successful full-mode run of the production provably
     leaves [Value.Unit] in the value register (Void productions, and
-    Plain productions whose body {!expr_yields_unit}). Both back ends
-    consult this to drop the production's value slot from memo chunks:
+    Plain productions whose body {!expr_yields_unit}). The engine
+    consults this to drop the production's value slot from memo chunks:
     a hit simply restores [Unit] instead of reading a stored value.
-    Config-independent, so closure and VM agree slot for slot. *)
+    Config-independent. *)
 
 val preserves_value : Expr.t -> bool
 (** True when a lean (recognizer-mode) run of the expression provably
     never writes the engine's value register: such parts may follow a
     sequence's only value-bearing part without a collection frame to
-    protect the result. Both back ends consult this so they agree,
-    call site for call site, on which sequences skip collection. *)
+    protect the result. *)
 
 (** How a full-mode (value-building) sequence is run. *)
 type seq_plan =
@@ -84,9 +83,8 @@ type seq_plan =
           bind the value under the label, if any *)
 
 val seq_plan : t -> lean_values:bool -> Expr.t list -> seq_plan
-(** The plan both back ends lower a value-building sequence by, so they
-    agree call site for call site on which parts run in recognizer mode.
-    A sequence skips collection when its value is its one value-bearing
+(** The plan the engine lowers a value-building sequence by. A
+    sequence skips collection when its value is its one value-bearing
     part's (what [Value.seq] reduces it to) and the parts after that one
     {!preserves_value}. *)
 

@@ -1,9 +1,8 @@
 (* Identity assignment for observation: production ids in definition
-   order (the id space both back ends already use) and global arm ids
+   order (the id space the engine already uses) and global arm ids
    from a deterministic pre-order walk over every production body.
    Arm lookup is by physical identity of the [Expr.alt] list — the same
-   node compiled twice (matcher + recognizer, or an inlined body) maps
-   to the same ids, and both back ends walk the same physical grammar. *)
+   node compiled twice (matcher + recognizer) maps to the same ids. *)
 
 type arm = {
   arm_prod : int;
@@ -30,15 +29,6 @@ type t = {
   bases : int Alts.t;  (** alt list -> arm id of its first arm *)
   ids : (string, int) Hashtbl.t;
 }
-
-let empty =
-  {
-    names = [||];
-    origins = [||];
-    arms = [||];
-    bases = Alts.create 1;
-    ids = Hashtbl.create 1;
-  }
 
 let truncate s = if String.length s <= 40 then s else String.sub s 0 37 ^ "..."
 

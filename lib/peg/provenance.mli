@@ -1,25 +1,19 @@
 (** Stable observation identities for productions and choice arms.
 
     The observability layer ({!Rats_runtime}) attributes cost and
-    coverage to grammar-level entities, not to whatever the back ends
+    coverage to grammar-level entities, not to whatever the engine
     compiled them into. This module assigns those identities once, from
     the prepared grammar itself: production ids follow definition order
-    (exactly the id spaces both back ends already use), and every arm of
+    (exactly the id space the engine already uses), and every arm of
     every [Alt] node gets a global arm id from a deterministic pre-order
-    walk. Because both back ends compile the same physical [Expr.t]
-    nodes, arm ids are recovered at compile time by physical identity —
-    robust against a body being compiled more than once (the closure
-    engine compiles each production twice, matcher and recognizer), and
-    identical across back ends by construction, which is what lets the
-    property suite compare coverage bitmaps closure-vs-VM.
+    walk. Because the engine compiles the physical [Expr.t] nodes of the
+    grammar, arm ids are recovered at compile time by physical identity
+    — robust against a body being compiled more than once (the engine
+    compiles each production twice, matcher and recognizer).
 
-    Inlining attribution: when the bytecode compiler inlines a
-    production's body at a call site, the body's [Alt] nodes are still
-    the origin production's physical nodes, so their arm ids — and the
-    production id the emitter knew at the inline site — keep charging
-    the origin production. Productions dissolved by the grammar-level
-    inline pass no longer exist when observation ids are assigned; their
-    cost is charged to the caller that absorbed them. *)
+    Productions dissolved by the grammar-level inline pass no longer
+    exist when observation ids are assigned; their cost is charged to
+    the caller that absorbed them. *)
 
 type arm = {
   arm_prod : int;  (** production id of the enclosing production *)
@@ -34,9 +28,6 @@ type t
 val of_grammar : Grammar.t -> t
 (** Walk the grammar once and assign every identity. Deterministic: the
     same grammar value always yields the same numbering. *)
-
-val empty : t
-(** No productions, no arms — the sink of an observation-off engine. *)
 
 val nprods : t -> int
 val prod_name : t -> int -> string

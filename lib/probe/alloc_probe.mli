@@ -10,7 +10,7 @@
     leaking construct directly.
 
     The test suite ([test/test_alloc.ml]) holds every rung — and the
-    voidified real grammars — to the flatness bound on both backends;
+    voidified real grammars — to the flatness bound;
     the E9 bench rows measure the same claim on the real grammars
     through [Batch.recognizer_erase] with timing attached. *)
 

@@ -1,7 +1,7 @@
 (** Character sets lowered for the matchers.
 
     Character classes and FIRST-set dispatch guards test one byte per
-    visit, so both back ends compile a {!Rats_peg.Charset.t} to a
+    visit, so the engine compiles a {!Rats_peg.Charset.t} to a
     256-byte lookup table ([Charset.mem] on the four-word bit vector
     would box an [Int64] per probe), paired with the expected-set
     description a failed match records. A table made per prepare lowers

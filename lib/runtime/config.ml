@@ -1,39 +1,33 @@
 type memo_strategy = No_memo | Hashtable | Chunked
-type backend = Closure | Bytecode
 
 type t = {
   memo : memo_strategy;
   honor_transient : bool;
   dispatch : bool;
   lean_values : bool;
-  backend : backend;
   limits : Limits.t;
   observe : Observe.want;
 }
 
 let naive =
   { memo = No_memo; honor_transient = false; dispatch = false;
-    lean_values = false; backend = Closure; limits = Limits.unlimited;
-    observe = Observe.off }
+    lean_values = false; limits = Limits.unlimited; observe = Observe.off }
 
 let packrat =
   { memo = Hashtable; honor_transient = false; dispatch = false;
-    lean_values = false; backend = Closure; limits = Limits.unlimited;
-    observe = Observe.off }
+    lean_values = false; limits = Limits.unlimited; observe = Observe.off }
 
 let optimized =
   { memo = Chunked; honor_transient = true; dispatch = true;
-    lean_values = true; backend = Closure; limits = Limits.unlimited;
-    observe = Observe.off }
+    lean_values = true; limits = Limits.unlimited; observe = Observe.off }
 
-let vm = { optimized with backend = Bytecode }
+let vm = optimized
 
 let v ?(memo = Hashtable) ?(honor_transient = false) ?(dispatch = false)
-    ?(lean_values = false) ?(backend = Closure) ?(limits = Limits.unlimited)
-    ?(observe = Observe.off) () =
-  { memo; honor_transient; dispatch; lean_values; backend; limits; observe }
+    ?(lean_values = false) ?(limits = Limits.unlimited) ?(observe = Observe.off)
+    () =
+  { memo; honor_transient; dispatch; lean_values; limits; observe }
 
-let with_backend backend c = { c with backend }
 let with_limits limits c = { c with limits }
 let with_observe observe c = { c with observe }
 
@@ -41,8 +35,6 @@ let memo_name = function
   | No_memo -> "none"
   | Hashtable -> "hashtable"
   | Chunked -> "chunked"
-
-let backend_name = function Closure -> "closure" | Bytecode -> "vm"
 
 let describe c =
   let flags =
@@ -52,7 +44,6 @@ let describe c =
         (c.honor_transient, "transient");
         (c.dispatch, "dispatch");
         (c.lean_values, "lean-values");
-        (c.backend = Bytecode, "bytecode");
         (Observe.enabled c.observe, "observed");
       ]
   in

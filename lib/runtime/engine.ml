@@ -29,8 +29,7 @@ type st = {
   mutable examined : int;
   (* farthest input position the current memoized invocation has looked
      at; saved/reset at memoized entry, max-merged back at return *)
-  (* resource governor; counts must match the VM exactly so both back
-     ends trip the same limit on the same input *)
+  (* resource governor *)
   mutable fuel : int;  (* remaining invocation budget, counts down *)
   mutable depth : int;  (* live invocation nesting *)
   mutable memo_bytes : int;  (* approximate memo storage charged so far *)
@@ -69,10 +68,7 @@ type t = {
   vmap : int array;  (* memo slot -> arena value slot; -1 = value-free *)
   dummy_arena : Memo_arena.t;  (* cold placeholder for unmemoized runs *)
   mutable pool : scratch option;
-  vm : Vm.t option;  (* the bytecode program, [Config.Bytecode] only *)
-  obs : Observe.t option;
-      (* observation sink, [Config.observe] enabled only; the VM carries
-         its own — see [observation] *)
+  obs : Observe.t option;  (* observation sink, [Config.observe] enabled only *)
 }
 
 (* Failures inside a predicate body never reach the farthest-failure
@@ -81,7 +77,13 @@ type t = {
    alternative's lookahead push the reported position past bytes the
    parse never consumed — positions the FIRST-set dispatch optimization
    (which soundly skips such alternatives) can never reach. The
-   predicate itself records at its entry position instead. *)
+   predicate itself records at its entry position instead.
+
+   For the same reason nothing computed inside a predicate body is
+   memoized: a hit outside the predicate would replay the outcome
+   without the failures its computation never recorded, and report an
+   earlier farthest failure than an unmemoized parse does. Lookups
+   inside predicates still read entries made outside them. *)
 let record st pos desc =
   if st.quiet = 0 then Expected.record st.fail_trace pos desc
 
@@ -231,9 +233,8 @@ let rec alt_loop (compiled : (fn * Bytes.t * bool * string) array) n dispatch
 let truncate_desc s =
   if String.length s <= 40 then s else String.sub s 0 37 ^ "..."
 
-(* Expected-set description of a predicate body, identical to the VM's
-   (which fuses one-byte bodies into test instructions carrying the
-   matcher's own description). *)
+(* Expected-set description of a predicate body: a one-byte body is
+   described as its matcher is. *)
 let pred_body_desc (x : Expr.t) =
   match x.it with
   | Expr.Chr c -> Pretty.quote_char c
@@ -536,7 +537,7 @@ and compile_seq ctx ~lean es =
     let n = Array.length fns in
     fun st pos ->
       let p = seq_loop fns n st 0 pos in
-      if p >= 0 then finish st;
+      if p >= 0 then finish st pos p;
       p
   in
   if lean then (
@@ -553,15 +554,20 @@ and compile_seq ctx ~lean es =
     | Analysis.No_value bodies ->
         chain
           (List.map (compile ctx ~lean:true) bodies)
-          (fun st -> st.value <- Value.Unit)
+          (fun st _ _ -> st.value <- Value.Unit)
     | Analysis.One_value (label, parts) ->
         chain
           (List.map
              (fun (body, bearing) -> compile ctx ~lean:(not bearing) body)
              parts)
           (match label with
-          | None -> ignore
-          | Some _ -> fun st -> st.value <- Value.bind label st.value)
+          | None -> fun _ _ _ -> ()
+          | Some _ ->
+              (* the tuple a collecting sequence would build, span included *)
+              fun st pos p ->
+                st.value <-
+                  Value.seq ~span:(Span.v ~start_:pos ~stop:p)
+                    [ (label, st.value) ])
 
 and compile_tail ctx (e : Expr.t) : fn =
   (* Compile [e] as a sequence tail: the value is always a [tail_name]
@@ -616,8 +622,7 @@ and compile_alt ctx ~lean ?(tail = false) ?node alts =
          the physical [alts] node, so both compilations of a body agree
          on ids; -1 (an alternative list outside the registered
          grammar) makes the marks no-ops. Backtrack events fire only
-         when a later alternative remains to resume — the same points
-         where the VM pops a counting choice entry — even though the
+         when a later alternative remains to resume, even though the
          [backtracks] counter keeps including last-arm failures. *)
       let base = Provenance.arms_of (Observe.provenance o) alts in
       let arm i = if base < 0 then -1 else base + i in
@@ -707,9 +712,7 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
       let slots, nslots = assign_slots config prods in
       (* Value slots: a memoized production whose stored value is
          statically [Value.Unit] gets none — hits restore Unit instead
-         of reading the arena. Must mirror the VM's assignment exactly
-         (same analysis, same production order) so stores are
-         interchangeable in equivalence arguments. *)
+         of reading the arena. *)
       let vmap = Array.make nslots (-1) in
       let nvslots = ref 0 in
       Array.iteri
@@ -739,7 +742,6 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
           vmap;
           dummy_arena = Memo_arena.create ~nslots:0 ~vmap:[||];
           pool = None;
-          vm = None;
           obs;
         }
       in
@@ -750,8 +752,7 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
          [max_int] sentinels, so the ungoverned path costs one decrement
          and two compares per invocation. Fuel is charged once per
          invocation before the memo lookup; depth is entered only when a
-         body actually runs (a memo hit does not nest) — the VM charges
-         at exactly the same points. *)
+         body actually runs (a memo hit does not nest). *)
       let limits = config.Config.limits in
       let max_depth = limits.Limits.max_depth in
       let memo_limit = limits.Limits.max_memo_bytes in
@@ -827,7 +828,8 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
                          let p' = body_full st pos in
                          st.depth <- st.depth - 1;
                          if p' >= 0 then shape_fn st pos p';
-                         if
+                         if st.quiet > 0 then ()
+                         else if
                            st.memo_bytes + Limits.table_entry_cost
                            > memo_limit
                          then
@@ -893,22 +895,23 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
                          st.examined <- pos - 1;
                          let p' = body_full st pos in
                          st.depth <- st.depth - 1;
+                         if p' >= 0 then shape_fn st pos p';
                          (* the body may have grown the arena: re-read
                             the rows through [a], never cache them *)
-                         if p' >= 0 then (
-                           shape_fn st pos p';
-                           a.Memo_arena.res.(base) <- p' - pos + 1;
-                           if vslot >= 0 then
-                             a.Memo_arena.vals.((c * nvslots) + vslot) <-
-                               st.value)
-                         else a.Memo_arena.res.(base) <- -1;
-                         a.Memo_arena.vers.(base) <- ver0;
-                         let ext = st.examined - pos + 1 in
-                         a.Memo_arena.exts.(base) <- ext;
-                         if ext > a.Memo_arena.cmax.(c) then
-                           a.Memo_arena.cmax.(c) <- ext;
-                         st.stats.Stats.memo_stores <-
-                           st.stats.Stats.memo_stores + 1;
+                         if st.quiet = 0 then (
+                           if p' >= 0 then (
+                             a.Memo_arena.res.(base) <- p' - pos + 1;
+                             if vslot >= 0 then
+                               a.Memo_arena.vals.((c * nvslots) + vslot) <-
+                                 st.value)
+                           else a.Memo_arena.res.(base) <- -1;
+                           a.Memo_arena.vers.(base) <- ver0;
+                           let ext = st.examined - pos + 1 in
+                           a.Memo_arena.exts.(base) <- ext;
+                           if ext > a.Memo_arena.cmax.(c) then
+                             a.Memo_arena.cmax.(c) <- ext;
+                           st.stats.Stats.memo_stores <-
+                             st.stats.Stats.memo_stores + 1);
                          look st saved_ext;
                          p'))
                      else (
@@ -958,9 +961,7 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
                       so an entry written by a recognizer run is
                       indistinguishable from a full-mode one — lean
                       calls to these productions get the whole memo
-                      protocol, allocation and stores included. The VM
-                      makes the identical decision off the same vmap so
-                      the tables keep evolving in lockstep. *)
+                      protocol, allocation and stores included. *)
                    fun st pos ->
                      st.stats.Stats.invocations <-
                        st.stats.Stats.invocations + 1;
@@ -1001,16 +1002,16 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
                          st.examined <- pos - 1;
                          let p' = body_rec st pos in
                          st.depth <- st.depth - 1;
-                         (if p' >= 0 then
-                            a.Memo_arena.res.(base) <- p' - pos + 1
-                          else a.Memo_arena.res.(base) <- -1);
-                         a.Memo_arena.vers.(base) <- ver0;
-                         let ext = st.examined - pos + 1 in
-                         a.Memo_arena.exts.(base) <- ext;
-                         if ext > a.Memo_arena.cmax.(c) then
-                           a.Memo_arena.cmax.(c) <- ext;
-                         st.stats.Stats.memo_stores <-
-                           st.stats.Stats.memo_stores + 1;
+                         if st.quiet = 0 then (
+                           a.Memo_arena.res.(base) <-
+                             (if p' >= 0 then p' - pos + 1 else -1);
+                           a.Memo_arena.vers.(base) <- ver0;
+                           let ext = st.examined - pos + 1 in
+                           a.Memo_arena.exts.(base) <- ext;
+                           if ext > a.Memo_arena.cmax.(c) then
+                             a.Memo_arena.cmax.(c) <- ext;
+                           st.stats.Stats.memo_stores <-
+                             st.stats.Stats.memo_stores + 1);
                          look st saved_ext;
                          p'))
                      else (
@@ -1052,8 +1053,7 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
                 the inner call bumped [memo_hits] without running a body
                 — detected as a counter delta so the nine memo/entry
                 arms above stay untouched. The enter event precedes the
-                inner call's fuel charge (mirroring the VM's observed
-                call instructions), so a fuel trip leaves the doomed
+                inner call's fuel charge, so a fuel trip leaves the doomed
                 invocation visible in the ring; its open profile frame
                 is closed by [Observe.finalize] at the run epilogue. *)
              let wrap_obs o i (fn : fn) : fn =
@@ -1086,32 +1086,7 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
          Ok parser
        with Diagnostic.Fail d -> Error [ d ])
 
-(* The bytecode back end reuses the engine's front door: a [t] whose
-   closure tables are empty and whose program lives in [vm]. Hooked
-   (traced) engines always run on closures. *)
-let prepare ?(config = Config.optimized) gram =
-  match config.Config.backend with
-  | Config.Closure -> prepare_hooked ~config gram
-  | Config.Bytecode -> (
-      match Vm.prepare ~config gram with
-      | Error ds -> Error ds
-      | Ok vm ->
-          Ok
-            {
-              cfg = config;
-              gram;
-              ids = Hashtbl.create 1;
-              full = [||];
-              recs = [||];
-              slots = [||];
-              vmap = [||];
-              dummy_arena = Memo_arena.create ~nslots:0 ~vmap:[||];
-              pool = None;
-              nslots = Vm.memo_slots vm;
-              nvslots = Vm.memo_value_slots vm;
-              vm = Some vm;
-              obs = None;
-            })
+let prepare ?config gram = prepare_hooked ?config gram
 
 let prepare_exn ?config gram =
   match prepare ?config gram with
@@ -1123,18 +1098,11 @@ let config t = t.cfg
 let grammar t = t.gram
 let memo_slots t = t.nslots
 let memo_value_slots t = t.nvslots
-let bytecode t = t.vm
 
 let arena_cap t =
-  match t.vm with
-  | Some vm -> Vm.arena_cap vm
-  | None -> (
-      match t.pool with
-      | Some sc -> sc.sc_arena.Memo_arena.cap
-      | None -> 0)
+  match t.pool with Some sc -> sc.sc_arena.Memo_arena.cap | None -> 0
 
-let observation t =
-  match t.vm with Some vm -> Vm.observation vm | None -> t.obs
+let observation (t : t) = t.obs
 
 (* --- running ------------------------------------------------------------ *)
 
@@ -1146,12 +1114,12 @@ type outcome = {
 
 (* --- persistent memo stores (incremental sessions) ----------------------- *)
 
-(* A closure-engine store keeps the memo structures of the last run so a
+(* A store keeps the memo structures of the last run so a
    later run over an edited buffer can reuse them. [c_len] is the input
    length the entries were computed against (-1 until the first run);
    [c_version] persists the state-version counter across runs so stale
    stateful entries can never stamp-match a later run's versions. *)
-type cstore = {
+type store = {
   c_arena : Memo_arena.t;
   c_table : (int, int * Value.t * int * int) Hashtbl.t;
   mutable c_bytes : int;
@@ -1159,15 +1127,13 @@ type cstore = {
   mutable c_version : int;
 }
 
-type store = Closure_store of cstore | Vm_store of Vm.store
-
 (* Apply an edit to the store: entries that only examined bytes strictly
    before the damage are kept in place, entries at or past its end are
    relocated by the length delta, everything else is dropped. Offsets
    inside entries are position-relative, so relocation moves pointers
    without rewriting entry contents. Returns (surviving, relocated)
    entry counts — chunks for chunked memo, table entries otherwise. *)
-let edit_cstore t (s : cstore) ~start ~old_len ~new_len =
+let edit_store t (s : store) ~start ~old_len ~new_len =
   let reused = ref 0 and relocated = ref 0 in
   if s.c_len >= 0 then (
     if start < 0 || old_len < 0 || new_len < 0 || start + old_len > s.c_len
@@ -1207,7 +1173,7 @@ let edit_cstore t (s : cstore) ~start ~old_len ~new_len =
     s.c_len <- s.c_len + delta);
   (!reused, !relocated)
 
-let run_closures t ?store ?start ~require_eof input =
+let run_with t ?store ?start ~require_eof input =
   let start_id =
     match start with
     | None -> Hashtbl.find t.ids (Grammar.start t.gram)
@@ -1361,11 +1327,7 @@ let run_closures t ?store ?start ~require_eof input =
     { result; stats = st.stats; consumed = p }
 
 let run_input t ?start ?(require_eof = true) input =
-  match t.vm with
-  | Some vm ->
-      let o = Vm.run_input vm ?start ~require_eof input in
-      { result = o.Vm.result; stats = o.Vm.stats; consumed = o.Vm.consumed }
-  | None -> run_closures t ?start ~require_eof input
+  run_with t ?start ~require_eof input
 
 let run t ?start ?require_eof input =
   run_input t ?start ?require_eof (Input.of_string input)
@@ -1374,31 +1336,16 @@ let parse t ?start input = (run t ?start input).result
 let accepts t ?start input = Result.is_ok (parse t ?start input)
 
 let new_store t =
-  match t.vm with
-  | Some vm -> Vm_store (Vm.new_store vm)
-  | None ->
-      Closure_store
-        {
-          c_arena = Memo_arena.create ~nslots:t.nslots ~vmap:t.vmap;
-          c_table = Hashtbl.create 256;
-          c_bytes = 0;
-          c_len = -1;
-          c_version = 0;
-        }
-
-let edit_store t store ~start ~old_len ~new_len =
-  match (store, t.vm) with
-  | Vm_store s, Some vm -> Vm.edit_store vm s ~start ~old_len ~new_len
-  | Closure_store s, None -> edit_cstore t s ~start ~old_len ~new_len
-  | _ -> invalid_arg "Engine.edit_store: store belongs to a different backend"
+  {
+    c_arena = Memo_arena.create ~nslots:t.nslots ~vmap:t.vmap;
+    c_table = Hashtbl.create 256;
+    c_bytes = 0;
+    c_len = -1;
+    c_version = 0;
+  }
 
 let run_store_input t store ?start ?(require_eof = true) input =
-  match (store, t.vm) with
-  | Vm_store s, Some vm ->
-      let o = Vm.run_store_input vm s ?start ~require_eof input in
-      { result = o.Vm.result; stats = o.Vm.stats; consumed = o.Vm.consumed }
-  | Closure_store s, None -> run_closures t ~store:s ?start ~require_eof input
-  | _ -> invalid_arg "Engine.run_store: store belongs to a different backend"
+  run_with t ~store ?start ~require_eof input
 
 let run_store t store ?start ?require_eof input =
   run_store_input t store ?start ?require_eof (Input.of_string input)

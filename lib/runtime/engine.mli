@@ -6,12 +6,6 @@
     state-transaction handling chosen by the {!Config.t}. {!run} then
     parses an input string.
 
-    When the configuration selects {!Config.Bytecode}, preparation
-    instead compiles the grammar to a flat instruction array and [run]
-    hands off to the {!Vm} interpreter; the whole API below works
-    identically on both back ends. Tracing always uses closures (it
-    hooks per-production invocations).
-
     The engine rejects grammars that fail {!Rats_peg.Analysis.check}
     (left recursion, vacuous repetition, dangling references), exactly as
     Rats! refuses to generate parsers for them.
@@ -44,21 +38,16 @@ val memo_value_slots : t -> int
     its memo budget less per position. *)
 
 val arena_cap : t -> int
-(** Chunks with backing rows in this engine's pooled memo arena
-    (either back end) — the allocated high-water footprint, which
-    survives between runs because parking a scratch releases values,
-    not rows. [0] before the first run. The batch runner reports this
-    as an occupancy gauge. *)
-
-val bytecode : t -> Vm.t option
-(** The compiled bytecode program when this engine runs on the
-    {!Config.Bytecode} back end; [None] on the closure back end. *)
+(** Chunks with backing rows in this engine's pooled memo arena — the
+    allocated high-water footprint, which survives between runs because
+    parking a scratch releases values, not rows. [0] before the first
+    run. The batch runner reports this as an occupancy gauge. *)
 
 val observation : t -> Observe.t option
 (** The observation sink created at preparation when
-    {!Config.t.observe} enables any capability, on either back end;
-    [None] otherwise. The sink accumulates across every run of this
-    engine — coverage over a corpus is many runs into one sink. *)
+    {!Config.t.observe} enables any capability; [None] otherwise. The
+    sink accumulates across every run of this engine — coverage over a
+    corpus is many runs into one sink. *)
 
 type outcome = {
   result : (Value.t, Parse_error.t) result;
@@ -75,8 +64,8 @@ val run : t -> ?start:string -> ?require_eof:bool -> string -> outcome
     [true]) the start production must consume the whole input. *)
 
 val run_input : t -> ?start:string -> ?require_eof:bool -> Input.t -> outcome
-(** {!run} over an {!Input.t} buffer — the general entry point on both
-    back ends; [run] wraps the string case. A Bigarray-backed input
+(** {!run} over an {!Input.t} buffer — the general entry point; [run]
+    wraps the string case. A Bigarray-backed input
     (e.g. {!Input.map_file}) is parsed in place with no copy; results,
     [Stats], cost-model accounting and error reports are byte-identical
     across representations. *)
@@ -104,8 +93,8 @@ type store
 (** A memo store tied to one engine and one evolving input buffer. *)
 
 val new_store : t -> store
-(** An empty store for this engine (matching its backend); populated by
-    the first {!run_store}. *)
+(** An empty store for this engine; populated by the first
+    {!run_store}. *)
 
 val edit_store : t -> store -> start:int -> old_len:int -> new_len:int -> int * int
 (** [edit_store t s ~start ~old_len ~new_len] adjusts the store for a
@@ -113,8 +102,7 @@ val edit_store : t -> store -> start:int -> old_len:int -> new_len:int -> int * 
     Returns [(surviving, relocated)] entry counts — chunks under chunked
     memo, table entries otherwise; [relocated] counts only entries whose
     position actually moved, so same-length replacements relocate
-    nothing. Raises [Invalid_argument] if the edit is out of bounds or
-    the store belongs to the other backend. *)
+    nothing. Raises [Invalid_argument] if the edit is out of bounds. *)
 
 val run_store : t -> store -> ?start:string -> ?require_eof:bool -> string -> outcome
 (** Parse reading and refilling the store, in one untraced pass. On

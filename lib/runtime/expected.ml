@@ -22,8 +22,8 @@ let reset t =
    are held, a new one evicts the lexicographically largest retained
    entry iff it is smaller, so the retained set is always the
    [max_entries] smallest distinct descriptions seen at the farthest
-   position — independent of arrival order, hence identical across
-   back ends (which record the same set in different orders). *)
+   position — independent of arrival order, so configurations that
+   visit alternatives in different orders report the same set. *)
 let record t pos desc =
   if pos > t.farthest then (
     t.farthest <- pos;

@@ -1,8 +1,7 @@
-(** Farthest-failure tracking, shared by the closure engine and the
-    bytecode VM.
+(** Farthest-failure tracking.
 
-    Both back ends report errors the same way: the input offset that the
-    parse got farthest to before failing, together with the descriptions
+    The engine reports errors as the input offset that the parse got
+    farthest to before failing, together with the descriptions
     of what could have matched there. Descriptions are deduplicated on
     insertion — backtracking retries the same expression at the same
     position many times, and duplicates would otherwise crowd distinct
@@ -14,8 +13,8 @@ val max_entries : int
 (** Cap on retained descriptions per position (32). When more distinct
     descriptions fail at the farthest position, the retained set is the
     [max_entries] lexicographically smallest of them — a deterministic,
-    arrival-order-independent rule, so both back ends (which visit
-    alternatives in different orders) always report the same set. *)
+    arrival-order-independent rule, so configurations that visit
+    alternatives in different orders always report the same set. *)
 
 val create : unit -> t
 val reset : t -> unit

@@ -45,12 +45,10 @@ let which_message = function
 
 let pp_which ppf w = Format.pp_print_string ppf (which_name w)
 
-(* Approximate byte cost of memo storage, shared by both back ends so
-   the budget degrades at the same point whichever one runs. The model
-   predates the arena (it priced a chunk as three boxed nslots-word
-   arrays plus headers) and its VALUES ARE LOAD-BEARING: governed runs
-   degrade at identical decision points on both back ends, and the
-   same-trip property suites pin that alignment. The arena's flat rows
+(* Approximate byte cost of memo storage. The model predates the arena
+   (it priced a chunk as three boxed nslots-word arrays plus headers)
+   and its VALUES ARE LOAD-BEARING: the batch ladder's budgets and the
+   degradation suites were calibrated against them. The arena's flat rows
    cost about the same per chunk anyway; do not "recalibrate" without
    versioning the budget semantics. A hash-table entry is the key, the
    boxed tuple and its bucket. *)

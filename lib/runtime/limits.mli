@@ -1,27 +1,24 @@
 (** Resource budgets for a parse run.
 
-    The packrat trade-off is linear time for memo-table memory, and both
-    of our back ends additionally recurse (closures) or grow explicit
-    stacks (bytecode) with input nesting. Parsing untrusted input
+    The packrat trade-off is linear time for memo-table memory, and the
+    engine's closures additionally recurse with input nesting. Parsing
+    untrusted input
     therefore needs hard budgets: a governed run either finishes or
     returns a structured {!Parse_error} whose kind is
     [Resource_exhausted] — it never crashes the process.
 
     Budgets are deterministic counts, not wall-clock or GC samples, so a
     given (grammar, input, limits) triple always trips the same limit at
-    the same point on both back ends — the property suite asserts this. *)
+    the same point. *)
 
 type t = {
   fuel : int;
       (** step budget: one unit per production invocation (memo hits
-          included), counted identically by the closure engine and the
-          VM — including productions the VM inlines at call sites.
-          [max_int] = unlimited. *)
+          included). [max_int] = unlimited. *)
   max_depth : int;
       (** invocation-nesting cap, checked when a production's body is
-          about to run (memo hits don't nest). The closure engine maps
-          this to OCaml stack depth, the VM to call-stack height plus
-          live inlined bodies; both count the same grammar-level depth. *)
+          about to run (memo hits don't nest): the grammar-level depth,
+          which bounds the engine's OCaml stack depth. *)
   max_memo_bytes : int;
       (** approximate memo-table budget. Exceeding it never fails the
           parse: new chunks/entries simply stop being written and the
@@ -65,8 +62,8 @@ val chunk_cost : ?value_slots:int -> int -> int
 (** [chunk_cost ~value_slots nslots]: approximate bytes charged against
     [max_memo_bytes] when a memo chunk is allocated — per-slot
     result/extent/version bookkeeping plus a boxed word per {e value}
-    slot ([value_slots], default [0]; the arena's vmap). Shared by both
-    back ends so degradation points coincide. A value-free engine —
+    slot ([value_slots], default [0]; the arena's vmap). A value-free
+    engine —
     the batch recognizer rung — allocates cheaper chunks, so the same
     budget memoizes roughly twice the positions. *)
 

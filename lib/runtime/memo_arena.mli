@@ -1,6 +1,6 @@
 (** Reusable storage arena for packrat memo chunks.
 
-    Both back ends memoize with one {e chunk} per visited input
+    The engine memoizes with one {e chunk} per visited input
     position holding one entry per memoized production ([nslots] of
     them). The arena owns all chunk storage as flat parallel arrays —
     [res]/[vers]/[exts] rows of [nslots] ints per chunk plus a [vals]

@@ -1,4 +1,4 @@
-(* The observation sink shared by both back ends. Everything is
+(* The engine's observation sink. Everything is
    preallocated at [create]: pushing a ring event is four int writes
    into a flat array, coverage marks are single array increments, and
    profiling delegates to [Profile]. Nothing here charges fuel or the
@@ -107,7 +107,6 @@ let create w prov =
     seen = 0;
   }
 
-let null = create off Provenance.empty
 let want t = t.want
 let provenance t = t.prov
 let profile t = t.profile

@@ -3,23 +3,18 @@
     {!want} is the capability record carried by {!Config.t} — pure data,
     so configurations stay structurally comparable. When every
     capability is off (the default), preparation compiles exactly the
-    code it compiled before this layer existed: the closure engine wraps
-    nothing and the VM program is byte-identical — the zero-cost-when-off
-    contract the bench suite verifies.
+    code it compiled before this layer existed: the engine wraps
+    nothing — the zero-cost-when-off contract the bench suite verifies.
 
     When something is on, preparation creates one {!t} sink per engine
-    and compiles direct calls to it: the closure engine wraps each
-    production's matcher and recognizer, the VM emits instrumented
-    instruction variants. The sink accumulates across runs (coverage
+    and compiles direct calls to it: the engine wraps each production's
+    matcher and recognizer. The sink accumulates across runs (coverage
     over a corpus, profiles over repeated parses); it is observation
     only — nothing here touches fuel, depth, or the memo byte budget.
 
-    Event streams are deterministic: for the same (grammar, input,
-    flags) both back ends emit the same event sequence — enter and
-    memo-hit positions, exits, backtracks, trips — which the property
-    suite asserts (on governed configurations, where the VM counts
-    inlined invocations exactly like the closure engine; see
-    DESIGN.md). *)
+    Event streams are deterministic: the same (grammar, input, flags)
+    always yields the same event sequence — enter and memo-hit
+    positions, exits, backtracks, trips. *)
 
 open Rats_peg
 
@@ -59,14 +54,12 @@ type event = { kind : kind; id : int; pos : int; aux : int }
 type t
 
 val create : want -> Provenance.t -> t
-val null : t
-(** An inert sink (everything off) — never written, never read. *)
 
 val want : t -> want
 val provenance : t -> Provenance.t
 val profile : t -> Profile.t option
 
-(** {1 Hooks — called by the back ends} *)
+(** {1 Hooks — called by the engine} *)
 
 val enter : t -> int -> int -> unit
 (** [enter t prod pos]: invocation begins (before fuel is charged, so an

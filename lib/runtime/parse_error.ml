@@ -12,10 +12,10 @@ type t = {
 }
 
 (* Expected sets are sets: render order must not leak the trace order
-   the engine happened to discover the alternatives in (the two back
-   ends, and warm vs cold runs of a session, reach the farthest point
-   along different paths). Sorting makes messages byte-identical across
-   runs and back ends. *)
+   the engine happened to discover the alternatives in (configurations,
+   and warm vs cold runs of a session, reach the farthest point along
+   different paths). Sorting makes messages byte-identical across
+   runs. *)
 let dedup xs = List.sort_uniq String.compare xs
 
 let v ~position ~expected ?consumed () =

@@ -9,7 +9,7 @@
     as flamegraph events exportable as speedscope or Chrome-trace JSON.
 
     The module is a passive sink: {!Observe} drives it from the hooks
-    both back ends compile in when profiling is requested. Cost when
+    the engine compiles in when profiling is requested. Cost when
     profiling: two clock reads and a few array writes per invocation.
     When profiling is off the engine never calls in, so the cost is
     zero — see DESIGN.md's zero-overhead-when-off argument. *)
@@ -60,8 +60,7 @@ val rows : t -> row list
 val invocation_sum : t -> int
 (** Total calls across all productions — equals
     [Stats.t.invocations] for the runs observed (the property suite
-    checks this on governed configurations, where the VM counts inlined
-    invocations exactly like the closure engine). *)
+    checks this). *)
 
 val pp_table : ?top:int -> Format.formatter -> t -> unit
 (** The sorted per-production table [rml profile] prints. *)

@@ -7,8 +7,6 @@ type t = {
   mutable chunk_slots : int;
   mutable backtracks : int;
   mutable state_snapshots : int;
-  mutable vm_instructions : int;
-  mutable vm_stack_peak : int;
   mutable memo_degraded : int;
   mutable fuel_used : int;
   mutable memo_reused : int;
@@ -25,8 +23,6 @@ let create () =
     chunk_slots = 0;
     backtracks = 0;
     state_snapshots = 0;
-    vm_instructions = 0;
-    vm_stack_peak = 0;
     memo_degraded = 0;
     fuel_used = 0;
     memo_reused = 0;
@@ -42,8 +38,6 @@ let reset t =
   t.chunk_slots <- 0;
   t.backtracks <- 0;
   t.state_snapshots <- 0;
-  t.vm_instructions <- 0;
-  t.vm_stack_peak <- 0;
   t.memo_degraded <- 0;
   t.fuel_used <- 0;
   t.memo_reused <- 0;
@@ -58,8 +52,6 @@ let add acc t =
   acc.chunk_slots <- acc.chunk_slots + t.chunk_slots;
   acc.backtracks <- acc.backtracks + t.backtracks;
   acc.state_snapshots <- acc.state_snapshots + t.state_snapshots;
-  acc.vm_instructions <- acc.vm_instructions + t.vm_instructions;
-  acc.vm_stack_peak <- max acc.vm_stack_peak t.vm_stack_peak;
   acc.memo_degraded <- acc.memo_degraded + t.memo_degraded;
   acc.fuel_used <- acc.fuel_used + t.fuel_used;
   acc.memo_reused <- acc.memo_reused + t.memo_reused;
@@ -114,8 +106,6 @@ let fields
       chunk_slots;
       backtracks;
       state_snapshots;
-      vm_instructions;
-      vm_stack_peak;
       memo_degraded;
       fuel_used;
       memo_reused;
@@ -130,8 +120,6 @@ let fields
     ("slots", chunk_slots);
     ("backtracks", backtracks);
     ("snapshots", state_snapshots);
-    ("vm-instructions", vm_instructions);
-    ("vm-stack-peak", vm_stack_peak);
     ("fuel-used", fuel_used);
     ("memo-degraded", memo_degraded);
     ("memo-reused", memo_reused);
@@ -157,8 +145,6 @@ let pp ppf t =
      backtracks=%d snapshots=%d@]"
     t.invocations t.memo_hits t.memo_misses t.memo_stores t.chunks_allocated
     t.chunk_slots t.backtracks t.state_snapshots;
-  Format.fprintf ppf "@ @[vm-instructions=%d vm-stack-peak=%d@]"
-    t.vm_instructions t.vm_stack_peak;
   Format.fprintf ppf "@ @[fuel-used=%d memo-degraded=%d@]" t.fuel_used
     t.memo_degraded;
   Format.fprintf ppf "@ @[memo-reused=%d memo-relocated=%d@]" t.memo_reused

@@ -13,17 +13,11 @@ type t = {
   mutable chunk_slots : int;  (** total slots across allocated chunks *)
   mutable backtracks : int;  (** failed choice alternatives *)
   mutable state_snapshots : int;  (** stateful-parsing table restores *)
-  mutable vm_instructions : int;
-      (** bytecode instructions dispatched (VM back end only) *)
-  mutable vm_stack_peak : int;
-      (** backtrack-stack high-water mark (VM back end only) *)
   mutable memo_degraded : int;
       (** memo stores skipped because {!Limits.t.max_memo_bytes} was
           exhausted — the invocations ran un-memoized instead *)
   mutable fuel_used : int;
-      (** production invocations charged against {!Limits.t.fuel};
-          identical on both back ends for the same (grammar, input,
-          config) *)
+      (** production invocations charged against {!Limits.t.fuel} *)
   mutable memo_reused : int;
       (** memo entries that survived the last edit and were available at
           reparse start (incremental sessions only; counted per chunk

@@ -11,7 +11,7 @@
     observability hooks (PR 5): the engines know nothing about faults.
     Truncation and I/O faults act in the read path before an input
     buffer exists; fuel/memo faults are ordinary {e finite limits}
-    handled by the governor both back ends already compile in; clock
+    handled by the governor the engine already compiles in; clock
     skew perturbs the batch runner's deadline reads. A parse with no
     plan runs byte-identical code to one where this module was never
     linked. *)

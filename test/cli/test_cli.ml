@@ -91,23 +91,15 @@ let tests =
         Sys.remove expr;
         check Alcotest.int "exit" 0 code;
         check Alcotest.bool "stats" true (contains out "invocations="));
-    test "parse --engine vm matches the closure tree" (fun () ->
+    test "the removed engine selection is a usage error" (fun () ->
         let expr = write_temp "1 + 2 * 3" in
-        let code, out = run (Printf.sprintf "parse -b calc -i %s" expr) in
-        let code', out' =
-          run (Printf.sprintf "parse -b calc -i %s --engine vm --stats" expr)
-        in
+        let code, _ = run (Printf.sprintf "parse -b calc -i %s -e vm" expr) in
+        let code', _ = run (Printf.sprintf "parse -b calc -i %s -c vm" expr) in
+        let code'', _ = run "bytecode -b calc" in
         Sys.remove expr;
-        check Alcotest.int "exit" 0 code;
-        check Alcotest.int "exit vm" 0 code';
-        check Alcotest.bool "vm stats" true (contains out' "vm-instructions=");
-        check Alcotest.bool "same tree" true
-          (contains out' (String.trim out)));
-    test "bytecode prints a disassembly" (fun () ->
-        let code, out = run "bytecode -b calc" in
-        check Alcotest.int "exit" 0 code;
-        check Alcotest.bool "header" true (contains out "instructions");
-        check Alcotest.bool "calls" true (contains out "call Sum"));
+        check Alcotest.int "-e vm" 2 code;
+        check Alcotest.int "-c vm" 2 code';
+        check Alcotest.int "bytecode" 2 code'');
     test "fmt round-trips the tutorial" (fun () ->
         let code, out = run (Printf.sprintf "fmt %s" tutorial) in
         check Alcotest.int "exit" 0 code;
@@ -140,20 +132,14 @@ let tests =
         let code, out = run "parse -b calc -i /no/such/file" in
         check Alcotest.int "exit" 3 code;
         check Alcotest.bool "message" true (contains out "/no/such/file"));
-    test "--fuel exhaustion exits 4 on both engines" (fun () ->
+    test "--fuel exhaustion exits 4" (fun () ->
         let expr = write_temp "1+1+1+1+1+1+1+1" in
         let code, out =
           run (Printf.sprintf "parse -b calc -i %s --fuel 10" expr)
         in
-        let code', out' =
-          run (Printf.sprintf "parse -b calc -i %s --fuel 10 -e vm" expr)
-        in
         Sys.remove expr;
-        check Alcotest.int "closure exit" 4 code;
-        check Alcotest.int "vm exit" 4 code';
-        check Alcotest.bool "message" true (contains out "fuel");
-        check Alcotest.bool "same offset" true
-          (String.trim out = String.trim out'));
+        check Alcotest.int "exit" 4 code;
+        check Alcotest.bool "message" true (contains out "fuel"));
     test "--max-depth exhaustion exits 4" (fun () ->
         let expr =
           write_temp (String.make 100 '(' ^ "1" ^ String.make 100 ')')
@@ -209,22 +195,14 @@ let tests =
             (Printf.sprintf "parse -b calc -i %s --edits %s --stats" expr
                script)
         in
-        let code', out' =
-          run
-            (Printf.sprintf "parse -b calc -i %s --edits %s -e vm -q" expr
-               script)
-        in
         Sys.remove expr;
         Sys.remove script;
         check Alcotest.int "exit" 0 code;
-        check Alcotest.int "vm exit" 0 code';
         check Alcotest.bool "initial parse" true (contains out "initial: ok");
         check Alcotest.bool "per-edit status" true (contains out "edit 2: ok");
         check Alcotest.bool "reuse reported" true (contains out "reused=");
         check Alcotest.bool "reuse in stats" true (contains out "memo-reused=");
-        check Alcotest.bool "final tree" true (contains out "(Num \"42\")");
-        (* Both backends replay through the same session machinery. *)
-        check Alcotest.bool "vm agrees" true (contains out' "edit 2: ok"));
+        check Alcotest.bool "final tree" true (contains out "(Num \"42\")"));
     test "--edits reaching an invalid buffer exits 3 with a located error"
       (fun () ->
         let expr = write_temp "1+2" in
@@ -325,15 +303,10 @@ let tests =
         let code', out' =
           run (Printf.sprintf "parse -b calc -i %s --mmap --stats" expr)
         in
-        let codev, outv =
-          run (Printf.sprintf "parse -b calc -i %s --mmap -e vm" expr)
-        in
         Sys.remove expr;
         check Alcotest.int "copy exit" 0 code;
         check Alcotest.int "mmap exit" 0 code';
-        check Alcotest.bool "identical output incl. stats" true (out = out');
-        check Alcotest.int "vm mmap exit" 0 codev;
-        check Alcotest.bool "vm tree" true (contains outv "(Num \"3\")"));
+        check Alcotest.bool "identical output incl. stats" true (out = out'));
     test "--mmap failures carry a caret into the mapped file" (fun () ->
         let bad = write_temp "1 + 2 *" in
         let code, out = run (Printf.sprintf "parse -b calc -i %s --mmap" bad) in
@@ -433,9 +406,6 @@ let exit_matrix_tests =
       ("modules ok", "modules -b minic-ext", None, 0);
       ("modules usage", "modules -b calc --no-such-flag", None, 2);
       ("modules unknown builtin", "modules -b nonsense", None, 3);
-      ("bytecode ok", "bytecode -b calc", None, 0);
-      ("bytecode usage", "bytecode -b calc --no-such-flag", None, 2);
-      ("bytecode unknown builtin", "bytecode -b nonsense", None, 3);
       ("profile ok", Printf.sprintf "profile -b calc -i %s" good, None, 0);
       ("profile usage", "profile -b calc --no-such-flag", None, 2);
       ("profile syntax", Printf.sprintf "profile -b calc -i %s" bad, None, 3);
@@ -683,32 +653,22 @@ let with_corpus f =
 
 let telemetry_tests =
   [
-    test "--stats-json emits the pinned 14-field schema" (fun () ->
+    test "--stats-json emits the pinned 12-field schema" (fun () ->
         let expr = write_temp "1 + 2 * 3" in
         let code, out =
           run (Printf.sprintf "parse -b calc -i %s -q --stats-json" expr)
         in
-        let codev, outv =
-          run (Printf.sprintf "parse -b calc -i %s -q -e vm --stats-json" expr)
-        in
         Sys.remove expr;
         check Alcotest.int "exit" 0 code;
-        check Alcotest.int "vm exit" 0 codev;
         let schema =
           [
             "invocations"; "hits"; "misses"; "stores"; "chunks"; "slots";
-            "backtracks"; "snapshots"; "vm-instructions"; "vm-stack-peak";
-            "fuel-used"; "memo-degraded"; "memo-reused"; "memo-relocated";
+            "backtracks"; "snapshots"; "fuel-used"; "memo-degraded";
+            "memo-reused"; "memo-relocated";
           ]
         in
-        (match json_lines out with
-        | [ line ] -> check_keys "closure schema" schema line
-        | ls -> Alcotest.failf "expected 1 JSON line, got %d" (List.length ls));
-        match json_lines outv with
-        | [ line ] ->
-            check_keys "vm schema" schema line;
-            check Alcotest.bool "vm counts instructions" true
-              (contains line "\"vm-instructions\":")
+        match json_lines out with
+        | [ line ] -> check_keys "schema" schema line
         | ls -> Alcotest.failf "expected 1 JSON line, got %d" (List.length ls));
     test "--stats-json rides --edits: the final reparse's counters" (fun () ->
         let expr = write_temp "1 + 2 * (3 - 4)" in

@@ -2,7 +2,7 @@
    architecture"): in recognizer mode no construct allocates, so
    steady-state bytes/parse is independent of input size. The probe's
    ladder isolates one construct per rung — a leak reintroduced in
-   either backend fails here naming the construct, without waiting for
+   the engine fails here naming the construct, without waiting for
    the E9 bench gate. The measurements are [Gc.allocated_bytes] deltas
    over deterministic parses with warmed pools, so the numbers are
    exact, not sampled: this suite is noise-free by construction. *)
@@ -16,37 +16,41 @@ let pp_rows rows =
   String.concat ", "
     (List.map (fun (b, a) -> Printf.sprintf "%d:%.0f" b a) rows)
 
-let configs = [ ("closure", Config.optimized); ("vm", Config.vm) ]
+(* Each contract is checked ungoverned and under the hardened resource
+   governor, whose fuel and depth accounting must not allocate either.
+   The ungoverned checks carry no suffix. *)
+let configs =
+  [
+    ("", Config.optimized);
+    (" (governed)", Config.with_limits Limits.hardened Config.optimized);
+  ]
 
 let ladder_tests =
   List.concat_map
-    (fun (backend, config) ->
+    (fun (suffix, config) ->
       List.map
         (fun (rung : Probe.rung) ->
           Alcotest.test_case
-            (Printf.sprintf "%s is allocation-free (%s)" rung.Probe.r_name
-               backend)
+            (Printf.sprintf "%s is allocation-free%s" rung.Probe.r_name suffix)
             `Quick
             (fun () ->
               let rows = Probe.measure_rung ~config ~sizes rung in
               if not (Probe.flat rows) then
-                Alcotest.failf
-                  "%s/%s: lean-path allocation grows with input (%s)"
-                  rung.Probe.r_name backend (pp_rows rows)))
+                Alcotest.failf "%s%s: lean-path allocation grows with input (%s)"
+                  rung.Probe.r_name suffix (pp_rows rows)))
         (Probe.ladder ()))
     configs
 
 (* The composed claim on real grammars: kind-erased calc and MiniJava
    (what [--recognize] and the degradation ladder run) parse seeded
-   corpora grown 16x at constant bytes/parse on both backends. *)
+   corpora grown 16x at constant bytes/parse. *)
 let voidified_tests =
   List.concat_map
-    (fun (backend, config) ->
+    (fun (suffix, config) ->
       List.map
         (fun (gname, grammar, corpus_at) ->
           Alcotest.test_case
-            (Printf.sprintf "voidified %s is size-independent (%s)" gname
-               backend)
+            (Printf.sprintf "voidified %s is size-independent%s" gname suffix)
             `Quick
             (fun () ->
               let g = Pipeline.optimize (Probe.voidify grammar) in
@@ -60,9 +64,8 @@ let voidified_tests =
                   [ 1; 4; 16 ]
               in
               if not (Probe.flat rows) then
-                Alcotest.failf
-                  "voidified %s/%s: allocation grows with input (%s)" gname
-                  backend (pp_rows rows)))
+                Alcotest.failf "voidified %s%s: allocation grows with input (%s)"
+                  gname suffix (pp_rows rows)))
         [
           ( "calc",
             Grammars.Calc.grammar (),
@@ -78,7 +81,7 @@ let voidified_tests =
 (* The value-building contract: a full parse allocates the tree plus a
    bounded overhead, measured in bytes per input byte on fixed seeded
    documents. Each bound is the measured figure plus 10%, so a
-   per-node intermediate reintroduced on either backend — such as a
+   per-node intermediate reintroduced in the engine — such as a
    tuple node that a node wrapper unpacks again — fails here. *)
 let floor_tests =
   (* A full parse keeps what it builds, and its [Gc.allocated_bytes]
@@ -106,7 +109,7 @@ let floor_tests =
       ( "calc",
         Grammars.Calc.grammar (),
         Grammars.Corpus.arith (Rng.create 7) ~size:4_000,
-        [ ("closure", 114.); ("vm", 111.) ] );
+        114. );
       ( "json",
         Grammars.Json.grammar (),
         "["
@@ -114,32 +117,30 @@ let floor_tests =
             (List.init 40 (fun i ->
                  Grammars.Corpus.json (Rng.create (7 + i)) ~size:40))
         ^ "]",
-        [ ("closure", 38.); ("vm", 37.) ] );
+        38. );
       ( "minijava",
         Grammars.Minijava.grammar (),
         Grammars.Corpus.minijava (Rng.create 8) ~classes:16,
-        [ ("closure", 160.); ("vm", 160.) ] );
+        160. );
     ]
   in
   List.concat_map
-    (fun (gname, grammar, doc, bounds) ->
+    (fun (suffix, config) ->
       List.map
-        (fun (backend, config) ->
-          let bound = List.assoc backend bounds in
+        (fun (gname, grammar, doc, bound) ->
           Alcotest.test_case
-            (Printf.sprintf
-               "full-value %s allocates <= %.0f B per input byte (%s)" gname
-               bound backend)
+            (Printf.sprintf "full-value %s allocates <= %.0f B per input byte%s"
+               gname bound suffix)
             `Quick
             (fun () ->
               let eng = Engine.prepare_exn ~config (Pipeline.optimize grammar) in
               let per_byte = full_bytes_per_byte eng doc in
               if per_byte > bound then
                 Alcotest.failf
-                  "%s/%s: %.1f B per input byte (%d B document), bound %.0f"
-                  gname backend per_byte (String.length doc) bound))
-        configs)
-    docs
+                  "%s%s: %.1f B per input byte (%d B document), bound %.0f"
+                  gname suffix per_byte (String.length doc) bound))
+        docs)
+    configs
 
 let () =
   Alcotest.run "alloc"

@@ -1,19 +1,14 @@
 (* The observability layer: profiler, trace ring, coverage, and the
-   zero-cost-when-off contract. Cross-backend event/coverage parity on
-   random grammars lives in test_props.ml; these are the directed cases,
-   each run on both back ends.
-
-   Configurations here are governed (finite fuel): without a budget the
-   VM emits no govern brackets for inlined productions and counts fewer
-   invocations than the closure engine, so cross-checks against
-   Stats.invocations only hold governed (see DESIGN.md). *)
+   zero-cost-when-off contract. The random-grammar properties (profiler
+   sums, observation changing nothing) live in test_props.ml; these are
+   the directed cases. *)
 
 open Rats
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
 let b = Grammar.make_exn
-let backends = [ ("closure", Config.optimized); ("vm", Config.vm) ]
+let configs = [ ("optimized", Config.optimized) ]
 let governed config = Config.with_limits (Limits.v ~fuel:100_000 ()) config
 
 let contains hay needle =
@@ -54,8 +49,6 @@ let all_ones () : Stats.t =
     chunk_slots = 1;
     backtracks = 1;
     state_snapshots = 1;
-    vm_instructions = 1;
-    vm_stack_peak = 1;
     memo_degraded = 1;
     fuel_used = 1;
     memo_reused = 1;
@@ -64,14 +57,12 @@ let all_ones () : Stats.t =
 
 let stats_tests =
   [
-    test "add doubles every counter; vm-stack-peak max-merges" (fun () ->
+    test "add doubles every counter" (fun () ->
         let acc = Stats.create () in
         Stats.add acc (all_ones ());
         Stats.add acc (all_ones ());
         List.iter
-          (fun (name, v) ->
-            let expected = if name = "vm-stack-peak" then 1 else 2 in
-            check Alcotest.int name expected v)
+          (fun (name, v) -> check Alcotest.int name 2 v)
           (Stats.fields acc));
     test "fields schema is stable, in order, zero-inclusive" (fun () ->
         check
@@ -79,8 +70,8 @@ let stats_tests =
           "names"
           [
             "invocations"; "hits"; "misses"; "stores"; "chunks"; "slots";
-            "backtracks"; "snapshots"; "vm-instructions"; "vm-stack-peak";
-            "fuel-used"; "memo-degraded"; "memo-reused"; "memo-relocated";
+            "backtracks"; "snapshots"; "fuel-used"; "memo-degraded";
+            "memo-reused"; "memo-relocated";
           ]
           (List.map fst (Stats.fields (Stats.create ()))));
     test "pp renders every field even at zero" (fun () ->
@@ -102,19 +93,7 @@ let off_tests =
             let eng = Engine.prepare_exn ~config (dead_arm_grammar ()) in
             if Engine.observation eng <> None then
               Alcotest.failf "[%s] unobserved engine has a sink" label)
-          backends);
-    test "unobserved bytecode contains no obs instructions" (fun () ->
-        let g = dead_arm_grammar () in
-        let plain = Vm.prepare_exn ~config:Config.vm g in
-        if contains (Vm.disassemble plain) "obs-" then
-          Alcotest.fail "observe-off program contains obs-* instructions";
-        let seen =
-          Vm.prepare_exn
-            ~config:(Config.with_observe (Observe.all ()) Config.vm)
-            g
-        in
-        if not (contains (Vm.disassemble seen) "obs-") then
-          Alcotest.fail "observed program contains no obs-* instructions");
+          configs);
   ]
 
 (* --- profiler ---------------------------------------------------------------- *)
@@ -172,7 +151,7 @@ let profile_tests =
                 && ch.[String.length ch - 1] = ']'
                 && contains ch "\"ph\"")
             then Alcotest.failf "[%s] chrome export malformed" label)
-          backends);
+          configs);
     test "finalize closes frames abandoned by a fuel trip" (fun () ->
         List.iter
           (fun (label, config) ->
@@ -195,7 +174,7 @@ let profile_tests =
                after aborted runs: every open event got a close. *)
             if Profile.events_logged p mod 2 <> 0 then
               Alcotest.failf "[%s] unbalanced flame event log" label)
-          backends);
+          configs);
   ]
 
 (* --- coverage ---------------------------------------------------------------- *)
@@ -233,7 +212,7 @@ let coverage_tests =
             let report = Format.asprintf "%a" Observe.pp_coverage o in
             if not (contains report "unexercised alternative") then
               Alcotest.failf "[%s] report misses the dead alternative" label)
-          backends);
+          configs);
     test "coverage accumulates across runs of one sink" (fun () ->
         List.iter
           (fun (label, config) ->
@@ -247,7 +226,7 @@ let coverage_tests =
             let _, _, am2, _ = Observe.coverage_summary (obs_of eng) in
             if not (am2 > am1) then
               Alcotest.failf "[%s] second corpus file added no coverage" label)
-          backends);
+          configs);
   ]
 
 (* --- trace ring -------------------------------------------------------------- *)
@@ -290,7 +269,7 @@ let ring_tests =
                 if last.Observe.kind <> Observe.Exit_ok then
                   Alcotest.failf "[%s] last event is not exit-ok" label
             | [] -> ())
-          backends);
+          configs);
     test "the ring is bounded: old events are overwritten in place" (fun () ->
         List.iter
           (fun (label, config) ->
@@ -307,7 +286,7 @@ let ring_tests =
               Alcotest.failf "[%s] ring exceeded its capacity" label;
             if Observe.events_seen o <= 16 then
               Alcotest.failf "[%s] expected overwritten events" label)
-          backends);
+          configs);
     test "tracing charges no fuel and no memo budget" (fun () ->
         (* Satellite regression: the ring dump on Resource_exhausted must
            not change what the parse consumed — byte-identical governor
@@ -345,7 +324,7 @@ let ring_tests =
                 if last.Observe.kind <> Observe.Govern_trip then
                   Alcotest.failf "[%s] last ring event is not the trip" label
             | [] -> Alcotest.failf "[%s] empty ring after trip" label)
-          backends);
+          configs);
     test "pp_events renders positions and source excerpts" (fun () ->
         let eng =
           Engine.prepare_exn
@@ -404,7 +383,7 @@ let session_tests =
                 if ev.Observe.pos <= 0 then
                   Alcotest.failf "[%s] reuse event counts nothing" label
             | None -> Alcotest.failf "[%s] no memo-reuse event" label)
-          backends);
+          configs);
   ]
 
 (* --- provenance -------------------------------------------------------------- *)

@@ -625,14 +625,12 @@ let pipeline_tests =
                List.map (fun (p : Pass.t) -> p.Pass.name) s.Pipeline.passes)
              (Pipeline.registry ()))
           (List.map (fun (p : Pass.t) -> p.Pass.name) (Pipeline.passes ())));
-    test "ladder has eleven rungs in order" (fun () ->
+    test "ladder has ten rungs in order" (fun () ->
         let rungs = Pipeline.ladder (Grammars.Calc.grammar ()) in
-        check Alcotest.int "count" 11 (List.length rungs);
+        check Alcotest.int "count" 10 (List.length rungs);
         check Alcotest.string "first" "baseline" (List.hd rungs).Pipeline.name;
-        check Alcotest.string "tenth" "+lean-values"
-          (List.nth rungs 9).Pipeline.name;
-        check Alcotest.string "last" "+bytecode"
-          (List.nth rungs 10).Pipeline.name);
+        check Alcotest.string "last" "+lean-values"
+          (List.nth rungs 9).Pipeline.name);
     test "every rung parses the calc corpus identically" (fun () ->
         let g = Grammars.Calc.grammar () in
         let rng = Rng.create 11 in

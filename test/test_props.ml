@@ -154,8 +154,8 @@ let gen_input g st =
     let i = Gen.int_bound (String.length s - 1) st in
     String.mapi (fun j c -> if j = i then gen_char st else c) s
 
-(* A well-formed grammar plus a batch of inputs. *)
-let gen_case st =
+(* A well-formed grammar from [gen_grammar] plus a batch of inputs. *)
+let gen_case_of gen_grammar st =
   let rec retry k =
     let g = gen_grammar st in
     if Analysis.check (Analysis.analyze g) = [] then g
@@ -165,6 +165,8 @@ let gen_case st =
   let g = retry 0 in
   let inputs = List.init 8 (fun _ -> gen_input g st) in
   (g, inputs)
+
+let gen_case = gen_case_of gen_grammar
 
 let print_case (g, inputs) =
   Printf.sprintf "grammar:\n%s\ninputs: %s"
@@ -265,8 +267,8 @@ let pass_props =
    which structural passes rewrite by design, so those are compared
    only by their presence.
    Reference and subject run under the same engine configuration so only
-   the pass itself is under test; the bytecode variant then re-checks
-   the transformed grammar through the VM. *)
+   the pass itself is under test; the reference variant then checks the
+   transformed grammar against the original one run by [Reference]. *)
 
 type full_obs = FAccept of Value.t | FReject of int * string list
 
@@ -286,6 +288,11 @@ let observe_full eng input =
   | Error e ->
       FReject (e.Parse_error.position, normalize_expected e.Parse_error.expected)
 
+let reference_full g input =
+  match (Reference.run g input).Reference.result with
+  | Ok v -> FAccept v
+  | Error (pos, descs) -> FReject (pos, normalize_expected descs)
+
 let full_equal a b =
   match (a, b) with
   | FAccept va, FAccept vb -> Value.equal va vb
@@ -298,15 +305,16 @@ let apply_pass (p : Pass.t) g =
 let registry_pass_props =
   List.concat_map
     (fun (p : Pass.t) ->
-      let prop backend cfg =
+      [
         QCheck.Test.make
           ~name:
-            (Printf.sprintf "%s preserves values, positions, expected (%s)"
-               p.Pass.name backend)
+            (Printf.sprintf "%s preserves values, positions, expected"
+               p.Pass.name)
           ~count:120 arb_case
           (fun (g, inputs) ->
             match
-              (prepare_with Config.packrat g, prepare_with cfg (apply_pass p g))
+              ( prepare_with Config.packrat g,
+                prepare_with Config.packrat (apply_pass p g) )
             with
             | Ok e1, Ok e2 ->
                 List.for_all
@@ -314,64 +322,159 @@ let registry_pass_props =
                     full_equal (observe_full e1 input) (observe_full e2 input))
                   inputs
             | Error _, Error _ -> true
-            | _ -> false)
-      in
-      [
-        prop "closure" Config.packrat;
-        prop "vm" (Config.with_backend Config.Bytecode Config.packrat);
+            | _ -> false);
+        QCheck.Test.make
+          ~name:
+            (Printf.sprintf
+               "%s preserves values, positions, expected (reference)"
+               p.Pass.name)
+          ~count:120 arb_case
+          (fun (g, inputs) ->
+            match
+              ( prepare_with Config.packrat g,
+                prepare_with Config.packrat (apply_pass p g) )
+            with
+            | Ok _, Ok eng ->
+                List.for_all
+                  (fun input ->
+                    full_equal (reference_full g input) (observe_full eng input))
+                  inputs
+            | Error _, Error _ -> true
+            | _ -> false);
       ])
     (Pipeline.all_passes ())
 
-(* --- bytecode back end -------------------------------------------------------------------- *)
+(* --- reference interpreter ------------------------------------------------------------ *)
 
-(* The closure engine is the executable specification for the bytecode
-   VM: same values, same success offsets, same farthest-failure
-   positions, across every memo strategy. [Engine.prepare] dispatches on
-   [Config.backend], so the same facade drives both. *)
+(* The engine against [Reference], a memo-free transcription of the
+   semantics: whole trees compared with structural equality, so every
+   span counts (unlike [Value.equal]); error positions; and the offset a
+   prefix parse stops at. Expected sets are compared too, except under
+   FIRST-set dispatch, which describes a skipped alternative by its
+   FIRST set instead of by what it would have failed on. *)
 
-let vm_of cfg = Config.with_backend Config.Bytecode cfg
+(* [Value.to_string] with every node's span. *)
+let rec show_value = function
+  | Value.List vs -> "[" ^ String.concat " " (List.map show_value vs) ^ "]"
+  | Value.Node n ->
+      Printf.sprintf "(%s@%d-%d%s)" n.Value.name (Span.start n.Value.span)
+        (Span.stop n.Value.span)
+        (String.concat ""
+           (List.map
+              (fun (l, v) ->
+                " " ^ Option.fold ~none:"" ~some:(fun l -> l ^ ":") l
+                ^ show_value v)
+              n.Value.children))
+  | v -> Value.to_string v
 
-let vm_props =
-  let both name count cfg =
-    equivalent name count (prepare_with cfg) (prepare_with (vm_of cfg))
+let show_result = function
+  | Ok v -> show_value v
+  | Error (pos, descs) ->
+      Printf.sprintf "error at %d: %s" pos (String.concat ", " descs)
+
+let reference_agrees ~expected eng g input =
+  let check ~require_eof =
+    let o = Engine.run eng ~require_eof input in
+    let r = Reference.run ~require_eof g input in
+    let o_result =
+      Result.map_error
+        (fun e ->
+          ( e.Parse_error.position,
+            if expected then List.sort_uniq compare e.Parse_error.expected
+            else [] ))
+        o.Engine.result
+    and r_result =
+      Result.map_error
+        (fun (pos, descs) -> (pos, if expected then descs else []))
+        r.Reference.result
+    in
+    o.Engine.consumed = r.Reference.consumed && o_result = r_result
+    || QCheck.Test.fail_reportf
+         "on %S (require_eof:%b)\nengine:    %s, consumed %d\nreference: %s, consumed %d"
+         input require_eof (show_result o_result) o.Engine.consumed
+         (show_result r_result) r.Reference.consumed
   in
+  check ~require_eof:true && check ~require_eof:false
+
+(* Stateful grammars are rare under [gen_case]. This one builds the
+   shape where state and memoization meet: a production R records a
+   name and is tried by several alternatives at the same position — a
+   failed alternative must roll its record back and the next one must
+   record again, memo hit or not — followed by membership tests. *)
+let gen_stateful_case st =
+  let name_ = Expr.plus (Expr.cls (Charset.of_string "ab")) in
+  let attempts =
+    List.init
+      (2 + Gen.int_bound 1 st)
+      (fun _ -> Expr.seq [ Expr.ref_ "R"; gen_expr ~refs:[] ~depth:1 st ])
+  in
+  let kind = Gen.oneofl [ Attr.Plain; Attr.Generic; Attr.Text; Attr.Void ] st in
+  let g =
+    Grammar.make_exn ~start:"P0"
+      [
+        Production.v "P0"
+          (Expr.seq
+             [
+               Expr.alt attempts;
+               Expr.chr ';';
+               Expr.star
+                 (Expr.seq [ Expr.member "T" (Gen.bool st) name_; Expr.chr ';' ]);
+             ]);
+        Production.v
+          ~attrs:(Attr.v ~kind ~visibility:Attr.Private ())
+          "R" (Expr.record "T" name_);
+      ]
+  in
+  (g, List.init 8 (fun _ -> gen_input g st))
+
+(* Alternatives sharing a prefix, which prefix factoring turns into a
+   [Splice] of the differing tails. *)
+let gen_prefixed_grammar st =
+  let prefix = gen_expr ~refs:[ "P1" ] ~depth:2 st in
+  let kind = Gen.oneofl [ Attr.Plain; Attr.Generic; Attr.Text; Attr.Void ] st in
+  Grammar.make_exn ~start:"P0"
+    [
+      Production.v
+        ~attrs:(Attr.v ~kind ~visibility:Attr.Private ())
+        "P0"
+        (Expr.alt
+           (List.init
+              (2 + Gen.int_bound 1 st)
+              (fun _ ->
+                Expr.seq [ prefix; gen_expr ~refs:[ "P1" ] ~depth:2 st ])));
+      Production.v "P1" (gen_expr ~refs:[] ~depth:2 st);
+    ]
+
+let reference_prop ?(arb = arb_case) ?(transform = Fun.id) name cfg =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "closure = reference (%s): spans, errors, prefix offsets" name)
+    ~count:250 arb
+    (fun (g, inputs) ->
+      let g = transform g in
+      match prepare_with cfg g with
+      | Error _ -> true
+      | Ok eng ->
+          List.for_all
+            (reference_agrees ~expected:(not cfg.Config.dispatch) eng g)
+            inputs)
+
+let reference_props =
+  let chunked = Config.v ~memo:Config.Chunked ~honor_transient:true () in
   [
-    both "closure = bytecode (no memo)" 250 Config.naive;
-    both "closure = bytecode (packrat hashtable)" 250 Config.packrat;
-    both "closure = bytecode (chunked+transient)" 250
-      (Config.v ~memo:Config.Chunked ~honor_transient:true ());
-    both "closure = bytecode (fully optimized)" 250 Config.optimized;
-    (* [Value.equal] ignores spans; structural equality does not. *)
-    QCheck.Test.make ~name:"closure = bytecode including spans" ~count:250
-      arb_case (fun (g, inputs) ->
-        List.for_all
-          (fun cfg ->
-            match (prepare_with cfg g, prepare_with (vm_of cfg) g) with
-            | Ok e1, Ok e2 ->
-                List.for_all
-                  (fun input ->
-                    match (Engine.parse e1 input, Engine.parse e2 input) with
-                    | Ok va, Ok vb -> va = vb
-                    | Error _, Error _ -> true
-                    | _ -> false)
-                  inputs
-            | Error _, Error _ -> true
-            | _ -> false)
-          [ Config.optimized; Config.packrat ]);
-    QCheck.Test.make ~name:"closure = bytecode on prefixes (consumed offsets)"
-      ~count:250 arb_case (fun (g, inputs) ->
-        match (prepare_with Config.optimized g, prepare_with Config.vm g) with
-        | Ok e1, Ok e2 ->
-            List.for_all
-              (fun input ->
-                let o1 = Engine.run e1 ~require_eof:false input in
-                let o2 = Engine.run e2 ~require_eof:false input in
-                o1.Engine.consumed = o2.Engine.consumed
-                && Result.is_ok o1.Engine.result
-                   = Result.is_ok o2.Engine.result)
-              inputs
-        | Error _, Error _ -> true
-        | _ -> false);
+    reference_prop "naive" Config.naive;
+    reference_prop "packrat" Config.packrat;
+    reference_prop "chunked+transient" chunked;
+    reference_prop "optimized" Config.optimized;
+    (* the optimizer's output: factoring introduces [Splice] *)
+    reference_prop "optimized pipeline" Config.optimized
+      ~transform:(fun g -> Pipeline.optimize g);
+    reference_prop "shared prefixes, factored" Config.packrat
+      ~arb:(QCheck.make ~print:print_case (gen_case_of gen_prefixed_grammar))
+      ~transform:Passes.factor_prefixes;
+    reference_prop "stateful, packrat" Config.packrat
+      ~arb:(QCheck.make ~print:print_case gen_stateful_case);
+    reference_prop "stateful, chunked" chunked
+      ~arb:(QCheck.make ~print:print_case gen_stateful_case);
   ]
 
 (* --- printer round-trip -------------------------------------------------------------- *)
@@ -511,12 +614,9 @@ let engine_fuzz_props =
 
 (* --- resource governor -------------------------------------------------------------- *)
 
-(* The governor's contract, in property form: under finite limits both
-   back ends (a) always return a result — no exception escapes — and
-   (b) produce the *same* result, including which budget tripped when
-   one did. Fuel and depth are counted identically by construction, so
-   full observation equality is the right assertion, not just
-   same-outcome. *)
+(* The governor's contract, in property form: under finite limits a run
+   always returns a result — no exception escapes — and a run that does
+   not trip observes exactly what the unlimited run does. *)
 
 type gov_obs =
   | GAccept
@@ -544,8 +644,7 @@ let governor_props =
          ~config:(Config.with_limits limits cfg)
          (Lazy.force calc))
   in
-  let closure_h = calc_eng Config.optimized Limits.hardened in
-  let vm_h = calc_eng Config.vm Limits.hardened in
+  let calc_h = calc_eng Config.optimized Limits.hardened in
   let gen_adversarial st =
     let scale = 1 + Gen.int_bound 4000 st in
     let shapes = Grammars.Corpus.adversarial ~scale in
@@ -558,20 +657,23 @@ let governor_props =
       gen_adversarial
   in
   [
-    (* (a)+(b) on the designed hostile inputs: a raise fails the test. *)
+    (* On the designed hostile inputs: a raise fails the test, and a
+       second run, on the memo scratch the first one parked, must end
+       the same way. *)
     QCheck.Test.make
-      ~name:"hardened calc: backends agree and never raise (adversarial)"
+      ~name:"hardened calc never raises and trips the same way twice \
+             (adversarial)"
       ~count:600 arb_adversarial (fun (_, input) ->
-        let a = gov_observe (Lazy.force closure_h) input in
-        let b = gov_observe (Lazy.force vm_h) input in
+        let a = gov_observe (Lazy.force calc_h) input in
+        let b = gov_observe (Lazy.force calc_h) input in
         if a <> b then
-          QCheck.Test.fail_reportf "closure: %s, vm: %s" (gov_print a)
+          QCheck.Test.fail_reportf "first: %s, second: %s" (gov_print a)
             (gov_print b)
         else true);
-    (* Same, on random grammars with budgets small enough that most runs
-       trip: the two back ends must run out of the same budget. *)
+    (* On random grammars with budgets small enough that most runs trip:
+       a run that does not trip must agree with the unlimited one. *)
     QCheck.Test.make
-      ~name:"random tiny budgets trip the same limit on both backends"
+      ~name:"random tiny budgets: a run trips or matches the unlimited run"
       ~count:400
       (QCheck.pair arb_case
          (QCheck.make
@@ -582,18 +684,21 @@ let governor_props =
         let limits = Limits.v ~fuel ~max_depth () in
         match
           ( Engine.prepare ~config:(Config.with_limits limits Config.optimized) g,
-            Engine.prepare ~config:(Config.with_limits limits Config.vm) g )
+            Engine.prepare ~config:Config.optimized g )
         with
-        | Ok e1, Ok e2 ->
+        | Ok governed, Ok free ->
             List.for_all
               (fun input ->
-                gov_observe e1 input = gov_observe e2 input)
+                match gov_observe governed input with
+                | GTrip _ -> true
+                | GAccept | GReject _ ->
+                    full_equal (observe_full governed input)
+                      (observe_full free input))
               inputs
         | Error _, Error _ -> true
         | _ -> false);
     (* Memo-budget exhaustion degrades instead of failing: a tiny memo
-       budget must not change any observable outcome, on either back
-       end. *)
+       budget must not change any observable outcome. *)
     QCheck.Test.make ~name:"memo degradation changes nothing observable"
       ~count:300
       (QCheck.pair arb_case (QCheck.make (Gen.int_bound 2048)))
@@ -614,7 +719,7 @@ let governor_props =
                   inputs
             | Error _, Error _ -> true
             | _ -> false)
-          [ Config.optimized; Config.packrat; Config.vm ]);
+          [ Config.optimized; Config.packrat ]);
     (* The unlimited default really is governance-free at the API level:
        same observations as a finite-but-huge budget. *)
     QCheck.Test.make ~name:"huge finite budgets behave like unlimited"
@@ -637,7 +742,7 @@ let governor_props =
                   inputs
             | Error _, Error _ -> true
             | _ -> false)
-          [ Config.optimized; Config.vm ]);
+          [ Config.optimized; Config.packrat ]);
   ]
 
 (* --- input representations ------------------------------------------------------------ *)
@@ -645,8 +750,8 @@ let governor_props =
 (* The zero-copy input layer: the same document parsed through a
    string-backed and a Bigarray-backed [Input.t] must be byte-identical
    in every observable — value, consumed offset, error position,
-   expected set, error kind and every [Stats] counter — on both back
-   ends, governed and ungoverned. This is the invariant that lets
+   expected set, error kind and every [Stats] counter — governed and
+   ungoverned. This is the invariant that lets
    [Source.map_file]/[rml parse --mmap] claim "same parse, no copy". *)
 
 let big_of_string s =
@@ -699,19 +804,19 @@ let input_rep_props =
                     (rep_observe eng (big_of_string text)))
                 inputs))
     [
-      ("closure", Config.optimized);
-      ("vm", Config.vm);
-      ("closure packrat", Config.packrat);
-      ("closure governed", governed Config.optimized);
-      ("vm governed", governed Config.vm);
+      ("optimized", Config.optimized);
+      ("packrat", Config.packrat);
+      ("naive", Config.naive);
+      ("optimized governed", governed Config.optimized);
+      ("packrat governed", governed Config.packrat);
     ]
   @ [
       QCheck.Test.make
         ~name:"string = bigarray on prefixes (require_eof:false)" ~count:150
         arb_case
         (fun (g, inputs) ->
-          match (prepare_with Config.optimized g, prepare_with Config.vm g) with
-          | Ok cl, Ok vm ->
+          match (prepare_with Config.optimized g, prepare_with Config.packrat g) with
+          | Ok opt, Ok packrat ->
               List.for_all
                 (fun text ->
                   List.for_all
@@ -729,7 +834,7 @@ let input_rep_props =
                          = Result.is_ok b.Engine.result
                       && Stats.fields a.Engine.stats
                          = Stats.fields b.Engine.stats)
-                    [ cl; vm ])
+                    [ opt; packrat ])
                 inputs
           | Error _, Error _ -> true
           | _ -> false);
@@ -747,8 +852,9 @@ let input_rep_props =
    but every voidified slot is value-free and gets the whole protocol.
    So the total charge is compared as cheaper-per-chunk over a
    superset of positions — and whenever coverage does not grow, the
-   total must shrink outright. Checked on both back ends, governed and
-   ungoverned: 4 configurations x 150 cases = 600 random grammars. *)
+   total must shrink outright. Checked with and without FIRST-set
+   dispatch, governed and ungoverned: 4 configurations x 150 cases =
+   600 random grammars. *)
 
 let voidify g =
   match Batch.recognizer_erase g with
@@ -774,6 +880,8 @@ let recognizer_props =
   let governed cfg =
     Config.with_limits (Limits.v ~fuel:200_000 ~max_depth:10_000 ()) cfg
   in
+  (* chunked memo without FIRST-set dispatch *)
+  let chunked = Config.v ~memo:Config.Chunked ~honor_transient:true () in
   List.map
     (fun (tag, cfg) ->
       QCheck.Test.make
@@ -821,10 +929,10 @@ let recognizer_props =
           | Error _, Error _ -> true
           | _ -> false))
     [
-      ("closure", Config.optimized);
-      ("vm", Config.vm);
-      ("closure governed", governed Config.optimized);
-      ("vm governed", governed Config.vm);
+      ("optimized", Config.optimized);
+      ("chunked", chunked);
+      ("optimized governed", governed Config.optimized);
+      ("chunked governed", governed chunked);
     ]
 
 (* --- charset algebra -------------------------------------------------------------------- *)
@@ -865,15 +973,8 @@ let charset_props =
 
 (* --- observability ---------------------------------------------------------- *)
 
-(* Governed configurations only: without a fuel budget the VM emits no
-   govern brackets for inlined productions and counts fewer invocations
-   than the closure engine, so the cross-backend accounting below only
-   holds when both engines run governed (see DESIGN.md). The budget is
-   far above what any generated case needs, so nothing trips. *)
 let observed base =
-  Config.with_limits
-    (Limits.v ~fuel:200_000 ())
-    (Config.with_observe (Observe.all ~ring_bytes:(1 lsl 20) ()) base)
+  Config.with_observe (Observe.all ~ring_bytes:(1 lsl 20) ()) base
 
 let observe_props =
   [
@@ -899,37 +1000,20 @@ let observe_props =
                     match Observe.profile o with
                     | None -> false
                     | Some p -> Profile.invocation_sum p = total)))
-          [ Config.optimized; Config.vm ]);
+          [ Config.optimized; Config.packrat ]);
     QCheck.Test.make
-      ~name:"closure and vm emit identical events and coverage" ~count:150
-      arb_case
+      ~name:"observation changes no result and no counter" ~count:150 arb_case
       (fun (g, inputs) ->
         List.for_all
           (fun base ->
-            let cl =
-              Engine.prepare
-                ~config:(observed (Config.with_backend Config.Closure base))
-                g
-            in
-            let vm =
-              Engine.prepare
-                ~config:(observed (Config.with_backend Config.Bytecode base))
-                g
-            in
-            match (cl, vm) with
-            | Ok cl, Ok vm -> (
-                List.iter
+            match (Engine.prepare ~config:base g, Engine.prepare ~config:(observed base) g) with
+            | Ok plain, Ok obs ->
+                List.for_all
                   (fun input ->
-                    ignore (Engine.run cl input);
-                    ignore (Engine.run vm input))
-                  inputs;
-                match (Engine.observation cl, Engine.observation vm) with
-                | Some oc, Some ov ->
-                    Observe.events oc = Observe.events ov
-                    && Observe.coverage_summary oc
-                       = Observe.coverage_summary ov
-                    && Observe.unexercised oc = Observe.unexercised ov
-                | _ -> false)
+                    rep_equal
+                      (rep_observe plain (Input.of_string input))
+                      (rep_observe obs (Input.of_string input)))
+                  inputs
             | Error _, Error _ -> true
             | _ -> false)
           [ Config.optimized; Config.packrat ]);
@@ -940,7 +1024,7 @@ let () =
   Alcotest.run "props"
     [
       ("engine-equivalence", to_alco engine_props);
-      ("vm-equivalence", to_alco vm_props);
+      ("reference-equivalence", to_alco reference_props);
       ("input-representation", to_alco input_rep_props);
       ("pass-equivalence", to_alco pass_props);
       ("registry-pass-equivalence", to_alco registry_pass_props);

@@ -5,8 +5,8 @@
    parse of the final buffer — same value under [Value.equal], same
    farthest-failure position, same expected set, byte-identical
    rendered error message. Checked after every reparse, under both
-   back ends and both memo strategies, with single edits and composed
-   multi-edit batches.
+   memo strategies, with single edits and composed multi-edit
+   batches.
 
    Grammar and input generation mirrors test_props: stratified
    non-recursive grammars over a 4-letter alphabet, inputs from a
@@ -230,11 +230,12 @@ let obs_print = function
 
 let configs =
   [
-    ("closure-chunked", Config.optimized);
-    ("closure-hashtable", Config.packrat);
-    ("vm", Config.vm);
-    ( "vm-hashtable",
-      Config.with_backend Config.Bytecode Config.packrat );
+    ("chunked", Config.optimized);
+    ("hashtable", Config.packrat);
+    (* chunked memo without FIRST-set dispatch, with and without
+       transient productions *)
+    ("chunked-transient", Config.v ~memo:Config.Chunked ~honor_transient:true ());
+    ("chunked-plain", Config.v ~memo:Config.Chunked ());
   ]
 
 let session_equiv_prop (label, cfg) count =
@@ -276,24 +277,24 @@ let session_props =
   List.map (fun c -> session_equiv_prop c 150) configs
 
 (* Error rendering is deterministic: the same failing parse renders the
-   same message on repeated runs and on both back ends (expected sets
-   are sorted before display, so trace-discovery order cannot leak). *)
+   same message on repeated runs and with or without memoization
+   (expected sets are sorted before display, so trace-discovery order
+   cannot leak). *)
 let determinism_props =
   [
     QCheck.Test.make
-      ~name:"error messages are byte-identical across runs and backends"
+      ~name:"error messages are byte-identical across runs and memo modes"
       ~count:300 arb_case
       (fun (g, input, _) ->
         match
           ( Engine.prepare ~config:Config.packrat g,
-            Engine.prepare
-              ~config:(Config.with_backend Config.Bytecode Config.packrat) g )
+            Engine.prepare ~config:Config.naive g )
         with
-        | Ok closure, Ok vm -> (
-            match (parse closure input, parse vm input) with
+        | Ok packrat, Ok naive -> (
+            match (parse packrat input, parse naive input) with
             | Ok _, Ok _ -> true
             | Error e1, Error e2 -> (
-                match parse closure input with
+                match parse packrat input with
                 | Ok _ -> false
                 | Error e1' ->
                     String.equal (Parse_error.to_string e1)
@@ -350,7 +351,7 @@ let unit_tests =
 (* Arena-recycling equivalence: the memo arena and pooled scratch
    introduced for the allocation-free hot path must be invisible.
 
-   Two angles, both over closure and VM back ends, governed and
+   Two angles, both over both memo strategies, governed and
    ungoverned:
 
    - Twin sessions driven through the identical edit script must agree
@@ -370,10 +371,10 @@ let governed_limits = Limits.v ~fuel:200_000 ~max_depth:200 ()
 
 let recycle_configs =
   [
-    ("closure", Config.optimized);
-    ("vm", Config.vm);
-    ("closure-governed", Config.with_limits governed_limits Config.optimized);
-    ("vm-governed", Config.with_limits governed_limits Config.vm);
+    ("optimized", Config.optimized);
+    ("packrat", Config.packrat);
+    ("optimized-governed", Config.with_limits governed_limits Config.optimized);
+    ("packrat-governed", Config.with_limits governed_limits Config.packrat);
   ]
 
 let stats_fields s = Stats.fields s
