@@ -68,6 +68,9 @@ type t = {
   vmap : int array;  (* memo slot -> arena value slot; -1 = value-free *)
   dummy_arena : Memo_arena.t;  (* cold placeholder for unmemoized runs *)
   mutable pool : scratch option;
+  names : Expected.names;  (* every description a matcher can record *)
+  mutable trace_pool : Expected.t option;
+      (* farthest-failure tracker parked between runs, like [pool] *)
   obs : Observe.t option;  (* observation sink, [Config.observe] enabled only *)
 }
 
@@ -84,8 +87,8 @@ type t = {
    without the failures its computation never recorded, and report an
    earlier farthest failure than an unmemoized parse does. Lookups
    inside predicates still read entries made outside them. *)
-let record st pos desc =
-  if st.quiet = 0 then Expected.record st.fail_trace pos desc
+let record st pos id =
+  if st.quiet = 0 then Expected.record st.fail_trace pos id
 
 (* Note that position [p] was examined. Unlike [record] this is never
    suppressed inside predicates and never rewound on backtracking: an
@@ -108,6 +111,15 @@ let restore_tables st saved =
    lowered by [Charmap]. *)
 let bitmap_mem bm c = Bytes.unsafe_get bm (Char.code c) <> '\000'
 
+(* Expression nodes by identity: a node compiled again is found
+   without comparing trees. *)
+module Phys = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type compile_ctx = {
   parser : t;
   analysis : Analysis.t;
@@ -119,6 +131,7 @@ type compile_ctx = {
       (* when set, choice compilation marks alternative coverage and
          pushes backtrack events; call instrumentation lives in the
          per-production wrappers of [prepare_hooked] instead *)
+  preds : int Phys.t;  (* predicate node -> id of its description *)
 }
 
 (* --- hoisted hot loops --------------------------------------------------- *)
@@ -209,19 +222,23 @@ let rec seq_collect (parts : (string option * fn * bool) array) n st i pos =
            | _ -> st.parts <- (label, v) :: st.parts);
       q
 
-let alt_first_viable st pos (first : Bytes.t) eps =
+(* The FIRST-set dispatch guard: an alternative whose FIRST set
+   excludes the next byte cannot match, so it is skipped, recording
+   what it expected ([first_id]) as its own failure would have. *)
+let alt_first_viable st pos (first : Bytes.t) eps first_id =
   eps
   || (look st pos;
       pos < st.len && bitmap_mem first (Input.unsafe_get st.input pos))
+  || (record st pos first_id;
+      false)
 
-let rec alt_loop (compiled : (fn * Bytes.t * bool * string) array) n dispatch
-    st saved pos i =
+let rec alt_loop (compiled : (fn * Bytes.t * bool * int) array) n dispatch st
+    saved pos i =
   if i >= n then -1
   else
-    let fn, first, eps, desc = Array.unsafe_get compiled i in
-    if dispatch && not (alt_first_viable st pos first eps) then (
-      record st pos desc;
-      alt_loop compiled n dispatch st saved pos (i + 1))
+    let fn, first, eps, first_id = Array.unsafe_get compiled i in
+    if dispatch && not (alt_first_viable st pos first eps first_id) then
+      alt_loop compiled n dispatch st saved pos (i + 1)
     else
       let p = fn st pos in
       if p >= 0 then p
@@ -242,6 +259,18 @@ let pred_body_desc (x : Expr.t) =
   | Expr.Any -> "any character"
   | _ -> truncate_desc (Pretty.expr_to_string x)
 
+(* The id of a predicate's description, printed once per predicate
+   node: the full and the recognizer compilation of a body share its
+   nodes, and printing the body is most of what compiling a predicate
+   costs. *)
+let pred_desc_id ctx (e : Expr.t) describe =
+  match Phys.find_opt ctx.preds e with
+  | Some id -> id
+  | None ->
+      let id = Expected.intern ctx.parser.names (describe ()) in
+      Phys.add ctx.preds e id;
+      id
+
 (* Peel a top-level Bind to expose the label a sequence records. *)
 let peel_bind (e : Expr.t) =
   match e.it with Expr.Bind (l, inner) -> (Some l, inner) | _ -> (None, e)
@@ -255,17 +284,18 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
         st.value <- Value.Unit;
         pos
   | Expr.Fail msg ->
+      let id = Expected.intern ctx.parser.names msg in
       fun st pos ->
-        record st pos msg;
+        record st pos id;
         -1
   | Expr.Any ->
-      let desc = "any character" in
+      let id = Expected.intern ctx.parser.names "any character" in
       if lean then
         fun st pos ->
           look st pos;
           if pos < st.len then pos + 1
           else (
-            record st pos desc;
+            record st pos id;
             -1)
       else
         fun st pos ->
@@ -274,10 +304,10 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
             st.value <- Value.Chr (Input.unsafe_get st.input pos);
             pos + 1)
           else (
-            record st pos desc;
+            record st pos id;
             -1)
   | Expr.Chr c ->
-      let desc = Pretty.quote_char c in
+      let id = Expected.intern_char ctx.parser.names c in
       let set_unit = not lean in
       fun st pos ->
         look st pos;
@@ -285,11 +315,11 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
           if set_unit then st.value <- Value.Unit;
           pos + 1)
         else (
-          record st pos desc;
+          record st pos id;
           -1)
   | Expr.Str s ->
       let n = String.length s in
-      let desc = Pretty.quote_string s in
+      let id = Expected.intern_literal ctx.parser.names s in
       let set_unit = not lean in
       fun st pos ->
         (* Record failures at the first mismatching byte, so the farthest
@@ -299,17 +329,17 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
           if set_unit then st.value <- Value.Unit;
           pos + n)
         else (
-          record st (pos + m) desc;
+          record st (pos + m) id;
           -1)
   | Expr.Cls set ->
-      let bm, desc = Charmap.lower ctx.charsets set in
+      let bm, id = Charmap.lower ctx.charsets set in
       if lean then
         fun st pos ->
           look st pos;
           if pos < st.len && bitmap_mem bm (Input.unsafe_get st.input pos)
           then pos + 1
           else (
-            record st pos desc;
+            record st pos id;
             -1)
       else
         fun st pos ->
@@ -320,10 +350,10 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
               st.value <- Value.Chr c;
               pos + 1)
             else (
-              record st pos desc;
+              record st pos id;
               -1))
           else (
-            record st pos desc;
+            record st pos id;
             -1)
   | Expr.Ref name ->
       let id =
@@ -375,7 +405,7 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
           pos)
   | Expr.And x ->
       let fx = compile ctx ~lean:(lean || ctx.config.Config.lean_values) x in
-      let desc = "&" ^ pred_body_desc x in
+      let id = pred_desc_id ctx e (fun () -> "&" ^ pred_body_desc x) in
       fun st pos ->
         let saved = st.tables in
         st.quiet <- st.quiet + 1;
@@ -383,14 +413,17 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
         st.quiet <- st.quiet - 1;
         restore_tables st saved;
         if p < 0 then (
-          record st pos desc;
+          record st pos id;
           -1)
         else (
           if not lean then st.value <- Value.Unit;
           pos)
   | Expr.Not x ->
       let fx = compile ctx ~lean:(lean || ctx.config.Config.lean_values) x in
-      let desc = "not " ^ truncate_desc (Pretty.expr_to_string x) in
+      let id =
+        pred_desc_id ctx e (fun () ->
+            "not " ^ truncate_desc (Pretty.expr_to_string x))
+      in
       fun st pos ->
         let saved = st.tables in
         st.quiet <- st.quiet + 1;
@@ -398,7 +431,7 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
         st.quiet <- st.quiet - 1;
         restore_tables st saved;
         if p >= 0 then (
-          record st pos desc;
+          record st pos id;
           -1)
         else (
           if not lean then st.value <- Value.Unit;
@@ -463,9 +496,10 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
           p)
   | Expr.Member (table, positive, x) ->
       let fx = compile ctx ~lean x in
-      let desc =
-        if positive then Printf.sprintf "a name recorded in %s" table
-        else Printf.sprintf "a name not recorded in %s" table
+      let id =
+        Expected.intern ctx.parser.names
+          (if positive then Printf.sprintf "a name recorded in %s" table
+           else Printf.sprintf "a name not recorded in %s" table)
       in
       fun st pos ->
         let p = fx st pos in
@@ -477,7 +511,7 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
           in
           if SSet.mem text set = positive then p
           else (
-            record st pos desc;
+            record st pos id;
             -1)
 
 (* A [Node] wrapper or generic production named [name] around [e]:
@@ -608,8 +642,8 @@ and compile_alt ctx ~lean ?(tail = false) ?node alts =
       (List.map
          (fun (a : Expr.alt) ->
            let first, eps = Analysis.expr_first ctx.analysis a.body in
-           let bm, desc = Charmap.lower ctx.charsets first in
-           (compile_branch a.body, bm, eps, desc))
+           let bm, first_id = Charmap.lower ctx.charsets first in
+           (compile_branch a.body, bm, eps, first_id))
          alts)
   in
   let n = Array.length compiled in
@@ -631,15 +665,9 @@ and compile_alt ctx ~lean ?(tail = false) ?node alts =
         let rec go i =
           if i >= n then -1
           else
-            let fn, first, eps, desc = compiled.(i) in
-            if
-              dispatch && (not eps)
-              && (look st pos;
-                  pos >= st.len
-                  || not (bitmap_mem first (Input.unsafe_get st.input pos)))
-            then (
-              record st pos desc;
-              go (i + 1))
+            let fn, first, eps, first_id = compiled.(i) in
+            if dispatch && not (alt_first_viable st pos first eps first_id)
+            then go (i + 1)
             else (
               Observe.alt_tried o (arm i);
               let p = fn st pos in
@@ -724,6 +752,7 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
         prods;
       let nvslots = !nvslots in
       let dummy : fn = fun _ _ -> -1 in
+      let names = Expected.names () in
       let obs =
         if Observe.enabled config.Config.observe then
           Some (Observe.create config.Config.observe (Provenance.of_grammar gram))
@@ -742,11 +771,20 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
           vmap;
           dummy_arena = Memo_arena.create ~nslots:0 ~vmap:[||];
           pool = None;
+          names;
+          trace_pool = None;
           obs;
         }
       in
       let ctx =
-        { parser; analysis; config; charsets = Charmap.create (); obs }
+        {
+          parser;
+          analysis;
+          config;
+          charsets = Charmap.create names;
+          obs;
+          preds = Phys.create 64;
+        }
       in
       (* Governor hooks, always compiled in: unlimited budgets are
          [max_int] sentinels, so the ungoverned path costs one decrement
@@ -1246,13 +1284,21 @@ let run_with t ?store ?start ~require_eof input =
               | _ -> Hashtbl.clear sc.sc_table);
               Some sc)
     in
+    let trace =
+      match t.trace_pool with
+      | Some tr ->
+          t.trace_pool <- None;
+          Expected.reset tr;
+          tr
+      | None -> Expected.create t.names
+    in
     let st =
       {
         input;
         len;
         value = Value.Unit;
         parts = [];
-        fail_trace = Expected.create ();
+        fail_trace = trace;
         tables = SMap.empty;
         version = (match store with Some s -> s.c_version + 1 | None -> 0);
         stats = Stats.create ();
@@ -1324,6 +1370,7 @@ let run_with t ?store ?start ~require_eof input =
           Expected.result st.fail_trace ~len:st.len ~require_eof ~stop:p
             st.value
     in
+    t.trace_pool <- Some trace;
     { result; stats = st.stats; consumed = p }
 
 let run_input t ?start ?(require_eof = true) input =

@@ -142,10 +142,34 @@ let floor_tests =
         docs)
     configs
 
+(* Farthest-failure recording runs on every failing terminal and every
+   dispatch-skipped alternative, so it must not allocate at all. *)
+let record_tests =
+  [
+    Alcotest.test_case "Expected.record allocates nothing" `Quick (fun () ->
+        let names = Expected.names () in
+        let ids =
+          Array.init 40 (fun i ->
+              Expected.intern names (Printf.sprintf "d%02d" i))
+        in
+        let t = Expected.create names in
+        let w0 = Gc.minor_words () in
+        (* every third record advances, the others land on the farthest
+           position or below it *)
+        for i = 0 to 99_999 do
+          let pos = (i / 3) + ((i mod 3) - 1) in
+          Expected.record t (max pos 0) ids.(i mod 40)
+        done;
+        let words = Gc.minor_words () -. w0 in
+        if words <> 0. then
+          Alcotest.failf "100k records allocated %.0f minor words" words);
+  ]
+
 let () =
   Alcotest.run "alloc"
     [
       ("lean-ladder", ladder_tests);
       ("voidified", voidified_tests);
       ("full-value", floor_tests);
+      ("expected", record_tests);
     ]

@@ -971,6 +971,107 @@ let charset_props =
         = Charset.cardinal a + Charset.cardinal b);
   ]
 
+(* --- farthest-failure tracker ------------------------------------------------ *)
+
+(* The bounded-list tracker the id-based [Expected] replaced, transcribed
+   as the model: strings recorded directly, deduplicated by string
+   equality, the 32-entry cap applied on every record. *)
+module Expected_model = struct
+  type t = { mutable farthest : int; entries : string array; mutable n : int }
+
+  let create () =
+    { farthest = -1; entries = Array.make Expected.max_entries ""; n = 0 }
+
+  let record t pos desc =
+    if pos > t.farthest then (
+      t.farthest <- pos;
+      t.entries.(0) <- desc;
+      t.n <- 1)
+    else if pos = t.farthest then (
+      let dup = ref false in
+      for i = 0 to t.n - 1 do
+        if String.equal desc t.entries.(i) then dup := true
+      done;
+      if not !dup then
+        if t.n < Expected.max_entries then (
+          t.entries.(t.n) <- desc;
+          t.n <- t.n + 1)
+        else
+          let worst = ref 0 in
+          for i = 1 to t.n - 1 do
+            if String.compare t.entries.(i) t.entries.(!worst) > 0 then
+              worst := i
+          done;
+          if String.compare desc t.entries.(!worst) < 0 then
+            t.entries.(!worst) <- desc)
+
+  let descriptions t = Array.to_list (Array.sub t.entries 0 t.n)
+end
+
+(* 48 distinct labels, plus 16 more ids whose strings repeat one of
+   them — distinct ids may share a description (a one-character class
+   and its literal, say). *)
+let tracker_labels = Array.init 48 (Printf.sprintf "lbl%02d")
+let tracker_ids = 64
+let tracker_label i = tracker_labels.(if i < 48 then i else (i - 48) * 3)
+
+(* A record lands at the farthest position plus a delta — mostly 0,
+   so one position often sees more distinct labels than the cap. *)
+type tracker_op = Record of int * int  (* delta, id *) | Reset
+
+let gen_tracker_ops =
+  let delta =
+    Gen.frequency
+      [
+        (60, Gen.return 0);
+        (1, Gen.int_range 1 3);
+        (8, Gen.int_range (-3) (-1));
+      ]
+  in
+  let id = Gen.int_bound (tracker_ids - 1) in
+  Gen.list_size (Gen.int_bound 500)
+    (Gen.frequency
+       [
+         (40, Gen.map2 (fun d id -> Record (d, id)) delta id);
+         (1, Gen.return Reset);
+       ])
+
+let print_tracker_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Record (d, id) -> Printf.sprintf "%+d:%d" d id | Reset -> "reset")
+       ops)
+
+let expected_props =
+  [
+    QCheck.Test.make
+      ~name:"id tracker reports what the bounded-list tracker did" ~count:500
+      (QCheck.make ~print:print_tracker_ops gen_tracker_ops)
+      (fun ops ->
+        let names = Expected.names () in
+        let ids =
+          Array.init tracker_ids (fun i ->
+              if i < 48 then Expected.intern names (tracker_label i)
+              else Expected.fresh names (tracker_label i))
+        in
+        let t = Expected.create names in
+        let model = ref (Expected_model.create ()) in
+        List.for_all
+          (fun op ->
+            (match op with
+            | Reset ->
+                Expected.reset t;
+                model := Expected_model.create ()
+            | Record (d, i) ->
+                let pos = max 0 (!model.Expected_model.farthest + d) in
+                Expected.record t pos ids.(i);
+                Expected_model.record !model pos (tracker_label i));
+            Expected.farthest t = !model.Expected_model.farthest
+            && Expected.descriptions t = Expected_model.descriptions !model)
+          ops);
+  ]
+
 (* --- observability ---------------------------------------------------------- *)
 
 let observed base =
@@ -1036,4 +1137,5 @@ let () =
       ("recognizer-equivalence", to_alco recognizer_props);
       ("observability", to_alco observe_props);
       ("charset", to_alco charset_props);
+      ("expected", to_alco expected_props);
     ]

@@ -692,14 +692,16 @@ let expected_tests =
            alternatives in different orders would report different
            errors past the cap. *)
         let labels = List.init 48 (Printf.sprintf "lbl%02d") in
+        let names = Expected.names () in
+        let ids = List.map (Expected.intern names) labels in
         let run order =
-          let t = Expected.create () in
-          List.iter (fun l -> Expected.record t 5 l) order;
+          let t = Expected.create names in
+          List.iter (fun id -> Expected.record t 5 id) order;
           (* duplicates never displace anything *)
-          List.iter (fun l -> Expected.record t 5 l) order;
+          List.iter (fun id -> Expected.record t 5 id) order;
           List.sort String.compare (Expected.descriptions t)
         in
-        let fwd = run labels and rev = run (List.rev labels) in
+        let fwd = run ids and rev = run (List.rev ids) in
         check Alcotest.int "cap" Expected.max_entries (List.length fwd);
         check (Alcotest.list Alcotest.string) "order-independent" fwd rev;
         check (Alcotest.list Alcotest.string) "the 32 smallest"
@@ -707,11 +709,15 @@ let expected_tests =
              (List.sort String.compare labels))
           fwd);
     test "a new farthest position resets an overflowed list" (fun () ->
-        let t = Expected.create () in
-        List.iter
-          (fun l -> Expected.record t 2 l)
-          (List.init 40 (Printf.sprintf "old%02d"));
-        Expected.record t 7 "fresh";
+        let names = Expected.names () in
+        let old =
+          List.init 40 (fun i ->
+              Expected.intern names (Printf.sprintf "old%02d" i))
+        in
+        let fresh = Expected.intern names "fresh" in
+        let t = Expected.create names in
+        List.iter (fun id -> Expected.record t 2 id) old;
+        Expected.record t 7 fresh;
         check Alcotest.int "farthest" 7 (Expected.farthest t);
         check
           (Alcotest.list Alcotest.string)
