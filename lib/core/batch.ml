@@ -421,27 +421,6 @@ let fault_label = function
   | Faults.Memo_cap k -> Printf.sprintf "memo@%d" k
   | Faults.Clock_skew k -> Printf.sprintf "skew@%d" k
 
-let backstopped f =
-  try f () with
-  | Stack_overflow ->
-      {
-        Engine.result =
-          Error
-            (Parse_error.resource_exhausted ~which:Limits.Depth ~at:0
-               ~consumed:0 ());
-        stats = Stats.create ();
-        consumed = -1;
-      }
-  | Out_of_memory ->
-      {
-        Engine.result =
-          Error
-            (Parse_error.resource_exhausted ~which:Limits.Memory ~at:0
-               ~consumed:0 ());
-        stats = Stats.create ();
-        consumed = -1;
-      }
-
 let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
     ?(faults = Faults.none) ?now_ns ?metrics ?spans
     ?(on_record = fun _ -> ()) g src =
@@ -603,7 +582,8 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
                   let eng = engine_for rung lim in
                   let ta = span_now () in
                   let o =
-                    backstopped (fun () -> Engine.run_input eng ?start input)
+                    Engine.backstopped (fun () ->
+                        Engine.run_input eng ?start input)
                   in
                   (match spans with
                   | None -> ()

@@ -111,8 +111,8 @@ val ref_count : t -> string -> int
 
 val stateful : t -> string -> bool
 (** Transitively uses [Record]/[Member] parser state. Such productions
-    are unsafe to memoize without keying on state, so the engine skips
-    their memo slots — mirroring Rats!'s [stateful] attribute. *)
+    are unsafe to memoize without keying on state, so the engine stamps
+    their memo entries with the state version — Rats!'s [stateful]. *)
 
 (** {1 Well-formedness} *)
 

@@ -5,12 +5,9 @@ module SSet = Set.Make (String)
 
 (* --- run-time state ----------------------------------------------------- *)
 
-(* Memo chunks (res encoding: 0 unset, -1 memoized failure, consumed+1
-   memoized success, offsets relative to the chunk's position; vers =
-   state-version stamps; exts = examined extents) live in a
-   [Memo_arena.t] — flat parallel arrays recycled across runs instead
-   of a boxed record per visited position. See memo_arena.mli for the
-   layout and invariants. *)
+(* The memo lives in the structure of a [Memo_store.t] — a chunk
+   arena or a hash table; see memo_store.mli and memo_arena.mli for
+   the layout and the entry encoding. *)
 
 type st = {
   input : Input.t;
@@ -22,17 +19,16 @@ type st = {
   mutable tables : SSet.t SMap.t;  (* stateful-parsing tables *)
   mutable version : int;  (* bumped on every table change or rollback *)
   stats : Stats.t;
-  table_memo : (int, int * Value.t * int * int) Hashtbl.t;
-  (* key = pos * nslots + slot; value = (consumed or -1, value, version,
-     examined extent) — offsets relative to pos, like chunk entries *)
-  arena : Memo_arena.t;  (* chunk storage; a cold dummy when unused *)
+  memo : Memo_store.t;  (* charged memo bytes live in [memo.bytes] *)
+  mem : Memo_store.mem;  (* [memo.mem], read on every memoized call *)
   mutable examined : int;
   (* farthest input position the current memoized invocation has looked
      at; saved/reset at memoized entry, max-merged back at return *)
   (* resource governor *)
   mutable fuel : int;  (* remaining invocation budget, counts down *)
   mutable depth : int;  (* live invocation nesting *)
-  mutable memo_bytes : int;  (* approximate memo storage charged so far *)
+  memo_limit : int;
+  max_depth : int;
   mutable tripped : (Limits.which * int) option;
   mutable quiet : int;  (* predicate-body nesting; suppresses recording *)
 }
@@ -47,29 +43,20 @@ type fn = st -> int -> int
 (* Returns the new position, or -1 on failure. Value-building matchers
    additionally set [st.value]. *)
 
-type scratch = {
-  sc_arena : Memo_arena.t;
-  sc_table : (int, int * Value.t * int * int) Hashtbl.t;
-}
-(* Memo storage for store-less runs, parked on the engine between runs
-   so back-to-back parses reuse one arena and one bucket table instead
-   of allocating fresh ones per parse. Parked scratch holds no values
-   (cleared on release), so an idle engine retains no parse results. *)
-
 type t = {
   cfg : Config.t;
   gram : Grammar.t;
   ids : (string, int) Hashtbl.t;
   full : fn array;  (* per-production value-building matchers *)
   recs : fn array;  (* per-production recognizers *)
-  slots : int array;  (* memo slot per production; -1 = not memoized *)
   nslots : int;
   nvslots : int;  (* memo slots that carry a value *)
   vmap : int array;  (* memo slot -> arena value slot; -1 = value-free *)
-  dummy_arena : Memo_arena.t;  (* cold placeholder for unmemoized runs *)
-  mutable pool : scratch option;
+  pool : Memo_store.t option Atomic.t;
+      (* store-less runs' memo store, parked (without values) between
+         runs and taken with [Atomic.exchange]: never shared by two *)
   names : Expected.names;  (* every description a matcher can record *)
-  mutable trace_pool : Expected.t option;
+  trace_pool : Expected.t option Atomic.t;
       (* farthest-failure tracker parked between runs, like [pool] *)
   obs : Observe.t option;  (* observation sink, [Config.observe] enabled only *)
 }
@@ -403,26 +390,15 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
           restore_tables st saved;
           if not lean then st.value <- Value.Unit;
           pos)
-  | Expr.And x ->
-      let fx = compile ctx ~lean:(lean || ctx.config.Config.lean_values) x in
-      let id = pred_desc_id ctx e (fun () -> "&" ^ pred_body_desc x) in
-      fun st pos ->
-        let saved = st.tables in
-        st.quiet <- st.quiet + 1;
-        let p = fx st pos in
-        st.quiet <- st.quiet - 1;
-        restore_tables st saved;
-        if p < 0 then (
-          record st pos id;
-          -1)
-        else (
-          if not lean then st.value <- Value.Unit;
-          pos)
-  | Expr.Not x ->
+  | Expr.And x | Expr.Not x ->
+      (* A predicate runs its body quietly and rolls back its state; [&x]
+         succeeds where the body does, [!x] where it fails. *)
+      let positive = match e.it with Expr.And _ -> true | _ -> false in
       let fx = compile ctx ~lean:(lean || ctx.config.Config.lean_values) x in
       let id =
         pred_desc_id ctx e (fun () ->
-            "not " ^ truncate_desc (Pretty.expr_to_string x))
+            if positive then "&" ^ pred_body_desc x
+            else "not " ^ truncate_desc (Pretty.expr_to_string x))
       in
       fun st pos ->
         let saved = st.tables in
@@ -430,7 +406,7 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
         let p = fx st pos in
         st.quiet <- st.quiet - 1;
         restore_tables st saved;
-        if p >= 0 then (
+        if (p >= 0) <> positive then (
           record st pos id;
           -1)
         else (
@@ -691,15 +667,163 @@ and compile_star ctx ~lean x =
   if lean then fun st pos -> star_loop fx st pos
   else fun st pos -> star_collect fx st pos []
 
+(* --- the memo protocol --------------------------------------------------- *)
+
+(* Governor hooks, always compiled in: unlimited budgets are [max_int]
+   sentinels, so the ungoverned path costs one decrement and two
+   compares per invocation. Fuel is charged once per invocation before
+   the memo lookup; depth is entered only when a body actually runs (a
+   memo hit does not nest). *)
+let[@inline] charge st pos =
+  st.stats.Stats.invocations <- st.stats.Stats.invocations + 1;
+  st.fuel <- st.fuel - 1;
+  if st.fuel < 0 then (
+    st.tripped <- Some (Limits.Fuel, pos);
+    raise Exhausted)
+
+let[@inline] enter st pos =
+  if st.depth >= st.max_depth then (
+    st.tripped <- Some (Limits.Depth, pos);
+    raise Exhausted);
+  st.depth <- st.depth + 1
+
 (* Shape a production's raw body value according to its kind. A generic
    body builds its own node ([compile_node]), so its shape is the
    identity. *)
-let shape (p : Production.t) =
-  match p.attrs.Attr.kind with
-  | Attr.Plain | Attr.Generic -> fun st _pos0 _pos1 -> ignore st
+let[@inline] shape st (kind : Attr.kind) pos p =
+  match kind with
+  | Attr.Plain | Attr.Generic -> ()
   | Attr.Text ->
-      fun st pos0 pos1 -> st.value <- Value.Str (Input.sub_string st.input pos0 (pos1 - pos0))
-  | Attr.Void -> fun st _pos0 _pos1 -> st.value <- Value.Unit
+      st.value <- Value.Str (Input.sub_string st.input pos (p - pos))
+  | Attr.Void -> st.value <- Value.Unit
+
+(* The body of an invocation that missed or has no memo: entered, so
+   that it counts against the depth budget while it runs. *)
+let[@inline] run_body (body : fn) st pos =
+  enter st pos;
+  let p = body st pos in
+  st.depth <- st.depth - 1;
+  p
+
+(* An invocation without a memo slot: the body alone, shaped when
+   [value]. Transient productions take this path on every call. *)
+let[@inline] plain_call ~value kind body st pos =
+  charge st pos;
+  let p = run_body body st pos in
+  if value && p >= 0 then shape st kind pos p;
+  p
+
+type mode =
+  | Value  (* value-building: a hit restores the value, a miss stores it *)
+  | Value_free  (* recognizer on a chunk slot that stores no value *)
+  | Read_only  (* other recognizers: never store, claim or count a miss *)
+
+(* Charge one chunk or table entry against the memo budget, unless the
+   budget has no room for it. *)
+let[@inline] charge_memo st =
+  let m = st.memo in
+  m.Memo_store.bytes + m.Memo_store.cost <= st.memo_limit
+  && (m.Memo_store.bytes <- m.Memo_store.bytes + m.Memo_store.cost;
+      true)
+
+(* A memo miss's body run: counted, with [examined] reset to just
+   before [pos] so the entry records only what its own computation
+   looked at, and the value shaped. The caller saves [examined] first
+   and max-merges it back after storing. *)
+let[@inline] miss_body ~mode kind body st pos =
+  st.stats.Stats.memo_misses <- st.stats.Stats.memo_misses + 1;
+  st.examined <- pos - 1;
+  let p = run_body body st pos in
+  if mode = Value && p >= 0 then shape st kind pos p;
+  p
+
+(* The memo protocol, written once. A memoized invocation counts
+   itself, charges fuel and looks up its entry; a hit replays the
+   entry's examined extent. A miss counts itself, enters, runs the body
+   ([miss_body]), then stores the entry — or counts a degradation when
+   the memo budget is spent — and max-merges [examined] back. Nothing is
+   stored inside a predicate body ([quiet]). Under chunks the budget is
+   checked when the position claims its chunk, before the body runs; a
+   position without one degrades even inside a predicate.
+
+   A recognizer cannot build the value an entry of a value slot holds,
+   so its calls there are [Read_only].
+
+   [table] and [mode] must be literal constants at every call site:
+   inlined, the untaken branches fold away and each instantiation is the
+   closure its strategy and mode need, the body its only indirect call.
+   The arena's rows are re-read through [a] after the body, which may
+   have grown them. *)
+let[@inline] memo_call ~table ~mode ~slot ~vslot ~stateful kind body st pos =
+  charge st pos;
+  let stats = st.stats in
+  if table then (
+    let h = match st.mem with Memo_store.Table h -> h | _ -> assert false in
+    let key = (pos * st.memo.Memo_store.nslots) + slot in
+    match Hashtbl.find_opt h key with
+    | Some (r, v, ver, ext) when (not stateful) || ver = st.version ->
+        stats.Stats.memo_hits <- stats.Stats.memo_hits + 1;
+        look st (pos + ext - 1);
+        if r < 0 then -1
+        else (
+          if mode = Value then st.value <- v;
+          pos + r)
+    | _ when mode = Read_only -> run_body body st pos
+    | _ ->
+        let ver0 = st.version and saved = st.examined in
+        let p = miss_body ~mode kind body st pos in
+        (if st.quiet = 0 then
+           if not (charge_memo st) then
+             stats.Stats.memo_degraded <- stats.Stats.memo_degraded + 1
+           else (
+             Hashtbl.replace h key
+               ( (if p >= 0 then p - pos else -1),
+                 (if p >= 0 && mode = Value then st.value else Value.Unit),
+                 ver0,
+                 st.examined - pos + 1 );
+             stats.Stats.memo_stores <- stats.Stats.memo_stores + 1));
+        look st saved;
+        p)
+  else
+    let a = match st.mem with Memo_store.Chunks a -> a | _ -> assert false in
+    let c = a.Memo_arena.idx.(pos) in
+    let c =
+      if c >= 0 || mode = Read_only || not (charge_memo st) then c
+      else (
+        stats.Stats.chunks_allocated <- stats.Stats.chunks_allocated + 1;
+        stats.Stats.chunk_slots <- stats.Stats.chunk_slots + a.Memo_arena.nslots;
+        Memo_arena.alloc a pos)
+    in
+    let base = (c * a.Memo_arena.nslots) + slot
+    and vbase = (c * a.Memo_arena.nvslots) + vslot in
+    let r = if c >= 0 then a.Memo_arena.res.(base) else 0 in
+    if r <> 0 && ((not stateful) || a.Memo_arena.vers.(base) = st.version)
+    then (
+      stats.Stats.memo_hits <- stats.Stats.memo_hits + 1;
+      look st (pos + a.Memo_arena.exts.(base) - 1);
+      if r < 0 then -1
+      else (
+        if mode = Value then
+          st.value <-
+            (if vslot >= 0 then a.Memo_arena.vals.(vbase) else Value.Unit);
+        pos + r - 1))
+    else if mode = Read_only then run_body body st pos
+    else
+      let ver0 = st.version and saved = st.examined in
+      let p = miss_body ~mode kind body st pos in
+      if c < 0 then
+        stats.Stats.memo_degraded <- stats.Stats.memo_degraded + 1
+      else if st.quiet = 0 then (
+        a.Memo_arena.res.(base) <- (if p >= 0 then p - pos + 1 else -1);
+        if mode = Value && vslot >= 0 && p >= 0 then
+          a.Memo_arena.vals.(vbase) <- st.value;
+        a.Memo_arena.vers.(base) <- ver0;
+        let ext = st.examined - pos + 1 in
+        a.Memo_arena.exts.(base) <- ext;
+        if ext > a.Memo_arena.cmax.(c) then a.Memo_arena.cmax.(c) <- ext;
+        stats.Stats.memo_stores <- stats.Stats.memo_stores + 1);
+      look st saved;
+      p
 
 (* --- preparation -------------------------------------------------------- *)
 
@@ -765,14 +889,12 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
           ids;
           full = Array.make nprods dummy;
           recs = Array.make nprods dummy;
-          slots;
           nslots;
           nvslots;
           vmap;
-          dummy_arena = Memo_arena.create ~nslots:0 ~vmap:[||];
-          pool = None;
+          pool = Atomic.make None;
           names;
-          trace_pool = None;
+          trace_pool = Atomic.make None;
           obs;
         }
       in
@@ -786,314 +908,70 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
           preds = Phys.create 64;
         }
       in
-      (* Governor hooks, always compiled in: unlimited budgets are
-         [max_int] sentinels, so the ungoverned path costs one decrement
-         and two compares per invocation. Fuel is charged once per
-         invocation before the memo lookup; depth is entered only when a
-         body actually runs (a memo hit does not nest). *)
-      let limits = config.Config.limits in
-      let max_depth = limits.Limits.max_depth in
-      let memo_limit = limits.Limits.max_memo_bytes in
-      let chunk_cost = Limits.chunk_cost ~value_slots:nvslots nslots in
-      let charge st pos =
-        st.fuel <- st.fuel - 1;
-        if st.fuel < 0 then (
-          st.tripped <- Some (Limits.Fuel, pos);
-          raise Exhausted)
-      in
-      let enter st pos =
-        if st.depth >= max_depth then (
-          st.tripped <- Some (Limits.Depth, pos);
-          raise Exhausted);
-        st.depth <- st.depth + 1
-      in
       (try
          Array.iteri
            (fun i (p : Production.t) ->
-             let lean_body =
-               config.Config.lean_values
-               && (p.attrs.Attr.kind = Attr.Text
-                  || p.attrs.Attr.kind = Attr.Void)
-             in
+             let kind = p.attrs.Attr.kind in
              let body_full =
-               if p.attrs.Attr.kind = Attr.Generic then
-                 compile_node ctx p.name p.expr
-               else compile ctx ~lean:lean_body p.expr
+               if kind = Attr.Generic then compile_node ctx p.name p.expr
+               else
+                 compile ctx
+                   ~lean:
+                     (config.Config.lean_values
+                     && (kind = Attr.Text || kind = Attr.Void))
+                   p.expr
              in
              let body_rec = compile ctx ~lean:true p.expr in
-             let shape_fn = shape p in
              let slot = slots.(i) in
+             let vslot = if slot >= 0 then vmap.(slot) else -1 in
              (* Memo entries of stateful productions are only valid at the
                 state version they were computed at. A hit can therefore
                 never hide a state change: any run that mutated the tables
                 bumped the version past its own entry stamp. *)
              let stateful = Analysis.stateful analysis p.name in
-             let full_fn =
-               match (config.Config.memo, slot) with
-               | Config.No_memo, _ | _, -1 ->
+             let memo = if slot < 0 then Config.No_memo else config.Config.memo in
+             let full_fn : fn =
+               match memo with
+               | Config.No_memo ->
+                   fun st pos -> plain_call ~value:true kind body_full st pos
+               | Config.Hashtable ->
                    fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     enter st pos;
-                     let p' = body_full st pos in
-                     st.depth <- st.depth - 1;
-                     if p' >= 0 then shape_fn st pos p';
-                     p'
-               | Config.Hashtable, slot ->
+                     memo_call ~table:true ~mode:Value ~slot ~vslot ~stateful
+                       kind body_full st pos
+               | Config.Chunked ->
                    fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     let key = (pos * nslots) + slot in
-                     (match Hashtbl.find_opt st.table_memo key with
-                     | Some (r, v, ver, ext)
-                       when (not stateful) || ver = st.version ->
-                         st.stats.Stats.memo_hits <-
-                           st.stats.Stats.memo_hits + 1;
-                         look st (pos + ext - 1);
-                         if r >= 0 then (
-                           st.value <- v;
-                           pos + r)
-                         else -1
-                     | _ ->
-                         st.stats.Stats.memo_misses <-
-                           st.stats.Stats.memo_misses + 1;
-                         enter st pos;
-                         let ver0 = st.version in
-                         let saved_ext = st.examined in
-                         st.examined <- pos - 1;
-                         let p' = body_full st pos in
-                         st.depth <- st.depth - 1;
-                         if p' >= 0 then shape_fn st pos p';
-                         if st.quiet > 0 then ()
-                         else if
-                           st.memo_bytes + Limits.table_entry_cost
-                           > memo_limit
-                         then
-                           st.stats.Stats.memo_degraded <-
-                             st.stats.Stats.memo_degraded + 1
-                         else (
-                           st.memo_bytes <-
-                             st.memo_bytes + Limits.table_entry_cost;
-                           Hashtbl.replace st.table_memo key
-                             ( (if p' >= 0 then p' - pos else -1),
-                               (if p' >= 0 then st.value else Value.Unit),
-                               ver0,
-                               st.examined - pos + 1 );
-                           st.stats.Stats.memo_stores <-
-                             st.stats.Stats.memo_stores + 1);
-                         look st saved_ext;
-                         p')
-               | Config.Chunked, slot ->
-                   let vslot = vmap.(slot) in
-                   fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     let a = st.arena in
-                     let c =
-                       let c = a.Memo_arena.idx.(pos) in
-                       if c >= 0 then c
-                       else if st.memo_bytes + chunk_cost > memo_limit then
-                         -1
-                       else (
-                         let c = Memo_arena.alloc a pos in
-                         st.memo_bytes <- st.memo_bytes + chunk_cost;
-                         st.stats.Stats.chunks_allocated <-
-                           st.stats.Stats.chunks_allocated + 1;
-                         st.stats.Stats.chunk_slots <-
-                           st.stats.Stats.chunk_slots + nslots;
-                         c)
-                     in
-                     if c >= 0 then (
-                       let base = (c * nslots) + slot in
-                       let r = a.Memo_arena.res.(base) in
-                       if
-                         r <> 0
-                         && ((not stateful)
-                            || a.Memo_arena.vers.(base) = st.version)
-                       then (
-                         st.stats.Stats.memo_hits <-
-                           st.stats.Stats.memo_hits + 1;
-                         look st (pos + a.Memo_arena.exts.(base) - 1);
-                         if r > 0 then (
-                           st.value <-
-                             (if vslot >= 0 then
-                                a.Memo_arena.vals.((c * nvslots) + vslot)
-                              else Value.Unit);
-                           pos + r - 1)
-                         else -1)
-                       else (
-                         st.stats.Stats.memo_misses <-
-                           st.stats.Stats.memo_misses + 1;
-                         enter st pos;
-                         let ver0 = st.version in
-                         let saved_ext = st.examined in
-                         st.examined <- pos - 1;
-                         let p' = body_full st pos in
-                         st.depth <- st.depth - 1;
-                         if p' >= 0 then shape_fn st pos p';
-                         (* the body may have grown the arena: re-read
-                            the rows through [a], never cache them *)
-                         if st.quiet = 0 then (
-                           if p' >= 0 then (
-                             a.Memo_arena.res.(base) <- p' - pos + 1;
-                             if vslot >= 0 then
-                               a.Memo_arena.vals.((c * nvslots) + vslot) <-
-                                 st.value)
-                           else a.Memo_arena.res.(base) <- -1;
-                           a.Memo_arena.vers.(base) <- ver0;
-                           let ext = st.examined - pos + 1 in
-                           a.Memo_arena.exts.(base) <- ext;
-                           if ext > a.Memo_arena.cmax.(c) then
-                             a.Memo_arena.cmax.(c) <- ext;
-                           st.stats.Stats.memo_stores <-
-                             st.stats.Stats.memo_stores + 1);
-                         look st saved_ext;
-                         p'))
-                     else (
-                       (* memo budget exhausted: no chunk for this
-                          position — parse un-memoized and move on *)
-                       st.stats.Stats.memo_misses <-
-                         st.stats.Stats.memo_misses + 1;
-                       enter st pos;
-                       let p' = body_full st pos in
-                       st.depth <- st.depth - 1;
-                       if p' >= 0 then shape_fn st pos p';
-                       st.stats.Stats.memo_degraded <-
-                         st.stats.Stats.memo_degraded + 1;
-                       p')
+                     memo_call ~table:false ~mode:Value ~slot ~vslot ~stateful
+                       kind body_full st pos
              in
-             let rec_fn =
-               match (config.Config.memo, slot) with
-               | Config.No_memo, _ | _, -1 ->
+             let rec_fn : fn =
+               match memo with
+               | Config.No_memo ->
+                   fun st pos -> plain_call ~value:false kind body_rec st pos
+               | Config.Hashtable ->
                    fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     enter st pos;
-                     let p' = body_rec st pos in
-                     st.depth <- st.depth - 1;
-                     p'
-               | Config.Hashtable, slot ->
+                     memo_call ~table:true ~mode:Read_only ~slot ~vslot
+                       ~stateful kind body_rec st pos
+               | Config.Chunked when vslot < 0 ->
+                   (* A value-free slot stores nothing but the result, so
+                      a recognizer's entry is indistinguishable from a
+                      value-building one's: recognizer calls get the
+                      whole protocol, chunk claims and stores included. *)
                    fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     let key = (pos * nslots) + slot in
-                     (match Hashtbl.find_opt st.table_memo key with
-                     | Some (r, _, ver, ext)
-                       when (not stateful) || ver = st.version ->
-                         st.stats.Stats.memo_hits <-
-                           st.stats.Stats.memo_hits + 1;
-                         look st (pos + ext - 1);
-                         if r >= 0 then pos + r else -1
-                     | _ ->
-                         enter st pos;
-                         let p' = body_rec st pos in
-                         st.depth <- st.depth - 1;
-                         p')
-               | Config.Chunked, slot when vmap.(slot) < 0 ->
-                   (* A value-free slot stores nothing but the result,
-                      so an entry written by a recognizer run is
-                      indistinguishable from a full-mode one — lean
-                      calls to these productions get the whole memo
-                      protocol, allocation and stores included. *)
+                     memo_call ~table:false ~mode:Value_free ~slot ~vslot
+                       ~stateful kind body_rec st pos
+               | Config.Chunked ->
                    fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     let a = st.arena in
-                     let c =
-                       let c = a.Memo_arena.idx.(pos) in
-                       if c >= 0 then c
-                       else if st.memo_bytes + chunk_cost > memo_limit then
-                         -1
-                       else (
-                         let c = Memo_arena.alloc a pos in
-                         st.memo_bytes <- st.memo_bytes + chunk_cost;
-                         st.stats.Stats.chunks_allocated <-
-                           st.stats.Stats.chunks_allocated + 1;
-                         st.stats.Stats.chunk_slots <-
-                           st.stats.Stats.chunk_slots + nslots;
-                         c)
-                     in
-                     if c >= 0 then (
-                       let base = (c * nslots) + slot in
-                       let r = a.Memo_arena.res.(base) in
-                       if
-                         r <> 0
-                         && ((not stateful)
-                            || a.Memo_arena.vers.(base) = st.version)
-                       then (
-                         st.stats.Stats.memo_hits <-
-                           st.stats.Stats.memo_hits + 1;
-                         look st (pos + a.Memo_arena.exts.(base) - 1);
-                         if r > 0 then pos + r - 1 else -1)
-                       else (
-                         st.stats.Stats.memo_misses <-
-                           st.stats.Stats.memo_misses + 1;
-                         enter st pos;
-                         let ver0 = st.version in
-                         let saved_ext = st.examined in
-                         st.examined <- pos - 1;
-                         let p' = body_rec st pos in
-                         st.depth <- st.depth - 1;
-                         if st.quiet = 0 then (
-                           a.Memo_arena.res.(base) <-
-                             (if p' >= 0 then p' - pos + 1 else -1);
-                           a.Memo_arena.vers.(base) <- ver0;
-                           let ext = st.examined - pos + 1 in
-                           a.Memo_arena.exts.(base) <- ext;
-                           if ext > a.Memo_arena.cmax.(c) then
-                             a.Memo_arena.cmax.(c) <- ext;
-                           st.stats.Stats.memo_stores <-
-                             st.stats.Stats.memo_stores + 1);
-                         look st saved_ext;
-                         p'))
-                     else (
-                       st.stats.Stats.memo_misses <-
-                         st.stats.Stats.memo_misses + 1;
-                       enter st pos;
-                       let p' = body_rec st pos in
-                       st.depth <- st.depth - 1;
-                       st.stats.Stats.memo_degraded <-
-                         st.stats.Stats.memo_degraded + 1;
-                       p')
-               | Config.Chunked, slot ->
-                   fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     let a = st.arena in
-                     let c = a.Memo_arena.idx.(pos) in
-                     let base = if c >= 0 then (c * nslots) + slot else 0 in
-                     if
-                       c >= 0
-                       && a.Memo_arena.res.(base) <> 0
-                       && ((not stateful)
-                          || a.Memo_arena.vers.(base) = st.version)
-                     then (
-                       st.stats.Stats.memo_hits <-
-                         st.stats.Stats.memo_hits + 1;
-                       look st (pos + a.Memo_arena.exts.(base) - 1);
-                       let r = a.Memo_arena.res.(base) in
-                       if r > 0 then pos + r - 1 else -1)
-                     else (
-                       enter st pos;
-                       let p' = body_rec st pos in
-                       st.depth <- st.depth - 1;
-                       p')
+                     memo_call ~table:false ~mode:Read_only ~slot ~vslot
+                       ~stateful kind body_rec st pos
              in
              (* Observation wrapper, around both the value-building and
                 the recognizer entry. A call was a memo hit exactly when
                 the inner call bumped [memo_hits] without running a body
-                — detected as a counter delta so the nine memo/entry
-                arms above stay untouched. The enter event precedes the
-                inner call's fuel charge, so a fuel trip leaves the doomed
-                invocation visible in the ring; its open profile frame
-                is closed by [Observe.finalize] at the run epilogue. *)
+                — detected as a counter delta so the memo protocol stays
+                untouched. The enter event precedes the inner call's fuel
+                charge, so a fuel trip leaves the doomed invocation
+                visible in the ring; its open profile frame is closed by
+                [Observe.finalize] at the run epilogue. *)
              let wrap_obs o i (fn : fn) : fn =
               fun st pos ->
                Observe.enter o i pos;
@@ -1138,7 +1016,9 @@ let memo_slots t = t.nslots
 let memo_value_slots t = t.nvslots
 
 let arena_cap t =
-  match t.pool with Some sc -> sc.sc_arena.Memo_arena.cap | None -> 0
+  match Atomic.get t.pool with
+  | Some { Memo_store.mem = Chunks a; _ } -> a.Memo_arena.cap
+  | _ -> 0
 
 let observation (t : t) = t.obs
 
@@ -1150,144 +1030,50 @@ type outcome = {
   consumed : int;
 }
 
-(* --- persistent memo stores (incremental sessions) ----------------------- *)
+(* The outcome of a run stopped by a budget before any parsing. *)
+let exhausted which ~at =
+  {
+    result = Error (Parse_error.resource_exhausted ~which ~at ~consumed:0 ());
+    stats = Stats.create ();
+    consumed = -1;
+  }
 
-(* A store keeps the memo structures of the last run so a
-   later run over an edited buffer can reuse them. [c_len] is the input
-   length the entries were computed against (-1 until the first run);
-   [c_version] persists the state-version counter across runs so stale
-   stateful entries can never stamp-match a later run's versions. *)
-type store = {
-  c_arena : Memo_arena.t;
-  c_table : (int, int * Value.t * int * int) Hashtbl.t;
-  mutable c_bytes : int;
-  mutable c_len : int;
-  mutable c_version : int;
-}
+type store = Memo_store.t
 
-(* Apply an edit to the store: entries that only examined bytes strictly
-   before the damage are kept in place, entries at or past its end are
-   relocated by the length delta, everything else is dropped. Offsets
-   inside entries are position-relative, so relocation moves pointers
-   without rewriting entry contents. Returns (surviving, relocated)
-   entry counts — chunks for chunked memo, table entries otherwise. *)
-let edit_store t (s : store) ~start ~old_len ~new_len =
-  let reused = ref 0 and relocated = ref 0 in
-  if s.c_len >= 0 then (
-    if start < 0 || old_len < 0 || new_len < 0 || start + old_len > s.c_len
-    then invalid_arg "Engine.edit_store: edit out of bounds";
-    let delta = new_len - old_len in
-    (match t.cfg.Config.memo with
-    | Config.No_memo -> ()
-    | Config.Chunked ->
-        (* entries strictly before the damage survive if they looked at
-           nothing damaged; entries at or past its end relocate by the
-           delta (relative encodings make that a pure re-index); the
-           rest are reclaimed into the arena's free list *)
-        let r, l = Memo_arena.edit s.c_arena ~start ~old_len ~new_len in
-        reused := r;
-        relocated := l;
-        s.c_bytes <- r * Limits.chunk_cost ~value_slots:t.nvslots t.nslots
-    | Config.Hashtable ->
-        if t.nslots > 0 then (
-          let entries =
-            Hashtbl.fold (fun k e acc -> (k, e) :: acc) s.c_table []
-          in
-          Hashtbl.reset s.c_table;
-          let dmg = start + old_len in
-          List.iter
-            (fun (key, ((_, _, _, ext) as e)) ->
-              let pos = key / t.nslots in
-              if pos < start && pos + ext <= start then (
-                Hashtbl.replace s.c_table key e;
-                incr reused)
-              else if pos >= dmg then (
-                Hashtbl.replace s.c_table (key + (delta * t.nslots)) e;
-                incr reused;
-                if delta <> 0 then incr relocated))
-            entries;
-          s.c_bytes <-
-            Hashtbl.length s.c_table * Limits.table_entry_cost));
-    s.c_len <- s.c_len + delta);
-  (!reused, !relocated)
+let new_store t =
+  Memo_store.create t.cfg.Config.memo ~nslots:t.nslots ~vmap:t.vmap
+let edit_store _ = Memo_store.edit
 
 let run_with t ?store ?start ~require_eof input =
   let start_id =
-    match start with
-    | None -> Hashtbl.find t.ids (Grammar.start t.gram)
-    | Some name -> (
-        match Hashtbl.find_opt t.ids name with
-        | Some id -> id
-        | None ->
-            raise
-              (Diagnostic.Fail
-                 (Diagnostic.errorf "no production named %S" name)))
+    let name = Option.value start ~default:(Grammar.start t.gram) in
+    match Hashtbl.find_opt t.ids name with
+    | Some id -> id
+    | None -> Diagnostic.failf "no production named %S" name
   in
   let limits = t.cfg.Config.limits in
-  if Input.length input > limits.Limits.max_input_bytes then (
-    (match t.obs with
-    | Some o -> Observe.trip o Limits.Input limits.Limits.max_input_bytes
-    | None -> ());
-    {
-      result =
-        Error
-          (Parse_error.resource_exhausted ~which:Limits.Input
-             ~at:limits.Limits.max_input_bytes ~consumed:0 ());
-      stats = Stats.create ();
-      consumed = -1;
-    })
+  let len = Input.length input in
+  if len > limits.Limits.max_input_bytes then (
+    Option.iter
+      (fun o -> Observe.trip o Limits.Input limits.Limits.max_input_bytes)
+      t.obs;
+    exhausted Limits.Input ~at:limits.Limits.max_input_bytes)
   else
-    let len = Input.length input in
-    (* Sync a persistent store to this input: entries only carry over
-       when the store was edited to exactly this length (Session does
-       that); any mismatch resets it rather than risking stale hits. *)
-    (match store with
-    | None -> ()
-    | Some s ->
-        let usable =
-          s.c_len = len
-          &&
-          match t.cfg.Config.memo with
-          | Config.Chunked -> s.c_arena.Memo_arena.idx_len = len + 1
-          | _ -> true
-        in
-        if not usable then (
-          Hashtbl.reset s.c_table;
-          (match t.cfg.Config.memo with
-          | Config.Chunked -> Memo_arena.reset s.c_arena ~len
-          | _ -> ());
-          s.c_bytes <- 0;
-          s.c_len <- len));
-    (* Store-less memoized runs borrow the engine's parked scratch (or
-       build one on first use / when re-entered concurrently). *)
-    let scratch =
+    (* A store-less run takes the engine's parked store, or builds one
+       when there is none — on first use, or while another domain's run
+       holds it. *)
+    let memo =
       match store with
-      | Some _ -> None
+      | Some s -> s
       | None -> (
-          match t.cfg.Config.memo with
-          | Config.No_memo -> None
-          | Config.Hashtable | Config.Chunked ->
-              let sc =
-                match t.pool with
-                | Some sc ->
-                    t.pool <- None;
-                    sc
-                | None ->
-                    {
-                      sc_arena =
-                        Memo_arena.create ~nslots:t.nslots ~vmap:t.vmap;
-                      sc_table = Hashtbl.create 1024;
-                    }
-              in
-              (match t.cfg.Config.memo with
-              | Config.Chunked -> Memo_arena.reset sc.sc_arena ~len
-              | _ -> Hashtbl.clear sc.sc_table);
-              Some sc)
+          match Atomic.exchange t.pool None with
+          | Some s -> s
+          | None -> new_store t)
     in
+    Memo_store.sync memo ~len;
     let trace =
-      match t.trace_pool with
+      match Atomic.exchange t.trace_pool None with
       | Some tr ->
-          t.trace_pool <- None;
           Expected.reset tr;
           tr
       | None -> Expected.create t.names
@@ -1300,22 +1086,15 @@ let run_with t ?store ?start ~require_eof input =
         parts = [];
         fail_trace = trace;
         tables = SMap.empty;
-        version = (match store with Some s -> s.c_version + 1 | None -> 0);
+        version = memo.Memo_store.version + 1;
         stats = Stats.create ();
-        table_memo =
-          (match (store, scratch) with
-          | Some s, _ -> s.c_table
-          | None, Some sc -> sc.sc_table
-          | None, None -> Hashtbl.create 1);
-        arena =
-          (match (store, scratch) with
-          | Some s, _ -> s.c_arena
-          | None, Some sc -> sc.sc_arena
-          | None, None -> t.dummy_arena);
+        memo;
+        mem = memo.Memo_store.mem;
         examined = -1;
         fuel = limits.Limits.fuel;
         depth = 0;
-        memo_bytes = (match store with Some s -> s.c_bytes | None -> 0);
+        memo_limit = limits.Limits.max_memo_bytes;
+        max_depth = limits.Limits.max_depth;
         tripped = None;
         quiet = 0;
       }
@@ -1337,32 +1116,21 @@ let run_with t ?store ?start ~require_eof input =
     (* clamp: a fuel trip leaves st.fuel at -1; report the budget, not
        budget + 1 *)
     st.stats.Stats.fuel_used <- limits.Limits.fuel - max st.fuel 0;
-    (match store with
-    | None -> ()
-    | Some s ->
-        s.c_bytes <- st.memo_bytes;
-        s.c_version <- st.version);
-    (* Park the scratch for the next run, minus any parse results: the
-       final value lives in [st.value], so dropping the memo's value
+    memo.Memo_store.version <- st.version;
+    (* Park the engine's store for the next run, minus any parse results:
+       the final value lives in [st.value], so dropping the memo's value
        references here costs nothing observable. *)
-    (match scratch with
-    | None -> ()
-    | Some sc ->
-        (match t.cfg.Config.memo with
-        | Config.Chunked -> Memo_arena.release_values sc.sc_arena
-        | _ -> ());
-        Hashtbl.clear sc.sc_table;
-        t.pool <- Some sc);
+    if Option.is_none store then (
+      Memo_store.park memo;
+      Atomic.set t.pool (Some memo));
     (* The trip event and frame cleanup happen after the run body, off
        any budget: the ring must describe an exhausted run without
        changing where it tripped. *)
-    (match t.obs with
-    | None -> ()
-    | Some o ->
-        (match st.tripped with
-        | Some (which, at) -> Observe.trip o which at
-        | None -> ());
-        Observe.finalize o);
+    Option.iter
+      (fun o ->
+        Option.iter (fun (which, at) -> Observe.trip o which at) st.tripped;
+        Observe.finalize o)
+      t.obs;
     let result =
       match st.tripped with
       | Some (which, at) -> Error (Expected.exhausted st.fail_trace ~which ~at)
@@ -1370,7 +1138,7 @@ let run_with t ?store ?start ~require_eof input =
           Expected.result st.fail_trace ~len:st.len ~require_eof ~stop:p
             st.value
     in
-    t.trace_pool <- Some trace;
+    Atomic.set t.trace_pool (Some trace);
     { result; stats = st.stats; consumed = p }
 
 let run_input t ?start ?(require_eof = true) input =
@@ -1382,20 +1150,18 @@ let run t ?start ?require_eof input =
 let parse t ?start input = (run t ?start input).result
 let accepts t ?start input = Result.is_ok (parse t ?start input)
 
-let new_store t =
-  {
-    c_arena = Memo_arena.create ~nslots:t.nslots ~vmap:t.vmap;
-    c_table = Hashtbl.create 256;
-    c_bytes = 0;
-    c_len = -1;
-    c_version = 0;
-  }
-
 let run_store_input t store ?start ?(require_eof = true) input =
   run_with t ~store ?start ~require_eof input
 
 let run_store t store ?start ?require_eof input =
   run_store_input t store ?start ?require_eof (Input.of_string input)
+
+(* The run converts runaway recursion and allocation inside the parse
+   itself; this catches what escapes it. *)
+let backstopped run =
+  try run () with
+  | Stack_overflow -> exhausted Limits.Depth ~at:0
+  | Out_of_memory -> exhausted Limits.Memory ~at:0
 
 (* --- tracing -------------------------------------------------------------- *)
 

@@ -10,11 +10,12 @@
     (left recursion, vacuous repetition, dangling references), exactly as
     Rats! refuses to generate parsers for them.
 
-    Stateful productions (those using [Record]/[Member]) are never
-    memoized regardless of configuration: their outcome depends on the
-    state tables, and Rats! likewise exempts stateful productions from
-    memoization. State changes are transactional — rolled back when a
-    choice alternative, repetition step or predicate backtracks. *)
+    Stateful productions (those whose bodies reach a [Record] or
+    [Member]) are memoized like any other, but each entry carries the
+    state version it was computed at and hits only at that version, so
+    a hit never hides a change of the state tables. State changes are
+    transactional — rolled back when a choice alternative, repetition
+    step or predicate backtracks. *)
 
 open Rats_support
 open Rats_peg
@@ -40,7 +41,7 @@ val memo_value_slots : t -> int
 val arena_cap : t -> int
 (** Chunks with backing rows in this engine's pooled memo arena — the
     allocated high-water footprint, which survives between runs because
-    parking a scratch releases values, not rows. [0] before the first
+    parking a store releases values, not rows. [0] before the first
     run. The batch runner reports this as an occupancy gauge. *)
 
 val observation : t -> Observe.t option
@@ -75,21 +76,11 @@ val accepts : t -> ?start:string -> string -> bool
 
 (** {1 Persistent memo stores}
 
-    The machinery under [Rats.Session]: a store owns the memo structures
-    of the last run so a later run over an edited buffer reuses every
-    entry whose computation never looked at the damaged bytes. Entries
-    record their {e examined extent} — the farthest input position their
-    computation inspected, end-of-input checks included — which is what
-    makes retention sound under lookahead predicates: an entry is kept
-    only if everything it ever looked at is strictly before the damage,
-    and entries at or past the damage end are relocated by the length
-    delta (sound because a production never examines positions before
-    its own start). Stateful productions rely on the state-version
-    stamps instead: versions grow monotonically across a session's runs,
-    so their old entries can never falsely hit. Reused entries re-count
-    against {!Limits.t.max_memo_bytes} when the next run starts. *)
+    The machinery under [Rats.Session]: a store keeps the memo of the
+    last run so that a later run over an edited buffer reuses every entry
+    whose computation never looked at the damaged bytes. *)
 
-type store
+type store = Memo_store.t
 (** A memo store tied to one engine and one evolving input buffer. *)
 
 val new_store : t -> store
@@ -97,12 +88,8 @@ val new_store : t -> store
     {!run_store}. *)
 
 val edit_store : t -> store -> start:int -> old_len:int -> new_len:int -> int * int
-(** [edit_store t s ~start ~old_len ~new_len] adjusts the store for a
-    splice replacing [old_len] bytes at [start] with [new_len] bytes.
-    Returns [(surviving, relocated)] entry counts — chunks under chunked
-    memo, table entries otherwise; [relocated] counts only entries whose
-    position actually moved, so same-length replacements relocate
-    nothing. Raises [Invalid_argument] if the edit is out of bounds. *)
+(** [edit_store t s] is {!Memo_store.edit}[ s]: it adjusts the store for
+    a splice and returns the [(surviving, relocated)] entry counts. *)
 
 val run_store : t -> store -> ?start:string -> ?require_eof:bool -> string -> outcome
 (** Parse reading and refilling the store, in one untraced pass. On
@@ -116,6 +103,11 @@ val run_store : t -> store -> ?start:string -> ?require_eof:bool -> string -> ou
 val run_store_input :
   t -> store -> ?start:string -> ?require_eof:bool -> Input.t -> outcome
 (** {!run_store} over an {!Input.t} buffer. *)
+
+val backstopped : (unit -> outcome) -> outcome
+(** [run ()], with a [Stack_overflow] or [Out_of_memory] that escapes
+    the run's own governor (unlimited limits on hostile input) turned
+    into a resource-exhausted outcome at offset 0. *)
 
 (** {1 Tracing}
 

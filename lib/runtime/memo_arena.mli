@@ -1,8 +1,8 @@
 (** Reusable storage arena for packrat memo chunks.
 
-    The engine memoizes with one {e chunk} per visited input
-    position holding one entry per memoized production ([nslots] of
-    them). The arena owns all chunk storage as flat parallel arrays —
+    Under chunked memoization the engine keeps one {e chunk} per visited
+    input position, holding one entry per memoized production ([nslots]
+    of them). The arena owns all chunk storage as flat parallel arrays —
     [res]/[vers]/[exts] rows of [nslots] ints per chunk plus a [vals]
     row of [nvslots] values — indexed by an [idx] table mapping input
     position to chunk id. Chunks are recycled through a free list and
@@ -16,18 +16,18 @@
     slot, [-1] when the production is value-free. On recognizer-heavy
     grammars this roughly halves chunk footprint.
 
-    The arena is storage only. Budget accounting, statistics, and the
-    [Limits.chunk_cost] model stay in the engines, which charge exactly
-    as they did when chunks were individually heap-allocated — the
-    governor's cost model is part of the observable contract and does
-    not track the arena's actual (smaller, amortized) footprint.
+    The arena is storage only: a {!Memo_store.t} holds it and owns the
+    [Limits.chunk_cost] model, and the engine's memo protocol does the
+    accounting and statistics. The cost model is part of the observable
+    contract and does not track the arena's actual (smaller, amortized)
+    footprint.
 
-    The record is exposed so the interpreters' hot paths can index the
-    arrays directly. Invariants: [idx.(p)] is [-1] or a chunk id [c]
-    with [c * nslots] valid in [res]/[vers]/[exts]; a claimed chunk's
-    [res] row is all zero until entries are stored; [vers]/[exts] cells
-    are garbage wherever [res] is 0. The arrays may be replaced on
-    growth — re-read them after any {!alloc}. *)
+    The record is exposed so the memo protocol can index the arrays
+    directly. Invariants: [idx.(p)] is [-1] or a chunk id [c] with
+    [c * nslots] valid in [res]/[vers]/[exts]; a claimed chunk's [res]
+    row is all zero until entries are stored; [vers]/[exts] cells are
+    garbage wherever [res] is 0. The arrays may be replaced on growth —
+    re-read them after any {!alloc}. *)
 
 open Rats_peg
 
@@ -75,10 +75,9 @@ val free_chunk : t -> int -> unit
 
 val edit : t -> start:int -> old_len:int -> new_len:int -> int * int
 (** Splice the arena across a text edit replacing [old_len] bytes at
-    [start] with [new_len] bytes, exactly like the per-chunk relocation
-    the engines used to do on boxed chunk arrays: entries that examined
-    no byte past [start] survive in place, chunks at relocated
-    positions move by [new_len - old_len] (res offsets are relative, so
-    a move is a pure re-index), and everything else is reclaimed.
+    [start] with [new_len] bytes: entries that examined no byte past
+    [start] survive in place, chunks at relocated positions move by
+    [new_len - old_len] (res offsets are relative, so a move is a pure
+    re-index), and everything else is reclaimed.
     Requires a warm arena with [start + old_len <= idx_len - 1].
     Returns [(reused, relocated)] chunk counts for [Stats]. *)

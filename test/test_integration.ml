@@ -214,28 +214,48 @@ let roundtrip_tests =
         | Error e -> Alcotest.failf "soak: %s" (Parse_error.message e));
   ]
 
+(* Four domains share one prepared engine and parse the same 64 seeded
+   documents (every eighth one truncated, so error reports are in the
+   mix) 3,001 times each; every result must equal the sequential
+   parse's: the same value, or the same error message. Concurrent runs
+   must never share the memo scratch or the failure tracker the engine
+   parks between runs. *)
 let parallel_tests =
   [
     test "one engine parses concurrently from four domains" (fun () ->
-        (* Prepared engines are immutable; all mutable parse state lives
-           in the per-run record, so the same engine can serve parallel
-           domains (OCaml 5). *)
         let g = Pipeline.optimize (Grammars.Json.grammar ()) in
-        let eng = Engine.prepare_exn g in
-        let domains =
-          List.init 4 (fun i ->
-              Domain.spawn (fun () ->
-                  let rng = Rng.create (1000 + i) in
-                  let ok = ref true in
-                  for _ = 1 to 50 do
-                    let doc = Grammars.Corpus.json rng ~size:30 in
-                    if not (Engine.accepts eng doc) then ok := false
-                  done;
-                  !ok))
+        let eng = Engine.prepare_exn ~config:Config.optimized g in
+        let docs =
+          Array.init 64 (fun i ->
+              let doc = Grammars.Corpus.json (Rng.create (1000 + i)) ~size:200 in
+              if i mod 8 = 7 then String.sub doc 0 (String.length doc / 2)
+              else doc)
         in
-        List.iter
-          (fun d -> check Alcotest.bool "domain ok" true (Domain.join d))
-          domains);
+        let render = function
+          | Ok v -> Ok v
+          | Error e -> Error (Parse_error.message e)
+        in
+        let want = Array.map (fun doc -> render (Engine.parse eng doc)) docs in
+        let same a b =
+          match (a, b) with
+          | Ok a, Ok b -> Value.equal a b
+          | Error a, Error b -> String.equal a b
+          | _ -> false
+        in
+        let domains =
+          List.init 4 (fun d ->
+              Domain.spawn (fun () ->
+                  let rng = Rng.create (2000 + d) in
+                  let bad = ref 0 in
+                  for _ = 0 to 3000 do
+                    let i = Rng.int rng (Array.length docs) in
+                    if not (same want.(i) (render (Engine.parse eng docs.(i))))
+                    then incr bad
+                  done;
+                  !bad))
+        in
+        let bad = List.fold_left (fun n d -> n + Domain.join d) 0 domains in
+        check Alcotest.int "results that differ from a sequential parse" 0 bad);
   ]
 
 let () =
