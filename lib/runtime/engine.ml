@@ -929,7 +929,9 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
                 never hide a state change: any run that mutated the tables
                 bumped the version past its own entry stamp. *)
              let stateful = Analysis.stateful analysis p.name in
-             let memo = if slot < 0 then Config.No_memo else config.Config.memo in
+             let memo =
+               if slot < 0 then Config.No_memo else config.Config.memo
+             in
              let full_fn : fn =
                match memo with
                | Config.No_memo ->

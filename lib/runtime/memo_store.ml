@@ -27,12 +27,10 @@ let create strategy ~nslots ~vmap =
   in
   { mem; cost; nslots; bytes = 0; len = -1; version = 0 }
 
+(* An arena's [idx_len] is always [len + 1] while [len >= 0]: [sync]
+   resets both, [edit] moves both by the same delta. *)
 let sync s ~len =
-  let usable =
-    s.len = len
-    && match s.mem with Chunks a -> a.Memo_arena.idx_len = len + 1 | _ -> true
-  in
-  if not usable then (
+  if s.len <> len then (
     (match s.mem with
     | Nothing -> ()
     | Chunks a -> Memo_arena.reset a ~len
