@@ -1128,11 +1128,11 @@ let run_with t ?store ?start ~require_eof input =
     (* The trip event and frame cleanup happen after the run body, off
        any budget: the ring must describe an exhausted run without
        changing where it tripped. *)
-    Option.iter
-      (fun o ->
+    (match t.obs with
+    | None -> ()
+    | Some o ->
         Option.iter (fun (which, at) -> Observe.trip o which at) st.tripped;
-        Observe.finalize o)
-      t.obs;
+        Observe.finalize o);
     let result =
       match st.tripped with
       | Some (which, at) -> Error (Expected.exhausted st.fail_trace ~which ~at)

@@ -80,8 +80,9 @@ val accepts : t -> ?start:string -> string -> bool
     last run so that a later run over an edited buffer reuses every entry
     whose computation never looked at the damaged bytes. *)
 
-type store = Memo_store.t
-(** A memo store tied to one engine and one evolving input buffer. *)
+type store
+(** A memo store ({!Memo_store.t}) tied to one engine and one evolving
+    input buffer. *)
 
 val new_store : t -> store
 (** An empty store for this engine; populated by the first
