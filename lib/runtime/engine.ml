@@ -751,7 +751,7 @@ let[@inline] miss_body ~mode kind body st pos =
 
    [table] and [mode] must be literal constants at every call site:
    inlined, the untaken branches fold away and each instantiation is the
-   closure its strategy and mode need, the body its only indirect call.
+   closure its strategy and mode need, calling no closure but the body.
    The arena's rows are re-read through [a] after the body, which may
    have grown them. *)
 let[@inline] memo_call ~table ~mode ~slot ~vslot ~stateful kind body st pos =
