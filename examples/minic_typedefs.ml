@@ -43,8 +43,8 @@ money budget(int months, int rate) {
 let rec find_nodes name (v : Value.t) =
   match v with
   | Value.Node n ->
-      (if String.equal n.Value.name name then [ v ] else [])
-      @ List.concat_map (fun (_, c) -> find_nodes name c) n.Value.children
+      (if String.equal n.name name then [ v ] else [])
+      @ List.concat_map (fun (_, c) -> find_nodes name c) n.children
   | Value.List vs -> List.concat_map (find_nodes name) vs
   | _ -> []
 

@@ -28,8 +28,8 @@ let () =
       let rec count name (v : Value.t) =
         match v with
         | Value.Node n ->
-            (if String.equal n.Value.name name then 1 else 0)
-            + List.fold_left (fun acc (_, c) -> acc + count name c) 0 n.Value.children
+            (if String.equal n.name name then 1 else 0)
+            + List.fold_left (fun acc (_, c) -> acc + count name c) 0 n.children
         | Value.List vs -> List.fold_left (fun acc v -> acc + count name v) 0 vs
         | _ -> 0
       in

@@ -140,8 +140,8 @@ let rec gen ctx (e : Expr.t) pos =
   | Expr.Node (name, x) ->
       let p = fresh ctx "p" in
       Printf.sprintf
-        "(let %s = %s in if %s < 0 then -1 else (st.value <- Value.node \
-         ~span:(Span.v ~start_:%s ~stop:%s) %S (Value.components st.value); \
+        "(let %s = %s in if %s < 0 then -1 else (st.value <- Value.node_at \
+         ~start_:%s ~stop:%s %S (Value.components st.value); \
          %s))"
         p (gen ctx x pos) p pos p name p
   | Expr.Drop x ->
@@ -285,7 +285,7 @@ let shape_code (p : Production.t) ~pos0 ~pos1 =
   | Attr.Plain -> ""
   | Attr.Generic ->
       Printf.sprintf
-        "st.value <- Value.node ~span:(Span.v ~start_:%s ~stop:%s) %S \
+        "st.value <- Value.node_at ~start_:%s ~stop:%s %S \
          (Value.components st.value); "
         pos0 pos1 p.name
   | Attr.Text ->
@@ -403,11 +403,11 @@ let __lit st pos s desc =
 let __keep lbl v acc =
   match (lbl, v) with None, Value.Unit -> acc | _ -> (lbl, v) :: acc
 
-let __seqv p0 p1 acc = Value.seq ~span:(Span.v ~start_:p0 ~stop:p1) (List.rev acc)
-let __tailv p0 p1 acc = Value.node ~span:(Span.v ~start_:p0 ~stop:p1) "#tail" (List.rev acc)
+let __seqv p0 p1 acc = Value.seq_at ~start_:p0 ~stop:p1 (List.rev acc)
+let __tailv p0 p1 acc = Value.node_at ~start_:p0 ~stop:p1 "#tail" (List.rev acc)
 
 let __tail_parts = function
-  | Value.Node n when String.equal n.Value.name "#tail" -> n.Value.children
+  | Value.Node n when String.equal n.name "#tail" -> n.children
   | _ -> []
 
 let __record st table pos p =

@@ -5,15 +5,22 @@ type t =
   | Chr of char
   | Str of string
   | List of t list
-  | Node of node
+  | Node of {
+      name : string;
+      children : (string option * t) list;
+      start_ : int;
+      stop : int;
+    }
 
-and node = {
-  name : string;
-  children : (string option * t) list;
-  span : Span.t;
-}
+let node_at ~start_ ~stop name children = Node { name; children; start_; stop }
 
-let node ?(span = Span.dummy) name children = Node { name; children; span }
+let node ?(span = Span.dummy) name children =
+  Node { name; children; start_ = Span.start span; stop = Span.stop span }
+
+let span = function
+  | Node n -> Span.v ~start_:n.start_ ~stop:n.stop
+  | Unit | Chr _ | Str _ | List _ -> Span.dummy
+
 let seq_name = "#seq"
 
 let empty_list = List []
@@ -26,14 +33,17 @@ let keep = function None, Unit -> false | _ -> true
 let drop_units parts =
   if List.for_all keep parts then parts else List.filter keep parts
 
-let seq ?(span = Span.dummy) parts =
+let seq_at ~start_ ~stop parts =
   match drop_units parts with
   | [] -> Unit
   | [ (None, v) ] -> v
-  | parts -> Node { name = seq_name; children = parts; span }
+  | parts -> Node { name = seq_name; children = parts; start_; stop }
+
+let seq ?(span = Span.dummy) parts =
+  seq_at ~start_:(Span.start span) ~stop:(Span.stop span) parts
 
 let bind label v =
-  Node { name = seq_name; children = [ (label, v) ]; span = Span.dummy }
+  Node { name = seq_name; children = [ (label, v) ]; start_ = 0; stop = 0 }
 
 let is_unit = function Unit -> true | _ -> false
 
@@ -42,10 +52,10 @@ let components = function
   | Node n when n.name = seq_name -> n.children
   | v -> [ (None, v) ]
 
-let node_of_parts ~span name parts =
+let node_of_parts_at ~start_ ~stop name parts =
   match drop_units parts with
-  | [ (None, v) ] -> Node { name; children = components v; span }
-  | parts -> Node { name; children = parts; span }
+  | [ (None, v) ] -> Node { name; children = components v; start_; stop }
+  | parts -> Node { name; children = parts; start_; stop }
 
 let child v l =
   match v with

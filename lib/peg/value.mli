@@ -23,17 +23,32 @@ type t =
   | Chr of char  (** a single matched byte (from a class or [.]) *)
   | Str of string  (** matched text: token productions, [Token] captures *)
   | List of t list  (** repetitions *)
-  | Node of node  (** a syntax-tree node *)
-
-and node = {
-  name : string;  (** constructor / production name; ["#seq"] for tuples *)
-  children : (string option * t) list;
-      (** components in match order; the label is the [Bind] name when the
-          grammar gave one *)
-  span : Span.t;  (** the input region this node covers *)
-}
+  | Node of {
+      name : string;  (** constructor / production name; ["#seq"] for tuples *)
+      children : (string option * t) list;
+          (** components in match order; the label is the [Bind] name
+              when the grammar gave one *)
+      start_ : int;  (** first input byte the node covers *)
+      stop : int;  (** one past the last byte it covers *)
+    }
+      (** A syntax-tree node. The record is inline, so a node is one
+          5-word block (header, name, children, [start_], [stop]) before
+          its children: no constructor box and no separate {!Span.t}.
+          Read the fields after a match ([Node n -> n.name]); {!span}
+          rebuilds the span as a value. *)
 
 val node : ?span:Span.t -> string -> (string option * t) list -> t
+(** [node ~span name children] is a node covering [span] (default
+    {!Span.dummy}). *)
+
+val node_at : start_:int -> stop:int -> string -> (string option * t) list -> t
+(** [node_at ~start_ ~stop name children] is [node ~span:(Span.v
+    ~start_ ~stop) name children] without the span block and without
+    its bounds check: the engines pass positions they matched. *)
+
+val span : t -> Span.t
+(** [span v] is the region node [v] covers; {!Span.dummy} for any
+    other value. Allocates the span. *)
 
 val seq_name : string
 (** The reserved name of anonymous tuple nodes, ["#seq"]. *)
@@ -42,6 +57,10 @@ val seq : ?span:Span.t -> (string option * t) list -> t
 (** [seq parts] packs sequence components: drops unlabeled [Unit]s, then
     returns [Unit] for zero parts, the value itself for one unlabeled
     part, and a [seq_name] tuple node otherwise. *)
+
+val seq_at : start_:int -> stop:int -> (string option * t) list -> t
+(** [seq_at ~start_ ~stop parts] is [seq ~span:(Span.v ~start_ ~stop)
+    parts] without the span block. *)
 
 val empty_list : t
 (** [List []], allocated once. Values are immutable, so every empty
@@ -63,11 +82,12 @@ val components : t -> (string option * t) list
     a ["#seq"] tuple yields its children, [Unit] yields [[]], anything
     else is a singleton. *)
 
-val node_of_parts : span:Span.t -> string -> (string option * t) list -> t
-(** [node_of_parts ~span name parts] is
-    [node ~span name (components (seq parts))], built without the
-    intermediate tuple node: the one node a [Node] wrapper or a generic
-    production builds around a sequence. *)
+val node_of_parts_at :
+  start_:int -> stop:int -> string -> (string option * t) list -> t
+(** [node_of_parts_at ~start_ ~stop name parts] is
+    [node_at ~start_ ~stop name (components (seq parts))], built without
+    the intermediate tuple node: the one node a [Node] wrapper or a
+    generic production builds around a sequence. *)
 
 val child : t -> string -> t option
 (** [child v l] is the first child of node [v] labeled [l], if any. *)

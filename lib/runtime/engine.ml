@@ -121,6 +121,11 @@ type compile_ctx = {
   preds : int Phys.t;  (* predicate node -> id of its description *)
 }
 
+(* A body that matches exactly one byte when [bm] admits it and
+   records [id] at that byte otherwise: a class, a character or [.],
+   possibly under wrappers that a lean matcher makes transparent. *)
+type byte_test = { bm : Bytes.t; id : int }
+
 (* --- hoisted hot loops --------------------------------------------------- *)
 
 (* The iteration of every composite matcher lives up here, as closed
@@ -179,7 +184,7 @@ let rec star_collect (fx : fn) st pos acc =
 let tail_name = "#tail"
 
 let tail_parts = function
-  | Value.Node n when String.equal n.Value.name tail_name -> n.Value.children
+  | Value.Node n when String.equal n.name tail_name -> n.children
   | _ -> assert false
 
 (* The general value-building sequence: run parts [i..n) from [pos]
@@ -234,6 +239,54 @@ let rec alt_loop (compiled : (fn * Bytes.t * bool * int) array) n dispatch st
         st.stats.Stats.backtracks <- st.stats.Stats.backtracks + 1;
         alt_loop compiled n dispatch st saved pos (i + 1))
 
+(* --- fused one-byte terminals ---------------------------------------------
+
+   A repetition, option or predicate whose body is a one-byte test
+   ([byte_test]) runs without calling the body's closure. Each fused
+   form makes the same [look] and [record] calls as the closures it
+   replaces, up to [look]'s monotonicity: a body closure looks at every
+   byte it tests, so a run of them is one [look] at the last. A
+   one-byte body changes no state table, so there is nothing to
+   restore; and a fused predicate skips only its body's [record],
+   which the predicate's [quiet] would have suppressed. *)
+
+(* First position at or after [q] whose byte [bm] rejects, or [len]:
+   one closed loop per input representation. *)
+let rec span_str (s : string) len bm q =
+  if q < len && bitmap_mem bm (String.unsafe_get s q) then
+    span_str s len bm (q + 1)
+  else q
+
+let rec span_big (b : Input.bigstring) len bm q =
+  if q < len && bitmap_mem bm (Bigarray.Array1.unsafe_get b q) then
+    span_big b len bm (q + 1)
+  else q
+
+let[@inline] span st bm q =
+  match st.input with
+  | Input.Str s -> span_str s st.len bm q
+  | Input.Big b -> span_big b st.len bm q
+
+(* [x*]: every byte [x] admits, then the failing test at the stop. *)
+let span_star st { bm; id } pos =
+  let q = span st bm pos in
+  look st q;
+  record st q id;
+  q
+
+(* [x+]: [x*] that fails when it matches nothing. *)
+let span_plus st t pos =
+  let q = span_star st t pos in
+  if q = pos then -1 else q
+
+(* Whether the one-byte test admits the byte at [pos]. *)
+let[@inline] probe st { bm; _ } pos =
+  look st pos;
+  pos < st.len && bitmap_mem bm (Input.unsafe_get st.input pos)
+
+(* Every byte, for [.]'s test. *)
+let all_bytes = Bytes.make 256 '\001'
+
 let truncate_desc s =
   if String.length s <= 40 then s else String.sub s 0 37 ^ "..."
 
@@ -261,6 +314,27 @@ let pred_desc_id ctx (e : Expr.t) describe =
 (* Peel a top-level Bind to expose the label a sequence records. *)
 let peel_bind (e : Expr.t) =
   match e.it with Expr.Bind (l, inner) -> (Some l, inner) | _ -> (None, e)
+
+(* [e]'s one-byte test when it is one: a pattern match and the lookup
+   the terminal's own matcher makes, interning exactly the description
+   that matcher interns. Not cached per node: [Phys] hashes structurally,
+   and the inliner leaves many equal copies of small bodies such as
+   whitespace classes, whose lookups would share one bucket. *)
+let rec byte_test ctx (e : Expr.t) =
+  match e.it with
+  | Expr.Cls set ->
+      let bm, id = Charmap.lower ctx.charsets set in
+      Some { bm; id }
+  | Expr.Chr c ->
+      let bm = Bytes.make 256 '\000' in
+      Bytes.set bm (Char.code c) '\001';
+      Some { bm; id = Expected.intern_char ctx.parser.names c }
+  | Expr.Any ->
+      let id = Expected.intern ctx.parser.names "any character" in
+      Some { bm = all_bytes; id }
+  | Expr.Drop x | Expr.Token x | Expr.Bind (_, x) | Expr.Node (_, x) ->
+      byte_test ctx x
+  | _ -> None
 
 let rec compile ctx ~lean (e : Expr.t) : fn =
   match e.it with
@@ -361,57 +435,83 @@ let rec compile ctx ~lean (e : Expr.t) : fn =
           p)
       else compile_star ctx ~lean x
   | Expr.Plus x ->
-      if (not lean) && Analysis.expr_yields_unit ctx.analysis x then (
-        let fx = compile ctx ~lean:true x in
-        fun st pos ->
-          let p = fx st pos in
-          if p < 0 then -1
-          else (
-            let p' = star_loop fx st p in
-            st.value <- Value.Unit;
-            p'))
-      else
-        let fx = compile ctx ~lean x in
-        if lean then
-          fun st pos ->
-            let p = fx st pos in
-            if p < 0 then -1 else star_loop fx st p
+      (* A statically void body collects nothing, as in [compile_star]. *)
+      if lean || Analysis.expr_yields_unit ctx.analysis x then (
+        let fx =
+          match byte_test ctx x with
+          | Some t -> fun st pos -> span_plus st t pos
+          | None ->
+              let fx = compile ctx ~lean:true x in
+              fun st pos ->
+                let p = fx st pos in
+                if p < 0 then -1 else star_loop fx st p
+        in
+        if lean then fx
         else
           fun st pos ->
             let p = fx st pos in
-            if p < 0 then -1 else star_collect fx st p [ st.value ]
-  | Expr.Opt x ->
-      let fx = compile ctx ~lean x in
-      fun st pos ->
-        let saved = st.tables in
-        let p = fx st pos in
-        if p >= 0 then p
-        else (
-          restore_tables st saved;
-          if not lean then st.value <- Value.Unit;
-          pos)
-  | Expr.And x | Expr.Not x ->
+            if p >= 0 then st.value <- Value.Unit;
+            p)
+      else
+        let fx = compile ctx ~lean x in
+        fun st pos ->
+          let p = fx st pos in
+          if p < 0 then -1 else star_collect fx st p [ st.value ]
+  | Expr.Opt x -> (
+      match byte_test ctx x with
+      | Some t when lean || Analysis.expr_yields_unit ctx.analysis x ->
+          fun st pos ->
+            if not lean then st.value <- Value.Unit;
+            if probe st t pos then pos + 1
+            else (
+              record st pos t.id;
+              pos)
+      | _ ->
+          let fx = compile ctx ~lean x in
+          fun st pos ->
+            let saved = st.tables in
+            let p = fx st pos in
+            if p >= 0 then p
+            else (
+              restore_tables st saved;
+              if not lean then st.value <- Value.Unit;
+              pos))
+  | Expr.And x | Expr.Not x -> (
       (* A predicate runs its body quietly and rolls back its state; [&x]
-         succeeds where the body does, [!x] where it fails. *)
+         succeeds where the body does, [!x] where it fails. A one-byte
+         body is one probe. *)
       let positive = match e.it with Expr.And _ -> true | _ -> false in
-      let fx = compile ctx ~lean:(lean || ctx.config.Config.lean_values) x in
-      let id =
-        pred_desc_id ctx e (fun () ->
-            if positive then "&" ^ pred_body_desc x
-            else "not " ^ truncate_desc (Pretty.expr_to_string x))
+      let desc () =
+        if positive then "&" ^ pred_body_desc x
+        else "not " ^ truncate_desc (Pretty.expr_to_string x)
       in
-      fun st pos ->
-        let saved = st.tables in
-        st.quiet <- st.quiet + 1;
-        let p = fx st pos in
-        st.quiet <- st.quiet - 1;
-        restore_tables st saved;
-        if (p >= 0) <> positive then (
-          record st pos id;
-          -1)
-        else (
-          if not lean then st.value <- Value.Unit;
-          pos)
+      match byte_test ctx x with
+      | Some t ->
+          let id = pred_desc_id ctx e desc in
+          fun st pos ->
+            if probe st t pos <> positive then (
+              record st pos id;
+              -1)
+            else (
+              if not lean then st.value <- Value.Unit;
+              pos)
+      | None ->
+          let fx =
+            compile ctx ~lean:(lean || ctx.config.Config.lean_values) x
+          in
+          let id = pred_desc_id ctx e desc in
+          fun st pos ->
+            let saved = st.tables in
+            st.quiet <- st.quiet + 1;
+            let p = fx st pos in
+            st.quiet <- st.quiet - 1;
+            restore_tables st saved;
+            if (p >= 0) <> positive then (
+              record st pos id;
+              -1)
+            else (
+              if not lean then st.value <- Value.Unit;
+              pos))
   | Expr.Bind (label, x) ->
       let fx = compile ctx ~lean x in
       if lean then fx
@@ -504,8 +604,7 @@ and compile_node ctx name (e : Expr.t) : fn =
       if p < 0 then -1
       else (
         st.value <-
-          Value.node ~span:(Span.v ~start_:pos ~stop:p) name
-            (Value.components st.value);
+          Value.node_at ~start_:pos ~stop:p name (Value.components st.value);
         p)
   in
   match e.it with
@@ -515,14 +614,14 @@ and compile_node ctx name (e : Expr.t) : fn =
           ~lean_values:ctx.config.Config.lean_values es
       with
       | Analysis.Collect ->
-          compile_collect ctx es (fun span parts ->
-              Value.node_of_parts ~span name parts)
+          compile_collect ctx es (fun start_ stop parts ->
+              Value.node_of_parts_at ~start_ ~stop name parts)
       | Analysis.No_value _ | Analysis.One_value _ -> wrap ())
   | Expr.Alt alts -> compile_alt ctx ~lean:false ~node:name alts
   | _ -> wrap ()
 
 (* A sequence that collects its parts and builds its value with
-   [finish] from its span and the parts. *)
+   [finish] from its start, its stop and the parts. *)
 and compile_collect ctx es finish =
   let parts =
     Array.of_list
@@ -538,7 +637,7 @@ and compile_collect ctx es finish =
   let n = Array.length parts in
   fun st pos ->
     let p = seq_collect parts n st 0 pos in
-    if p >= 0 then st.value <- finish (Span.v ~start_:pos ~stop:p) st.parts;
+    if p >= 0 then st.value <- finish pos p st.parts;
     p
 
 and compile_seq ctx ~lean es =
@@ -560,7 +659,8 @@ and compile_seq ctx ~lean es =
         ~lean_values:ctx.config.Config.lean_values es
     with
     | Analysis.Collect ->
-        compile_collect ctx es (fun span parts -> Value.seq ~span parts)
+        compile_collect ctx es (fun start_ stop parts ->
+            Value.seq_at ~start_ ~stop parts)
     | Analysis.No_value bodies ->
         chain
           (List.map (compile ctx ~lean:true) bodies)
@@ -576,8 +676,7 @@ and compile_seq ctx ~lean es =
               (* the tuple a collecting sequence would build, span included *)
               fun st pos p ->
                 st.value <-
-                  Value.seq ~span:(Span.v ~start_:pos ~stop:p)
-                    [ (label, st.value) ])
+                  Value.seq_at ~start_:pos ~stop:p [ (label, st.value) ])
 
 and compile_tail ctx (e : Expr.t) : fn =
   (* Compile [e] as a sequence tail: the value is always a [tail_name]
@@ -586,7 +685,8 @@ and compile_tail ctx (e : Expr.t) : fn =
   match e.it with
   | Expr.Alt alts -> compile_alt ctx ~lean:false ~tail:true alts
   | Expr.Seq es ->
-      compile_collect ctx es (fun span parts -> Value.node ~span tail_name parts)
+      compile_collect ctx es (fun start_ stop parts ->
+          Value.node_at ~start_ ~stop tail_name parts)
   | Expr.Empty ->
       fun st pos ->
         st.value <- Value.node tail_name [];
@@ -599,7 +699,7 @@ and compile_tail ctx (e : Expr.t) : fn =
         if p < 0 then -1
         else (
           st.value <-
-            Value.node ~span:(Span.v ~start_:pos ~stop:p) tail_name
+            Value.node_at ~start_:pos ~stop:p tail_name
               (match (label, st.value) with
               | None, Value.Unit -> []
               | _ -> [ (label, st.value) ]);
@@ -663,9 +763,12 @@ and compile_star ctx ~lean x =
   (* A repetition over a statically void body collects no values and
      yields Unit — matching what a sequence would do with the units. *)
   let lean = lean || Analysis.expr_yields_unit ctx.analysis x in
-  let fx = compile ctx ~lean x in
-  if lean then fun st pos -> star_loop fx st pos
-  else fun st pos -> star_collect fx st pos []
+  match if lean then byte_test ctx x else None with
+  | Some t -> fun st pos -> span_star st t pos
+  | None ->
+      let fx = compile ctx ~lean x in
+      if lean then fun st pos -> star_loop fx st pos
+      else fun st pos -> star_collect fx st pos []
 
 (* --- the memo protocol --------------------------------------------------- *)
 
@@ -786,7 +889,7 @@ let[@inline] memo_call ~table ~mode ~slot ~vslot ~stateful kind body st pos =
         p)
   else
     let a = match st.mem with Memo_store.Chunks a -> a | _ -> assert false in
-    let c = a.Memo_arena.idx.(pos) in
+    let c = a.Memo_arena.idx.{pos} in
     let c =
       if c >= 0 || mode = Read_only || not (charge_memo st) then c
       else (
@@ -796,11 +899,11 @@ let[@inline] memo_call ~table ~mode ~slot ~vslot ~stateful kind body st pos =
     in
     let base = (c * a.Memo_arena.nslots) + slot
     and vbase = (c * a.Memo_arena.nvslots) + vslot in
-    let r = if c >= 0 then a.Memo_arena.res.(base) else 0 in
-    if r <> 0 && ((not stateful) || a.Memo_arena.vers.(base) = st.version)
+    let r = if c >= 0 then a.Memo_arena.res.{base} else 0 in
+    if r <> 0 && ((not stateful) || a.Memo_arena.vers.{base} = st.version)
     then (
       stats.Stats.memo_hits <- stats.Stats.memo_hits + 1;
-      look st (pos + a.Memo_arena.exts.(base) - 1);
+      look st (pos + a.Memo_arena.exts.{base} - 1);
       if r < 0 then -1
       else (
         if mode = Value then
@@ -814,13 +917,13 @@ let[@inline] memo_call ~table ~mode ~slot ~vslot ~stateful kind body st pos =
       if c < 0 then
         stats.Stats.memo_degraded <- stats.Stats.memo_degraded + 1
       else if st.quiet = 0 then (
-        a.Memo_arena.res.(base) <- (if p >= 0 then p - pos + 1 else -1);
+        a.Memo_arena.res.{base} <- (if p >= 0 then p - pos + 1 else -1);
         if mode = Value && vslot >= 0 && p >= 0 then
           a.Memo_arena.vals.(vbase) <- st.value;
-        a.Memo_arena.vers.(base) <- ver0;
+        a.Memo_arena.vers.{base} <- ver0;
         let ext = st.examined - pos + 1 in
-        a.Memo_arena.exts.(base) <- ext;
-        if ext > a.Memo_arena.cmax.(c) then a.Memo_arena.cmax.(c) <- ext;
+        a.Memo_arena.exts.{base} <- ext;
+        if ext > a.Memo_arena.cmax.{c} then a.Memo_arena.cmax.{c} <- ext;
         stats.Stats.memo_stores <- stats.Stats.memo_stores + 1);
       look st saved;
       p

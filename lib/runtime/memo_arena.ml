@@ -1,12 +1,14 @@
 open Rats_peg
 
+type row = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  mutable idx : int array;
+  mutable idx : row;
   mutable idx_len : int;
-  mutable res : int array;
-  mutable vers : int array;
-  mutable exts : int array;
-  mutable cmax : int array;
+  mutable res : row;
+  mutable vers : row;
+  mutable exts : row;
+  mutable cmax : row;
   mutable vals : Value.t array;
   mutable cap : int;
   mutable used : int;
@@ -17,16 +19,32 @@ type t = {
   vmap : int array;
 }
 
+let row n v =
+  let r = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  Bigarray.Array1.fill r v;
+  r
+
+(* [blit src src_pos dst dst_pos n] is [Array.blit] on rows: a memmove,
+   so overlapping ranges of one row shift correctly. *)
+let blit src src_pos dst dst_pos n =
+  if n > 0 then
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub src src_pos n)
+      (Bigarray.Array1.sub dst dst_pos n)
+
+let fill r pos n v =
+  if n > 0 then Bigarray.Array1.fill (Bigarray.Array1.sub r pos n) v
+
 let create ~nslots ~vmap =
   if Array.length vmap <> nslots then invalid_arg "Memo_arena.create";
   let nvslots = Array.fold_left (fun n v -> if v >= 0 then n + 1 else n) 0 vmap in
   {
-    idx = [||];
+    idx = row 0 0;
     idx_len = -1;
-    res = [||];
-    vers = [||];
-    exts = [||];
-    cmax = [||];
+    res = row 0 0;
+    vers = row 0 0;
+    exts = row 0 0;
+    cmax = row 0 0;
     vals = [||];
     cap = 0;
     used = 0;
@@ -41,18 +59,18 @@ let create ~nslots ~vmap =
    chunks beyond [used] are garbage and never read. *)
 let grow_chunks a =
   let cap = max 64 (2 * a.cap) in
-  let copy width src fill =
-    let dst = Array.make (cap * width) fill in
-    Array.blit src 0 dst 0 (a.used * width);
+  let copy width src =
+    let dst = row (cap * width) 0 in
+    blit src 0 dst 0 (a.used * width);
     dst
   in
-  a.res <- copy a.nslots a.res 0;
-  a.vers <- copy a.nslots a.vers 0;
-  a.exts <- copy a.nslots a.exts 0;
-  a.vals <- copy a.nvslots a.vals Value.Unit;
-  let cmax = Array.make cap 0 in
-  Array.blit a.cmax 0 cmax 0 a.used;
-  a.cmax <- cmax;
+  a.res <- copy a.nslots a.res;
+  a.vers <- copy a.nslots a.vers;
+  a.exts <- copy a.nslots a.exts;
+  a.cmax <- copy 1 a.cmax;
+  let vals = Array.make (cap * a.nvslots) Value.Unit in
+  Array.blit a.vals 0 vals 0 (a.used * a.nvslots);
+  a.vals <- vals;
   a.cap <- cap
 
 let release_values a =
@@ -64,9 +82,9 @@ let release_values a =
 
 let reset a ~len =
   let n = len + 1 in
-  if Array.length a.idx < n then
-    a.idx <- Array.make (max n (2 * Array.length a.idx)) (-1)
-  else Array.fill a.idx 0 (Array.length a.idx) (-1);
+  if Bigarray.Array1.dim a.idx < n then
+    a.idx <- row (max n (2 * Bigarray.Array1.dim a.idx)) (-1)
+  else Bigarray.Array1.fill a.idx (-1);
   release_values a;
   a.idx_len <- n
 
@@ -81,9 +99,13 @@ let alloc a pos =
       a.used <- c + 1;
       c)
   in
-  Array.fill a.res (c * a.nslots) a.nslots 0;
-  a.cmax.(c) <- 0;
-  a.idx.(pos) <- c;
+  (* A loop, not [fill]: a sub-array view would allocate per claim. *)
+  let base = c * a.nslots in
+  for i = base to base + a.nslots - 1 do
+    a.res.{i} <- 0
+  done;
+  a.cmax.{c} <- 0;
+  a.idx.{pos} <- c;
   c
 
 let free_chunk a c =
@@ -102,28 +124,28 @@ let edit a ~start ~old_len ~new_len =
   (* Prefix [0, start): an entry survives iff its computation examined
      nothing past [start]; cmax skips the slot scan for whole chunks. *)
   for p = 0 to min (start - 1) (n - 1) do
-    let c = a.idx.(p) in
+    let c = a.idx.{p} in
     if c >= 0 then
-      if p + a.cmax.(c) <= start then incr reused
+      if p + a.cmax.{c} <= start then incr reused
       else begin
         let live = ref false and m = ref 0 in
         let base = c * a.nslots in
         for sl = 0 to a.nslots - 1 do
-          if a.res.(base + sl) <> 0 then
-            if p + a.exts.(base + sl) > start then begin
-              a.res.(base + sl) <- 0;
+          if a.res.{base + sl} <> 0 then
+            if p + a.exts.{base + sl} > start then begin
+              a.res.{base + sl} <- 0;
               let v = a.vmap.(sl) in
               if v >= 0 then a.vals.((c * a.nvslots) + v) <- Value.Unit
             end
             else begin
               live := true;
-              if a.exts.(base + sl) > !m then m := a.exts.(base + sl)
+              if a.exts.{base + sl} > !m then m := a.exts.{base + sl}
             end
         done;
-        a.cmax.(c) <- !m;
+        a.cmax.{c} <- !m;
         if !live then incr reused
         else begin
-          a.idx.(p) <- -1;
+          a.idx.{p} <- -1;
           free_chunk a c
         end
       end
@@ -131,33 +153,33 @@ let edit a ~start ~old_len ~new_len =
   (* Replaced region: those chunks cannot survive. *)
   let src = start + old_len in
   for p = start to min (src - 1) (n - 1) do
-    let c = a.idx.(p) in
+    let c = a.idx.{p} in
     if c >= 0 then begin
       free_chunk a c;
-      a.idx.(p) <- -1
+      a.idx.{p} <- -1
     end
   done;
   let n' = n + delta in
   if src < n then begin
-    if delta > 0 && Array.length a.idx < n' then begin
-      let idx = Array.make (max n' (2 * Array.length a.idx)) (-1) in
-      Array.blit a.idx 0 idx 0 n;
+    if delta > 0 && Bigarray.Array1.dim a.idx < n' then begin
+      let idx = row (max n' (2 * Bigarray.Array1.dim a.idx)) (-1) in
+      blit a.idx 0 idx 0 n;
       a.idx <- idx
     end;
-    (* Array.blit handles the overlap (memmove), so shifting the whole
-       suffix is one move regardless of direction. *)
-    Array.blit a.idx src a.idx (src + delta) (n - src);
+    (* [blit] is a memmove, so shifting the whole suffix is one move
+       regardless of direction. *)
+    blit a.idx src a.idx (src + delta) (n - src);
     (* The window covering the new text holds stale ids after a
        right-shift (the moved chunks' old homes); no chunk can be
        anchored inside replaced text, so clear it. *)
-    Array.fill a.idx start new_len (-1);
+    fill a.idx start new_len (-1);
     for p = src + delta to n' - 1 do
-      if a.idx.(p) >= 0 then begin
+      if a.idx.{p} >= 0 then begin
         incr reused;
         if delta <> 0 then incr relocated
       end
     done;
-    if delta < 0 then Array.fill a.idx n' (n - n') (-1)
+    if delta < 0 then fill a.idx n' (n - n') (-1)
   end;
   a.idx_len <- n';
   (!reused, !relocated)

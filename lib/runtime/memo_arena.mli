@@ -2,7 +2,7 @@
 
     Under chunked memoization the engine keeps one {e chunk} per visited
     input position, holding one entry per memoized production ([nslots]
-    of them). The arena owns all chunk storage as flat parallel arrays —
+    of them). The arena owns all chunk storage as flat parallel rows —
     [res]/[vers]/[exts] rows of [nslots] ints per chunk plus a [vals]
     row of [nvslots] values — indexed by an [idx] table mapping input
     position to chunk id. Chunks are recycled through a free list and
@@ -22,22 +22,34 @@
     contract and does not track the arena's actual (smaller, amortized)
     footprint.
 
-    The record is exposed so the memo protocol can index the arrays
-    directly. Invariants: [idx.(p)] is [-1] or a chunk id [c] with
+    The int rows live off the OCaml heap, as [Bigarray]s. They are
+    most of the arena's bytes and hold no pointers, but on the heap an
+    int array is an ordinary block: every major cycle's marker reads
+    each of its words, and growth allocates the new rows in the major
+    heap, which paces the collector faster. Only [vals], which points
+    at parse results, stays an OCaml array. Rows are read and
+    written with the bounds-checked [.{}] operator, as the arrays were
+    with [.()].
+
+    The record is exposed so the memo protocol can index the rows
+    directly. Invariants: [idx.{p}] is [-1] or a chunk id [c] with
     [c * nslots] valid in [res]/[vers]/[exts]; a claimed chunk's [res]
     row is all zero until entries are stored; [vers]/[exts] cells are
-    garbage wherever [res] is 0. The arrays may be replaced on growth —
+    garbage wherever [res] is 0. The rows may be replaced on growth —
     re-read them after any {!alloc}. *)
 
 open Rats_peg
 
+type row = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A row of ints outside the OCaml heap. *)
+
 type t = {
-  mutable idx : int array;  (* input position -> chunk id, -1 = none *)
+  mutable idx : row;  (* input position -> chunk id, -1 = none *)
   mutable idx_len : int;  (* positions indexed (input len + 1); -1 = cold *)
-  mutable res : int array;  (* chunk * nslots + slot *)
-  mutable vers : int array;
-  mutable exts : int array;
-  mutable cmax : int array;  (* per chunk: max stored ext, 0 when empty *)
+  mutable res : row;  (* chunk * nslots + slot *)
+  mutable vers : row;
+  mutable exts : row;
+  mutable cmax : row;  (* per chunk: max stored ext, 0 when empty *)
   mutable vals : Value.t array;  (* chunk * nvslots + vslot *)
   mutable cap : int;  (* chunks with backing rows *)
   mutable used : int;  (* chunks ever claimed since last reset *)
@@ -78,6 +90,8 @@ val edit : t -> start:int -> old_len:int -> new_len:int -> int * int
     [start] with [new_len] bytes: entries that examined no byte past
     [start] survive in place, chunks at relocated positions move by
     [new_len - old_len] (res offsets are relative, so a move is a pure
-    re-index), and everything else is reclaimed.
+    re-index, and the [idx] suffix shifts with one overlapping
+    [Bigarray.Array1.blit], a memmove), and everything else is
+    reclaimed.
     Requires a warm arena with [start + old_len <= idx_len - 1].
     Returns [(reused, relocated)] chunk counts for [Stats]. *)

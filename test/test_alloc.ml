@@ -109,7 +109,7 @@ let floor_tests =
       ( "calc",
         Grammars.Calc.grammar (),
         Grammars.Corpus.arith (Rng.create 7) ~size:4_000,
-        114. );
+        90. );
       ( "json",
         Grammars.Json.grammar (),
         "["
@@ -117,11 +117,11 @@ let floor_tests =
             (List.init 40 (fun i ->
                  Grammars.Corpus.json (Rng.create (7 + i)) ~size:40))
         ^ "]",
-        38. );
+        29. );
       ( "minijava",
         Grammars.Minijava.grammar (),
         Grammars.Corpus.minijava (Rng.create 8) ~classes:16,
-        160. );
+        119. );
     ]
   in
   List.concat_map

@@ -93,7 +93,7 @@ let json_tests =
         List.iter
           (fun (input, name) ->
             match Engine.parse (Lazy.force json_eng) input with
-            | Ok (Value.Node n) -> check Alcotest.string input name n.Value.name
+            | Ok (Value.Node n) -> check Alcotest.string input name n.name
             | Ok v -> Alcotest.failf "%S: %s" input (Value.to_string v)
             | Error e -> Alcotest.failf "%S: %s" input (Parse_error.message e))
           [
@@ -201,8 +201,8 @@ let minic_tests =
             let rec find_node name (v : Value.t) =
               match v with
               | Value.Node n ->
-                  String.equal n.Value.name name
-                  || List.exists (fun (_, c) -> find_node name c) n.Value.children
+                  String.equal n.name name
+                  || List.exists (fun (_, c) -> find_node name c) n.children
               | Value.List vs -> List.exists (find_node name) vs
               | _ -> false
             in
@@ -232,8 +232,8 @@ let minic_tests =
               let rec has (v : Value.t) =
                 match v with
                 | Value.Node n ->
-                    String.equal n.Value.name "Cast"
-                    || List.exists (fun (_, c) -> has c) n.Value.children
+                    String.equal n.name "Cast"
+                    || List.exists (fun (_, c) -> has c) n.children
                 | Value.List vs -> List.exists has vs
                 | _ -> false
               in
@@ -289,8 +289,8 @@ let extension_tests =
           let rec go (v : Value.t) =
             match v with
             | Value.Node n ->
-                String.equal n.Value.name name
-                || List.exists (fun (_, c) -> go c) n.Value.children
+                String.equal n.name name
+                || List.exists (fun (_, c) -> go c) n.children
             | Value.List vs -> List.exists go vs
             | _ -> false
           in

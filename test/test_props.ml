@@ -357,14 +357,13 @@ let registry_pass_props =
 let rec show_value = function
   | Value.List vs -> "[" ^ String.concat " " (List.map show_value vs) ^ "]"
   | Value.Node n ->
-      Printf.sprintf "(%s@%d-%d%s)" n.Value.name (Span.start n.Value.span)
-        (Span.stop n.Value.span)
+      Printf.sprintf "(%s@%d-%d%s)" n.name n.start_ n.stop
         (String.concat ""
            (List.map
               (fun (l, v) ->
                 " " ^ Option.fold ~none:"" ~some:(fun l -> l ^ ":") l
                 ^ show_value v)
-              n.Value.children))
+              n.children))
   | v -> Value.to_string v
 
 let show_result = function
@@ -445,6 +444,67 @@ let gen_prefixed_grammar st =
       Production.v "P1" (gen_expr ~refs:[] ~depth:2 st);
     ]
 
+(* Every shape the engine fuses: a one-byte test (a character, a class
+   or [.], bare or under [void:], [$( )], [x:] or [@N( )]) under [*],
+   [+], [?], [&] or [!]. Each shape also appears under the wrappers that
+   compile it lean, and through a production that predicates and Text
+   or Void kinds reach as a recognizer, so both the value-building and
+   the lean compilation of every shape meet the reference. *)
+let gen_byte_test st =
+  let base =
+    match Gen.int_bound 2 st with
+    | 0 -> Expr.chr (gen_char st)
+    | 1 -> Expr.cls (gen_charset st)
+    | _ -> Expr.any ()
+  in
+  match Gen.int_bound 4 st with
+  | 0 -> base
+  | 1 -> Expr.drop base
+  | 2 -> Expr.token base
+  | 3 -> Expr.bind "x" base
+  | _ -> Expr.node "N" base
+
+let gen_fused_shape st =
+  let x = gen_byte_test st in
+  match Gen.int_bound 4 st with
+  | 0 -> Expr.star x
+  | 1 -> Expr.plus x
+  | 2 -> Expr.opt x
+  | 3 -> Expr.and_ x
+  | _ -> Expr.not_ x
+
+let gen_fused_item ~refs st =
+  match Gen.int_bound 7 st with
+  | 0 -> Expr.drop (gen_fused_shape st)
+  | 1 -> Expr.token (gen_fused_shape st)
+  | 2 -> Expr.bind "x" (gen_fused_shape st)
+  | 3 when refs <> [] ->
+      let r = Expr.ref_ (List.hd refs) in
+      Gen.oneofl [ r; Expr.and_ r; Expr.not_ r ] st
+  | 4 -> Expr.chr (gen_char st)
+  | _ -> gen_fused_shape st
+
+let gen_fused_grammar st =
+  let prod ~refs name =
+    let kind = Gen.oneofl [ Attr.Plain; Attr.Generic; Attr.Text; Attr.Void ] st in
+    Production.v
+      ~attrs:(Attr.v ~kind ~visibility:Attr.Private ())
+      name
+      (Expr.seq
+         (List.init (2 + Gen.int_bound 2 st) (fun _ -> gen_fused_item ~refs st)))
+  in
+  Grammar.make_exn ~start:"P0"
+    [ prod ~refs:[ "P1" ] "P0"; prod ~refs:[] "P1" ]
+
+(* Directed inputs rarely repeat a byte; random runs over the alphabet
+   give the span loops something to scan. *)
+let gen_fused_case st =
+  let g, inputs = gen_case_of gen_fused_grammar st in
+  let run () = String.init (Gen.int_bound 8 st) (fun _ -> gen_char st) in
+  (g, inputs @ List.init 4 (fun _ -> run ()))
+
+let arb_fused_case = QCheck.make ~print:print_case gen_fused_case
+
 let reference_prop ?(arb = arb_case) ?(transform = Fun.id) name cfg =
   QCheck.Test.make
     ~name:(Printf.sprintf "closure = reference (%s): spans, errors, prefix offsets" name)
@@ -475,6 +535,11 @@ let reference_props =
       ~arb:(QCheck.make ~print:print_case gen_stateful_case);
     reference_prop "stateful, chunked" chunked
       ~arb:(QCheck.make ~print:print_case gen_stateful_case);
+    reference_prop "one-byte shapes, packrat" Config.packrat ~arb:arb_fused_case;
+    reference_prop "one-byte shapes, chunked+transient" chunked
+      ~arb:arb_fused_case;
+    reference_prop "one-byte shapes, optimized" Config.optimized
+      ~arb:arb_fused_case;
   ]
 
 (* --- printer round-trip -------------------------------------------------------------- *)
@@ -788,11 +853,11 @@ let input_rep_props =
     Config.with_limits (Limits.v ~fuel:200_000 ~max_depth:10_000 ()) cfg
   in
   List.map
-    (fun (tag, cfg) ->
+    (fun (tag, arb, cfg) ->
       QCheck.Test.make
         ~name:
           (Printf.sprintf "string = bigarray: values, errors, stats (%s)" tag)
-        ~count:200 arb_case
+        ~count:200 arb
         (fun (g, inputs) ->
           match prepare_with cfg g with
           | Error _ -> true
@@ -804,11 +869,13 @@ let input_rep_props =
                     (rep_observe eng (big_of_string text)))
                 inputs))
     [
-      ("optimized", Config.optimized);
-      ("packrat", Config.packrat);
-      ("naive", Config.naive);
-      ("optimized governed", governed Config.optimized);
-      ("packrat governed", governed Config.packrat);
+      ("optimized", arb_case, Config.optimized);
+      ("packrat", arb_case, Config.packrat);
+      ("naive", arb_case, Config.naive);
+      ("optimized governed", arb_case, governed Config.optimized);
+      ("packrat governed", arb_case, governed Config.packrat);
+      ("one-byte shapes, optimized", arb_fused_case, Config.optimized);
+      ("one-byte shapes, naive", arb_fused_case, Config.naive);
     ]
   @ [
       QCheck.Test.make

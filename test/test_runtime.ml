@@ -113,7 +113,8 @@ let matching_tests =
         let g = b [ prod "S" (c ' ' @: node "N" (s "ab")) ] in
         let eng = Engine.prepare_exn g in
         (match Engine.parse eng " ab" with
-        | Ok (Value.Node { span; _ }) ->
+        | Ok (Value.Node _ as v) ->
+            let span = Value.span v in
             check Alcotest.int "start" 1 (Span.start span);
             check Alcotest.int "stop" 3 (Span.stop span)
         | Ok v -> Alcotest.failf "unexpected %s" (Value.to_string v)
@@ -867,16 +868,16 @@ let span_digest v =
         Printf.bprintf b "L%d" (List.length vs);
         List.iter go vs
     | Value.Node n ->
-        Printf.bprintf b "N%d:%s@%d-%d/%d" (String.length n.Value.name)
-          n.Value.name (Span.start n.Value.span) (Span.stop n.Value.span)
-          (List.length n.Value.children);
+        Printf.bprintf b "N%d:%s@%d-%d/%d" (String.length n.name)
+          n.name n.start_ n.stop
+          (List.length n.children);
         List.iter
           (fun (l, v) ->
             (match l with
             | None -> Buffer.add_char b '-'
             | Some l -> Printf.bprintf b "+%d:%s" (String.length l) l);
             go v)
-          n.Value.children
+          n.children
   in
   go v;
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -443,6 +443,56 @@ let source_edit_tests =
    end-to-end invariants (identical parses across recycling) live in
    test_session.ml. *)
 
+(* Claim a chunk at every third position of a 40-byte input, each with
+   one entry that examined [p mod 5 + 1] bytes, apply the edit, and
+   check the whole [idx] row against the rule: before [start] a chunk
+   survives in place iff its entry examined nothing past [start]; in
+   the replaced window it is dropped; after it, it moves by the delta;
+   every other position, and every position past the new length up to
+   the old, holds no chunk. [fresh] leaves [idx] exactly [len + 1]
+   long; otherwise an earlier longer input left it room. *)
+let check_edit_survivors ~fresh ~start ~old_len ~new_len =
+  let open Memo_arena in
+  let len = 40 in
+  let a = create ~nslots:2 ~vmap:[| 0; -1 |] in
+  if not fresh then reset a ~len:100;
+  reset a ~len;
+  let claimed =
+    List.init ((len / 3) + 1) (fun i ->
+        let p = i * 3 in
+        let c = alloc a p in
+        let ext = (p mod 5) + 1 in
+        a.res.{c * 2} <- 1;
+        a.exts.{c * 2} <- ext;
+        a.cmax.{c} <- ext;
+        (p, c, ext))
+  in
+  let delta = new_len - old_len in
+  let n' = len + 1 + delta in
+  let expected = Array.make (max n' (len + 1)) (-1) in
+  List.iter
+    (fun (p, c, ext) ->
+      if p < start then (if p + ext <= start then expected.(p) <- c)
+      else if p >= start + old_len then expected.(p + delta) <- c)
+    claimed;
+  let survivors =
+    Array.fold_left (fun n c -> if c >= 0 then n + 1 else n) 0 expected
+  in
+  let moved =
+    if delta = 0 then 0
+    else
+      List.length (List.filter (fun (p, _, _) -> p >= start + old_len) claimed)
+  in
+  let reused, relocated = edit a ~start ~old_len ~new_len in
+  let what = Printf.sprintf "edit %d %d %d" start old_len new_len in
+  check Alcotest.int (what ^ ": idx_len") n' a.idx_len;
+  check Alcotest.int (what ^ ": reused") survivors reused;
+  check Alcotest.int (what ^ ": relocated") moved relocated;
+  Array.iteri
+    (fun p c ->
+      check Alcotest.int (Printf.sprintf "%s: idx %d" what p) c a.idx.{p})
+    expected
+
 let memo_arena_tests =
   let open Memo_arena in
   let make () =
@@ -459,21 +509,39 @@ let memo_arena_tests =
         reset a ~len:10;
         let c0 = alloc a 3 and c1 = alloc a 7 in
         check Alcotest.bool "distinct" true (c0 <> c1);
-        check Alcotest.int "idx 3" c0 a.idx.(3);
-        check Alcotest.int "idx 7" c1 a.idx.(7);
-        check Alcotest.int "unset res" 0 a.res.((c0 * 2) + 1));
+        check Alcotest.int "idx 3" c0 a.idx.{3};
+        check Alcotest.int "idx 7" c1 a.idx.{7};
+        check Alcotest.int "unset res" 0 a.res.{(c0 * 2) + 1});
     test "growth preserves rows" (fun () ->
         let a = make () in
         reset a ~len:1000;
-        let c0 = alloc a 0 in
-        a.res.(c0 * 2) <- 5;
-        a.vals.(c0) <- Value.Chr 'x';
-        for p = 1 to 200 do
-          ignore (alloc a p)
-        done;
-        check Alcotest.int "res kept" 5 a.res.(c0 * 2);
-        check Alcotest.bool "val kept" true
-          (Value.equal a.vals.(c0) (Value.Chr 'x')));
+        (* 300 claims grow the rows from 64 to 128, 256 and 512 chunks;
+           each chunk's cells are written as soon as it is claimed *)
+        let chunks =
+          List.init 300 (fun i ->
+              let p = (i * 3) + 1 in
+              let c = alloc a p in
+              a.res.{c * 2} <- i + 1;
+              a.res.{(c * 2) + 1} <- -1;
+              a.vers.{c * 2} <- 7 * i;
+              a.exts.{(c * 2) + 1} <- i + 2;
+              a.cmax.{c} <- i + 2;
+              a.vals.(c) <- Value.Str (string_of_int i);
+              (i, p, c))
+        in
+        check Alcotest.bool "grown" true (a.cap >= 300);
+        List.iter
+          (fun (i, p, c) ->
+            let at what = Printf.sprintf "%s of chunk %d" what i in
+            check Alcotest.int (at "idx") c a.idx.{p};
+            check Alcotest.int (at "res") (i + 1) a.res.{c * 2};
+            check Alcotest.int (at "res 1") (-1) a.res.{(c * 2) + 1};
+            check Alcotest.int (at "vers") (7 * i) a.vers.{c * 2};
+            check Alcotest.int (at "exts") (i + 2) a.exts.{(c * 2) + 1};
+            check Alcotest.int (at "cmax") (i + 2) a.cmax.{c};
+            check Alcotest.bool (at "val") true
+              (Value.equal a.vals.(c) (Value.Str (string_of_int i))))
+          chunks);
     test "free_chunk recycles ids and clears values" (fun () ->
         let a = make () in
         reset a ~len:10;
@@ -485,37 +553,43 @@ let memo_arena_tests =
         let c' = alloc a 4 in
         check Alcotest.int "id reused" c c');
     test "release_values empties and marks cold" (fun () ->
-        let a = make () in
-        reset a ~len:10;
-        let c = alloc a 1 in
-        a.vals.(c) <- Value.Chr 'z';
+        let a = create ~nslots:3 ~vmap:[| 0; -1; 1 |] in
+        reset a ~len:500;
+        for p = 0 to 199 do
+          let c = alloc a p in
+          a.vals.(c * 2) <- Value.Chr 'v';
+          a.vals.((c * 2) + 1) <- Value.Str "w"
+        done;
         release_values a;
         check Alcotest.int "cold" (-1) a.idx_len;
         check Alcotest.int "used" 0 a.used;
-        check Alcotest.bool "vals cleared" true
-          (Value.equal a.vals.(c) Value.Unit));
+        check Alcotest.int "free" 0 a.nfree;
+        Array.iteri
+          (fun i v ->
+            if v != Value.Unit then Alcotest.failf "vals.(%d) still held" i)
+          a.vals);
     test "edit keeps, relocates and drops by extent" (fun () ->
         let a = make () in
         reset a ~len:20;
         (* chunk at 0 examined 2 bytes: safely before the splice *)
         let c0 = alloc a 0 in
-        a.res.(c0 * 2) <- 1;
-        a.exts.(c0 * 2) <- 2;
-        a.cmax.(c0) <- 2;
+        a.res.{c0 * 2} <- 1;
+        a.exts.{c0 * 2} <- 2;
+        a.cmax.{c0} <- 2;
         (* chunk at 6: inside the replaced window, must die *)
         ignore (alloc a 6);
         (* chunk at 12: past the window, relocates by the delta *)
         let c2 = alloc a 12 in
-        a.res.(c2 * 2) <- 3;
-        a.cmax.(c2) <- 1;
+        a.res.{c2 * 2} <- 3;
+        a.cmax.{c2} <- 1;
         (* replace 4 bytes at 5 with 2 bytes: delta -2 *)
         let reused, relocated = edit a ~start:5 ~old_len:4 ~new_len:2 in
         check Alcotest.int "reused" 2 reused;
         check Alcotest.int "relocated" 1 relocated;
-        check Alcotest.int "kept at 0" c0 a.idx.(0);
-        check Alcotest.int "moved to 10" c2 a.idx.(10);
-        check Alcotest.int "old home cleared" (-1) a.idx.(12);
-        check Alcotest.int "window cleared" (-1) a.idx.(6);
+        check Alcotest.int "kept at 0" c0 a.idx.{0};
+        check Alcotest.int "moved to 10" c2 a.idx.{10};
+        check Alcotest.int "old home cleared" (-1) a.idx.{12};
+        check Alcotest.int "window cleared" (-1) a.idx.{6};
         check Alcotest.int "new len" 19 a.idx_len);
     test "edit drops straddling entries slot by slot" (fun () ->
         let a = make () in
@@ -523,16 +597,26 @@ let memo_arena_tests =
         (* chunk at 2 whose slot-0 entry examined far past the splice
            and whose slot-1 entry stopped short of it *)
         let c = alloc a 2 in
-        a.res.(c * 2) <- 1;
-        a.exts.(c * 2) <- 10;
-        a.res.((c * 2) + 1) <- -1;
-        a.exts.((c * 2) + 1) <- 1;
-        a.cmax.(c) <- 10;
+        a.res.{c * 2} <- 1;
+        a.exts.{c * 2} <- 10;
+        a.res.{(c * 2) + 1} <- -1;
+        a.exts.{(c * 2) + 1} <- 1;
+        a.cmax.{c} <- 10;
         let reused, _ = edit a ~start:4 ~old_len:2 ~new_len:2 in
         check Alcotest.int "chunk survives" 1 reused;
-        check Alcotest.int "far entry dropped" 0 a.res.(c * 2);
-        check Alcotest.int "near entry kept" (-1) a.res.((c * 2) + 1);
-        check Alcotest.int "cmax tightened" 1 a.cmax.(c));
+        check Alcotest.int "far entry dropped" 0 a.res.{c * 2};
+        check Alcotest.int "near entry kept" (-1) a.res.{(c * 2) + 1};
+        check Alcotest.int "cmax tightened" 1 a.cmax.{c});
+    test "edit shifts right, keeping exactly the survivors" (fun () ->
+        (* the first arena's idx is exactly len + 1 long, so the shift
+           reallocates it; the second's has room and shifts in place *)
+        check_edit_survivors ~fresh:true ~start:10 ~old_len:3 ~new_len:9;
+        check_edit_survivors ~fresh:false ~start:10 ~old_len:3 ~new_len:9;
+        check_edit_survivors ~fresh:false ~start:0 ~old_len:0 ~new_len:4);
+    test "edit shifts left, keeping exactly the survivors" (fun () ->
+        check_edit_survivors ~fresh:true ~start:10 ~old_len:9 ~new_len:3;
+        check_edit_survivors ~fresh:true ~start:5 ~old_len:30 ~new_len:0;
+        check_edit_survivors ~fresh:true ~start:39 ~old_len:1 ~new_len:0);
   ]
 
 let () =
