@@ -208,6 +208,13 @@ let pp_summary ppf s =
     s.s_degraded s.s_rung_recognizer s.s_p50_ms s.s_p99_ms s.s_total_ms
     s.s_memo_degraded s.s_cold_fallbacks
 
+let severity = function
+  | None -> 0
+  | Some Syntax -> 1
+  | Some Io -> 2
+  | Some (Resource _) -> 3
+  | Some Internal -> 4
+
 let exit_code r =
   let s = r.summary in
   if s.s_internal > 0 then 5
@@ -258,14 +265,9 @@ let summarize records total_ms =
    pipeline level. *)
 
 type instruments = {
-  i_docs_ok : Metrics.counter;
-  i_docs_fail : Metrics.counter;
-  i_fail_syntax : Metrics.counter;
-  i_fail_resource : Metrics.counter;
-  i_fail_io : Metrics.counter;
-  i_fail_internal : Metrics.counter;
-  i_rung_full : Metrics.counter;
-  i_rung_recognizer : Metrics.counter;
+  i_docs : Metrics.counter array;  (* by status: ok, fail *)
+  i_fail : Metrics.counter array;  (* by class, in [fail_index] order *)
+  i_rung : Metrics.counter array;  (* full, recognizer *)
   i_retries : Metrics.counter;
   i_latency_us : Metrics.histogram;
   i_fuel : Metrics.histogram;
@@ -278,107 +280,75 @@ type instruments = {
   i_memo_chunks_peak : Metrics.gauge;
 }
 
+let fail_index = function Syntax -> 0 | Resource _ -> 1 | Io -> 2 | Internal -> 3
+
 (* Sequenced lets, not a record literal: record fields evaluate
    right-to-left, which would reverse registration — and the exposition
    order — in the registry, and strand the HELP text away from the
-   first series of each family. *)
+   first series of each family. A family's help rides on its first
+   series. *)
 let instruments_of reg =
-  let dc = "Documents processed, by final status." in
-  let i_docs_ok =
-    Metrics.counter reg ~labels:[ ("status", "ok") ] ~help:dc
-      "rml_batch_docs_total"
+  let family ~help name label values =
+    Array.of_list
+      (List.mapi
+         (fun i v ->
+           Metrics.counter reg ~labels:[ (label, v) ]
+             ?help:(if i = 0 then Some help else None)
+             name)
+         values)
   in
-  let i_docs_fail =
-    Metrics.counter reg ~labels:[ ("status", "fail") ] "rml_batch_docs_total"
+  let i_docs =
+    family ~help:"Documents processed, by final status." "rml_batch_docs_total"
+      "status" [ "ok"; "fail" ]
   in
-  let i_fail_syntax =
-    Metrics.counter reg ~labels:[ ("class", "syntax") ]
-      ~help:"Failed documents, by failure class." "rml_batch_fail_total"
+  let i_fail =
+    family ~help:"Failed documents, by failure class." "rml_batch_fail_total"
+      "class" [ "syntax"; "resource"; "io"; "internal" ]
   in
-  let i_fail_resource =
-    Metrics.counter reg ~labels:[ ("class", "resource") ] "rml_batch_fail_total"
-  in
-  let i_fail_io =
-    Metrics.counter reg ~labels:[ ("class", "io") ] "rml_batch_fail_total"
-  in
-  let i_fail_internal =
-    Metrics.counter reg ~labels:[ ("class", "internal") ] "rml_batch_fail_total"
-  in
-  let i_rung_full =
-    Metrics.counter reg ~labels:[ ("rung", "full") ]
-      ~help:"Documents answered, by degradation-ladder rung."
-      "rml_batch_rung_total"
-  in
-  let i_rung_recognizer =
-    Metrics.counter reg ~labels:[ ("rung", "recognizer") ]
-      "rml_batch_rung_total"
+  let i_rung =
+    family ~help:"Documents answered, by degradation-ladder rung."
+      "rml_batch_rung_total" "rung" [ "full"; "recognizer" ]
   in
   let i_retries =
-    Metrics.counter reg
-      ~help:"Documents the degradation ladder descended for."
+    Metrics.counter reg ~help:"Documents the degradation ladder descended for."
       "rml_batch_retries_total"
   in
+  let histogram help name = Metrics.histogram reg ~help name in
   let i_latency_us =
-    Metrics.histogram reg
-      ~help:"Per-document wall time, microseconds (retries included)."
+    histogram "Per-document wall time, microseconds (retries included)."
       "rml_batch_doc_latency_us"
   in
   let i_fuel =
-    Metrics.histogram reg
-      ~help:"Fuel charged per document, summed across reruns."
-      "rml_batch_doc_fuel"
+    histogram "Fuel charged per document, summed across reruns." "rml_batch_doc_fuel"
   in
   let i_doc_bytes =
-    Metrics.histogram reg
-      ~help:"Document size in bytes, as delivered to the parser."
+    histogram "Document size in bytes, as delivered to the parser."
       "rml_batch_doc_bytes"
   in
   let i_memo_bytes =
-    Metrics.histogram reg
-      ~help:"Estimated memo bytes charged per document (chunks x chunk_cost)."
+    histogram "Estimated memo bytes charged per document (chunks x chunk_cost)."
       "rml_batch_doc_memo_bytes"
   in
+  let gauge help name = Metrics.gauge reg ~help name in
   let i_gc_minor_words =
-    Metrics.gauge reg ~help:"GC minor words at the last record (live counter)."
-      "rml_gc_minor_words"
+    gauge "GC minor words at the last record (live counter)." "rml_gc_minor_words"
   in
   let i_gc_major_words =
-    Metrics.gauge reg
-      ~help:"GC major words as of the last minor collection."
-      "rml_gc_major_words"
+    gauge "GC major words as of the last minor collection." "rml_gc_major_words"
   in
   let i_gc_heap_words =
-    Metrics.gauge reg
-      ~help:"GC major-heap words as of the last minor collection."
-      "rml_gc_heap_words"
+    gauge "GC major-heap words as of the last minor collection." "rml_gc_heap_words"
   in
   let i_arena_chunk_cap =
-    Metrics.gauge reg ~help:"Pooled memo-arena backing chunks (high water)."
-      "rml_arena_chunk_cap"
+    gauge "Pooled memo-arena backing chunks (high water)." "rml_arena_chunk_cap"
   in
   let i_memo_chunks_peak =
-    Metrics.gauge reg ~help:"Most memo chunks claimed by a single document."
-      "rml_batch_memo_chunks_peak"
+    gauge "Most memo chunks claimed by a single document." "rml_batch_memo_chunks_peak"
   in
   {
-    i_docs_ok;
-    i_docs_fail;
-    i_fail_syntax;
-    i_fail_resource;
-    i_fail_io;
-    i_fail_internal;
-    i_rung_full;
-    i_rung_recognizer;
-    i_retries;
-    i_latency_us;
-    i_fuel;
-    i_doc_bytes;
-    i_memo_bytes;
-    i_gc_minor_words;
-    i_gc_major_words;
-    i_gc_heap_words;
-    i_arena_chunk_cap;
-    i_memo_chunks_peak;
+    i_docs; i_fail; i_rung; i_retries; i_latency_us; i_fuel; i_doc_bytes;
+    i_memo_bytes; i_gc_minor_words; i_gc_major_words; i_gc_heap_words;
+    i_arena_chunk_cap; i_memo_chunks_peak;
   }
 
 let gauge_max g v = if v > Metrics.gauge_value g then Metrics.set g v
@@ -387,16 +357,9 @@ let gauge_max g v = if v > Metrics.gauge_value g then Metrics.set g v
    run-scoped accumulators), so recording adds no clock reads: the
    JSONL stream is unchanged even under a synthetic test clock. *)
 let record_metrics i ~memo_bytes ~memo_chunks ~arena_cap r =
-  if r.r_ok then Metrics.inc i.i_docs_ok else Metrics.inc i.i_docs_fail;
-  (match r.r_fail with
-  | None -> ()
-  | Some Syntax -> Metrics.inc i.i_fail_syntax
-  | Some (Resource _) -> Metrics.inc i.i_fail_resource
-  | Some Io -> Metrics.inc i.i_fail_io
-  | Some Internal -> Metrics.inc i.i_fail_internal);
-  (match r.r_rung with
-  | Full -> Metrics.inc i.i_rung_full
-  | Recognizer -> Metrics.inc i.i_rung_recognizer);
+  Metrics.inc i.i_docs.(if r.r_ok then 0 else 1);
+  Option.iter (fun f -> Metrics.inc i.i_fail.(fail_index f)) r.r_fail;
+  Metrics.inc i.i_rung.(match r.r_rung with Full -> 0 | Recognizer -> 1);
   if r.r_retried then Metrics.inc i.i_retries;
   Metrics.observe i.i_latency_us (int_of_float (r.r_ms *. 1e3));
   Metrics.observe i.i_fuel r.r_fuel_used;
@@ -414,13 +377,6 @@ let record_metrics i ~memo_bytes ~memo_chunks ~arena_cap r =
   Metrics.set i.i_gc_major_words (int_of_float g.Gc.major_words);
   Metrics.set i.i_gc_heap_words g.Gc.heap_words
 
-let fault_label = function
-  | Faults.Truncate k -> Printf.sprintf "trunc@%d" k
-  | Faults.Io_error k -> Printf.sprintf "io@%d" k
-  | Faults.Fuel_cap k -> Printf.sprintf "fuel@%d" k
-  | Faults.Memo_cap k -> Printf.sprintf "memo@%d" k
-  | Faults.Clock_skew k -> Printf.sprintf "skew@%d" k
-
 let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
     ?(faults = Faults.none) ?now_ns ?metrics ?spans
     ?(on_record = fun _ -> ()) g src =
@@ -435,70 +391,51 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
      run without [?spans] reads the clock exactly as often as before
      (synthetic-clock tests depend on the call sequence). *)
   let span_now () = match spans with Some _ -> raw_now () | None -> 0 in
+  let span ?cat ?(args = fun () -> []) name t0 =
+    Option.iter
+      (fun sp ->
+        Profile.Spans.span sp ?cat ~name ~args:(args ()) ~ts_ns:t0
+          ~dur_ns:(raw_now () - t0))
+      spans
+  in
   (* Compile once, up front: a grammar that doesn't build is the run's
      only error — after this point every failure is a record. *)
   let t_compile = span_now () in
   let prepared = Engine.prepare ~config:base_config g in
-  (match spans with
-  | None -> ()
-  | Some sp ->
-      Profile.Spans.span sp ~name:"compile" ~ts_ns:t_compile
-        ~dur_ns:(raw_now () - t_compile));
+  span "compile" t_compile;
   match prepared with
   | Error ds -> Error ds
-  | Ok first_engine ->
+  | Ok full ->
       let rec_grammar = recognizer_erase g in
-      let cache : (rung * Limits.t, Engine.t) Hashtbl.t = Hashtbl.create 16 in
-      Hashtbl.add cache (Full, base_limits) first_engine;
-      let engine_for rung lim =
-        match Hashtbl.find_opt cache (rung, lim) with
-        | Some e -> e
-        | None ->
-            let g, cfg =
-              match rung with
-              | Full -> (g, Config.with_limits lim base_config)
-              | Recognizer -> (
-                  match rec_grammar with
-                  | None -> raise (Prep_failed "recognizer rung unavailable")
-                  | Some rg ->
-                      ( rg,
-                        {
-                          (Config.with_limits lim base_config) with
-                          Config.lean_values = false;
-                        } ))
-            in
-            let t0 = span_now () in
-            (match Engine.prepare ~config:cfg g with
-            | Ok e ->
-                (match spans with
-                | None -> ()
-                | Some sp ->
-                    Profile.Spans.span sp ~name:"compile-rung"
-                      ~args:[ ("rung", rung_name rung) ]
-                      ~ts_ns:t0 ~dur_ns:(raw_now () - t0));
-                Hashtbl.add cache (rung, lim) e;
-                e
-            | Error ds ->
-                raise
-                  (Prep_failed
-                     (String.concat "; " (List.map Diagnostic.to_string ds))))
+      (* The recognizer rung compiles on first use; budgets are set per
+         run ([Engine.with_limits]), so two engines serve every
+         document, slice and fault cap. *)
+      let recognizer =
+        lazy
+          (let rg = Option.get rec_grammar in
+           let t0 = span_now () in
+           match Engine.prepare ~config:{ base_config with Config.lean_values = false } rg with
+           | Ok e ->
+               span "compile-rung" ~args:(fun () -> [ ("rung", rung_name Recognizer) ]) t0;
+               e
+           | Error ds ->
+               raise (Prep_failed (String.concat "; " (List.map Diagnostic.to_string ds))))
+      in
+      let engine_for = function
+        | Full -> full
+        | Recognizer -> Lazy.force recognizer
       in
       let records_rev = ref [] in
       let t_run0 = raw_now () in
       let process idx name payload =
         let t0 = raw_now () in
         let dfaults = Faults.active_for faults idx in
+        let capped fault budget = Option.fold (fault dfaults) ~none:budget ~some:(min budget) in
         let eff =
           {
             base_limits with
-            Limits.fuel =
-              (match Faults.fuel_cap dfaults with
-              | Some f -> min base_limits.Limits.fuel f
-              | None -> base_limits.Limits.fuel);
-            max_memo_bytes =
-              (match Faults.memo_cap dfaults with
-              | Some m -> min base_limits.Limits.max_memo_bytes m
-              | None -> base_limits.Limits.max_memo_bytes);
+            Limits.fuel = capped Faults.fuel_cap base_limits.Limits.fuel;
+            max_memo_bytes = capped Faults.memo_cap base_limits.Limits.max_memo_bytes;
           }
         in
         (match spans with
@@ -507,7 +444,7 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
               ~args:
                 [
                   ("doc", string_of_int idx);
-                  ("faults", String.concat "," (List.map fault_label dfaults));
+                  ("faults", String.concat "," (List.map Faults.fault_to_string dfaults));
                 ]
               ~ts_ns:t0
         | _ -> ());
@@ -516,19 +453,15 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
         let note eng (o : Engine.outcome) =
           degraded := !degraded + o.Engine.stats.Stats.memo_degraded;
           fuel := !fuel + o.Engine.stats.Stats.fuel_used;
-          match inst with
-          | None -> ()
-          | Some _ ->
-              let chunks = o.Engine.stats.Stats.chunks_allocated in
-              if chunks > 0 then begin
-                let cost =
-                  Limits.chunk_cost
-                    ~value_slots:(Engine.memo_value_slots eng)
-                    (Engine.memo_slots eng)
-                in
-                mbytes := !mbytes + (chunks * cost);
-                mchunks := !mchunks + chunks
-              end
+          let chunks = o.Engine.stats.Stats.chunks_allocated in
+          if Option.is_some inst && chunks > 0 then begin
+            let cost =
+              Limits.chunk_cost ~value_slots:(Engine.memo_value_slots eng)
+                (Engine.memo_slots eng)
+            in
+            mbytes := !mbytes + (chunks * cost);
+            mchunks := !mchunks + chunks
+          end
         in
         let mk ?(rung = Full) ?(retried = false) ?(bytes = -1) ?fail ?which
             ?(position = -1) ?(message = "") () =
@@ -568,60 +501,33 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
                 let armed = ref false in
                 let clock () =
                   let t = raw_now () in
-                  if skew = 0 then t
-                  else if !armed then t + skew
-                  else begin
+                  if skew <> 0 && !armed then t + skew
+                  else (
                     armed := true;
-                    t
-                  end
+                    t)
                 in
                 let deadline = Option.map (fun d -> clock () + d) deadline_ns in
-                let run_once rung lim =
+                let run_once rung eng =
                   (* the erased grammar keeps every production name, so
                      the start override applies to both rungs *)
-                  let eng = engine_for rung lim in
                   let ta = span_now () in
                   let o =
                     Engine.backstopped (fun () ->
                         Engine.run_input eng ?start input)
                   in
-                  (match spans with
-                  | None -> ()
-                  | Some sp ->
-                      Profile.Spans.span sp ~cat:"attempt" ~name:"attempt"
-                        ~args:
-                          [
-                            ("doc", string_of_int idx);
-                            ("rung", rung_name rung);
-                          ]
-                        ~ts_ns:ta ~dur_ns:(raw_now () - ta));
+                  span "attempt" ~cat:"attempt"
+                    ~args:(fun () -> [ ("doc", string_of_int idx); ("rung", rung_name rung) ])
+                    ta;
                   note eng o;
                   o
                 in
-                (* the --timeout discipline, monotonic: parse under a
-                   doubling fuel slice until the answer is not a
-                   fuel trip, the budget is reached, or the clock is. *)
                 let attempt rung =
+                  let eng = Engine.with_limits (engine_for rung) eff in
                   match deadline with
-                  | None -> (run_once rung eff, false)
-                  | Some dl ->
-                      let budget = eff.Limits.fuel in
-                      let rec go slice =
-                        let o = run_once rung { eff with Limits.fuel = slice } in
-                        let fuel_trip =
-                          match o.Engine.result with
-                          | Error e ->
-                              Parse_error.exhausted_which e = Some Limits.Fuel
-                          | Ok _ -> false
-                        in
-                        if (not fuel_trip) || slice >= budget then (o, false)
-                        else if clock () >= dl then (o, true)
-                        else
-                          go
-                            (if slice > max_int / 2 then budget
-                             else min budget (slice * 2))
-                      in
-                      go (min budget 65536)
+                  | None -> (run_once rung eng, false)
+                  | Some deadline_ns ->
+                      Engine.with_deadline ~now_ns:clock ~deadline_ns eng
+                        (run_once rung)
                 in
                 let finish ~rung ~retried (o : Engine.outcome) expired =
                   match o.Engine.result with
@@ -675,7 +581,7 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
         | None -> ()
         | Some i ->
             record_metrics i ~memo_bytes:!mbytes ~memo_chunks:!mchunks
-              ~arena_cap:(Engine.arena_cap first_engine) r);
+              ~arena_cap:(Engine.arena_cap full) r);
         (match spans with
         | None -> ()
         | Some sp ->

@@ -12,10 +12,11 @@
 
     {b Budgets and deadlines.} Every document runs under its own
     {!Rats_runtime.Limits.t} snapshot plus an optional monotonic
-    deadline. Deadlines reuse the [--timeout] fuel-slice discipline:
-    the parse runs under a bounded fuel slice that doubles while the
-    clock allows, so a stuck parse is abandoned at a deterministic
-    grammar-level point, signal-free.
+    deadline, run by {!Rats_runtime.Engine.with_deadline} as for
+    [--timeout]: the parse runs under a bounded fuel slice that doubles
+    while the clock allows, so a stuck parse is abandoned at a
+    deterministic grammar-level point, signal-free. Budgets are set per
+    run, so no slice or fault cap recompiles the grammar.
 
     {b The degradation ladder.} A document that trips the fuel, depth
     or memory budget is retried one rung down: {e recognizer mode},
@@ -153,9 +154,10 @@ val run :
     entered: the PR 5 zero-cost-when-off contract at pipeline level.
 
     [spans] opts the run into a batch-level chrome trace
-    ({!Rats_runtime.Profile.Spans}): one span per grammar compile
-    (including ladder-rung recompiles), per engine attempt and per
-    document, plus an instant marker per injected-fault plan. Spans
+    ({!Rats_runtime.Profile.Spans}): one span for the grammar compile
+    and one for the recognizer rung's compile on first use, one per
+    engine attempt (deadline slices included) and per document, plus an
+    instant marker per injected-fault plan. Spans
     take their own clock readings, so under a synthetic [now_ns] they
     shift subsequent [r_ms] values; with the real monotonic clock
     behavior is unchanged.
@@ -165,6 +167,16 @@ val run :
 
     The only error is a grammar that fails to compile; after that
     point every failure is a record. Never raises. *)
+
+val manifest_paths : string -> (string list, string) result
+(** The document paths a manifest lists, in order: one per line, blank
+    lines and [#] comments skipped, surrounding blanks trimmed. *)
+
+val fail_name : fail_class -> string
+(** [syntax], [resource], [io] or [internal]. *)
+
+val severity : fail_class option -> int
+(** [0] none, then syntax, io, resource, internal ([4]). *)
 
 val exit_code : report -> int
 (** Extends the PR 3 contract to aggregates, worst class wins:

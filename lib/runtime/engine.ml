@@ -1116,6 +1116,11 @@ let prepare_exn ?config gram =
   | Error [] -> assert false
 
 let config t = t.cfg
+
+(* Budgets are read only when a run starts (see [run_with]), so a copy
+   with other limits shares everything compiled, the parked stores and
+   the observation sink. *)
+let with_limits t limits = { t with cfg = Config.with_limits limits t.cfg }
 let grammar t = t.gram
 let memo_slots t = t.nslots
 let memo_value_slots t = t.nvslots
@@ -1267,6 +1272,21 @@ let backstopped run =
   try run () with
   | Stack_overflow -> exhausted Limits.Depth ~at:0
   | Out_of_memory -> exhausted Limits.Memory ~at:0
+
+(* Runs are deterministic, so a rerun under a bigger slice costs only
+   time. *)
+let with_deadline ~now_ns ~deadline_ns t run =
+  let limits = t.cfg.Config.limits in
+  let budget = limits.Limits.fuel in
+  let rec go slice =
+    let o = run (with_limits t { limits with Limits.fuel = slice }) in
+    match o.result with
+    | Error e when Parse_error.exhausted_which e = Some Limits.Fuel && slice < budget ->
+        if now_ns () >= deadline_ns then (o, true)
+        else go (if slice > budget / 2 then budget else slice * 2)
+    | _ -> (o, false)
+  in
+  go (min budget 65536)
 
 (* --- tracing -------------------------------------------------------------- *)
 

@@ -27,6 +27,12 @@ val prepare : ?config:Config.t -> Grammar.t -> (t, Diagnostic.t list) result
 
 val prepare_exn : ?config:Config.t -> Grammar.t -> t
 val config : t -> Config.t
+
+val with_limits : t -> Limits.t -> t
+(** [t] under the budgets [l]: a copy sharing the compiled matchers,
+    the parked memo store and the observation sink, since budgets are
+    read only when a run starts. *)
+
 val grammar : t -> Grammar.t
 
 val memo_slots : t -> int
@@ -109,6 +115,15 @@ val backstopped : (unit -> outcome) -> outcome
 (** [run ()], with a [Stack_overflow] or [Out_of_memory] that escapes
     the run's own governor (unlimited limits on hostile input) turned
     into a resource-exhausted outcome at offset 0. *)
+
+val with_deadline :
+  now_ns:(unit -> int) -> deadline_ns:int -> t -> (t -> outcome) -> outcome * bool
+(** [run] under a signal-free deadline: [run] gets {!with_limits} copies
+    of [t] whose fuel is a slice of [t]'s budget, from [min budget 65536],
+    doubled while the outcome is a fuel trip short of the budget and
+    [now_ns ()] (read only between slices) is before [deadline_ns].
+    Returns the last outcome and whether the deadline expired. A trip at
+    the full budget is never retried: the smaller budget wins. *)
 
 (** {1 Tracing}
 

@@ -30,6 +30,9 @@ type fault =
           nanoseconds — simulates a clock step right after the deadline
           was armed *)
 
+val fault_to_string : fault -> string
+(** The fault's spec item, e.g. [trunc@64]. *)
+
 type t = {
   seed : int;
   rate_ppm : int;

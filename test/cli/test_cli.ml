@@ -173,6 +173,35 @@ let tests =
         check Alcotest.int "tiny timeout" 4 code;
         check Alcotest.bool "message" true (contains out "timeout");
         check Alcotest.int "roomy timeout" 0 code');
+    test "--timeout over several fuel slices changes no output" (fun () ->
+        (* 185,602 invocations: the 65,536 and 131,072 slices trip, the
+           262,144 one finishes *)
+        let demo = In_channel.with_open_bin "../data/demo.java" In_channel.input_all in
+        let big = write_temp (String.concat "" (List.init 200 (fun _ -> demo))) in
+        let parse extra =
+          let out = Filename.temp_file "rml_cli" ".out" in
+          let err = Filename.temp_file "rml_cli" ".err" in
+          let code, _ =
+            run_cmd
+              (Printf.sprintf "%s parse -O -b minijava -i %s --stats%s > %s 2> %s"
+                 rml big extra out err)
+          in
+          let read f =
+            let s = In_channel.with_open_bin f In_channel.input_all in
+            Sys.remove f;
+            s
+          in
+          (code, read out, read err)
+        in
+        let code, out, err = parse "" in
+        let code', out', err' = parse " --timeout 60" in
+        Sys.remove big;
+        check Alcotest.int "exit" 0 code;
+        check Alcotest.bool "three slices' worth" true
+          (contains out "invocations=185602");
+        check Alcotest.int "same exit" code code';
+        check Alcotest.string "same stdout" out out';
+        check Alcotest.string "same stderr" err err');
     test "--fuel with --timeout honors the smaller budget" (fun () ->
         (* A small explicit fuel budget must trip — and be reported as a
            fuel trip, exit 4 — even under a generous timeout: the
@@ -363,13 +392,15 @@ let exit_matrix_tests =
   let with_fixtures f =
     let good = write_temp "1 + 2 * 3" in
     let bad = write_temp "1+" in
+    let edits = write_temp "0 1 7\n" in
     Fun.protect
       ~finally:(fun () ->
         Sys.remove good;
-        Sys.remove bad)
-      (fun () -> f ~good ~bad)
+        Sys.remove bad;
+        Sys.remove edits)
+      (fun () -> f ~good ~bad ~edits)
   in
-  let matrix ~good ~bad =
+  let matrix ~good ~bad ~edits =
     [
       (* subcommand, args, stdin payload, expected exit *)
       ("analyze ok", "analyze -b calc", None, 0);
@@ -442,11 +473,37 @@ let exit_matrix_tests =
         Printf.sprintf "parse -b calc -i %s --doc-timeout 1" good,
         None,
         2 );
+      ( "batch usage: --batch-sep without --batch",
+        Printf.sprintf "parse -b calc -i %s --batch-sep line" good,
+        None,
+        2 );
+      ("batch usage: --stats with --batch", "parse -b calc --batch - --stats", Some "", 2);
+      (* the mode rule: no flag is silently ignored *)
+      ( "parse usage: --timeout with --edits",
+        Printf.sprintf "parse -b calc -i %s --edits %s --timeout 1" good edits,
+        None,
+        2 );
+      ( "parse usage: --timeout with --trace",
+        Printf.sprintf "parse -b calc -i %s --trace --timeout 1" good,
+        None,
+        2 );
+      ( "parse usage: --trace with --edits",
+        Printf.sprintf "parse -b calc -i %s --edits %s --trace" good edits,
+        None,
+        2 );
+      ( "parse usage: --profile with --trace",
+        Printf.sprintf "parse -b calc -i %s --trace --profile" good,
+        None,
+        2 );
+      ( "parse usage: --trace-ring with --trace",
+        Printf.sprintf "parse -b calc -i %s --trace --trace-ring 8" good,
+        None,
+        2 );
     ]
   in
   [
     test "every subcommand honors the exit-code contract" (fun () ->
-        with_fixtures (fun ~good ~bad ->
+        with_fixtures (fun ~good ~bad ~edits ->
             List.iter
               (fun (name, args, stdin_payload, expected) ->
                 let code, _ =
@@ -455,7 +512,7 @@ let exit_matrix_tests =
                   | Some payload -> run_with_stdin payload args
                 in
                 check Alcotest.int name expected code)
-              (matrix ~good ~bad)));
+              (matrix ~good ~bad ~edits)));
   ]
 
 (* --- the batch pipeline through the CLI -------------------------------------- *)

@@ -23,9 +23,9 @@ let counter_clock () =
     t := !t + 1_000_000;
     !t
 
-let run_docs ?config ?limits ?deadline_ns ?faults ?on_record g docs =
+let run_docs ?config ?limits ?deadline_ns ?faults ?spans ?on_record g docs =
   match
-    Batch.run ?config ?limits ?deadline_ns ?faults ?on_record
+    Batch.run ?config ?limits ?deadline_ns ?faults ?spans ?on_record
       ~now_ns:(counter_clock ()) g (Batch.Docs docs)
   with
   | Ok rep -> rep
@@ -487,7 +487,48 @@ let ladder_tests =
       (class_name r.Batch.r_fail);
     Alcotest.(check int) "exit" 4 (Batch.exit_code rep)
   in
+  (* budgets are set per run: deadline slices and fault caps reuse the
+     full rung's engine, and the recognizer rung compiles once, on the
+     first document that descends *)
+  let compiles_once () =
+    let sp = Profile.Spans.create () in
+    let rep =
+      run_docs ~spans:sp
+        ~limits:(Limits.v ~fuel:1_000_000 ())
+        ~deadline_ns:3_600_000_000_000
+        ~faults:(Faults.v [ Faults.Fuel_cap 200_000 ])
+        (chain_unmemo 18)
+        (List.init 3 (fun i -> (string_of_int i, "a")))
+    in
+    List.iter
+      (fun (r : Batch.record) ->
+        Alcotest.(check string) "rung" "recognizer" (Batch.rung_name r.Batch.r_rung))
+      rep.Batch.records;
+    (* each span is one JSON object with its args last *)
+    let chrome = Profile.Spans.to_chrome sp in
+    let starts k =
+      List.filter_map
+        (fun i ->
+          if String.sub chrome i (String.length k) = k then Some i else None)
+        (List.init (String.length chrome - String.length k + 1) Fun.id)
+    in
+    Alcotest.(check int) "one compile" 1
+      (List.length (starts "\"name\":\"compile\""));
+    (* 65536, 131072, then the 200000 cap, on each rung *)
+    Alcotest.(check int) "slices run" 18
+      (List.length (starts "\"name\":\"attempt\""));
+    match starts "\"name\":\"compile-rung\"" with
+    | [ i ] ->
+        (* the span's args close it: [..."rung":"recognizer"}] *)
+        let rung = "\"rung\":\"recognizer\"" in
+        let close = String.index_from chrome i '}' in
+        Alcotest.(check bool) "of the recognizer rung" true
+          (List.mem (close - String.length rung) (starts rung))
+    | l -> Alcotest.failf "%d compile-rung spans, expected 1" (List.length l)
+  in
   [
+    Alcotest.test_case "deadline slices and fault caps compile no engine" `Quick
+      compiles_once;
     Alcotest.test_case "recognizer rung rescues a memo-starved parse" `Quick
       recognizer_rescue;
     Alcotest.test_case "ladder bottom hard-fails on the last rung" `Quick

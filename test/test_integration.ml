@@ -168,14 +168,13 @@ let consistency_tests =
           (contains code
              (Printf.sprintf "Array.make %d 0" (Engine.memo_slots eng))));
     test "CLI builtins cover every shipped grammar" (fun () ->
+        (* the table --builtin reads, composed the way rml composes it *)
         List.iter
-          (fun texts ->
-            ignore (Resolve.library_exn (List.concat_map (fun t -> ok (modules_of_string t)) texts)))
-          [
-            Grammars.Calc.texts; Grammars.Json.texts; Grammars.Minic.texts;
-            Grammars.Minic.texts @ Grammars.Minic.extension_texts;
-            Grammars.Path.texts;
-          ]);
+          (fun (name, (b : Run.builtin)) ->
+            let g = ok (Run.compose { Run.default with builtin = Some name }) in
+            check Alcotest.bool (name ^ " composes " ^ b.root) true
+              (Grammar.length g > 0))
+          Run.builtins);
     test "version string is well-formed" (fun () ->
         check Alcotest.bool "dotted" true (String.contains version '.'));
   ]
@@ -258,6 +257,153 @@ let parallel_tests =
         check Alcotest.int "results that differ from a sequential parse" 0 bad);
   ]
 
+(* --- the run spec: budgets per run, one slice loop, the mode rule ------- *)
+
+let deadline_tests =
+  let demo200 () =
+    let demo = In_channel.with_open_bin "data/demo.java" In_channel.input_all in
+    String.concat "" (List.init 200 (fun _ -> demo))
+  in
+  let minijava ?(config = Config.optimized) () =
+    Engine.prepare_exn ~config (Pipeline.optimize (Grammars.Minijava.grammar ()))
+  in
+  [
+    test "with_limits shares the compiled engine and its observation" (fun () ->
+        let eng =
+          minijava
+            ~config:(Config.with_observe { Observe.off with Observe.profile = true } Config.optimized)
+            ()
+        in
+        let capped = Engine.with_limits eng (Limits.v ~fuel:10 ()) in
+        check Alcotest.bool "same sink" true
+          (Engine.observation eng == Engine.observation capped);
+        check Alcotest.int "same slots" (Engine.memo_slots eng) (Engine.memo_slots capped);
+        let demo = In_channel.with_open_bin "data/demo.java" In_channel.input_all in
+        (match (Engine.run capped demo).Engine.result with
+        | Error e ->
+            check Alcotest.bool "the copy's budget" true
+              (Parse_error.exhausted_which e = Some Limits.Fuel)
+        | Ok _ -> Alcotest.fail "fuel 10 should trip");
+        check Alcotest.bool "the original's budget" true
+          (Result.is_ok (Engine.run eng demo).Engine.result));
+    test "a deadline over three slices answers like one run" (fun () ->
+        let eng = minijava () and text = demo200 () in
+        let cold = Engine.run eng text in
+        let slices = ref [] in
+        let out, expired =
+          Engine.with_deadline ~now_ns:(fun () -> 0) ~deadline_ns:1 eng (fun e ->
+              let o = Engine.run e text in
+              slices := (Engine.config e).Config.limits.Limits.fuel :: !slices;
+              o)
+        in
+        check Alcotest.bool "not expired" false expired;
+        check (Alcotest.list Alcotest.int) "slices" [ 262_144; 131_072; 65_536 ] !slices;
+        check Alcotest.string "same stats" (Stats.to_json cold.Engine.stats)
+          (Stats.to_json out.Engine.stats);
+        match (cold.Engine.result, out.Engine.result) with
+        | Ok a, Ok b -> check Alcotest.bool "same tree" true (Value.equal a b)
+        | _ -> Alcotest.fail "demo.java x200 should parse");
+    test "an expired deadline returns the slice's fuel trip" (fun () ->
+        let eng = minijava () in
+        let out, expired =
+          Engine.with_deadline ~now_ns:(fun () -> 2) ~deadline_ns:1 eng (fun e ->
+              Engine.run e (demo200 ()))
+        in
+        check Alcotest.bool "expired" true expired;
+        check Alcotest.int "one slice" 65_536 out.Engine.stats.Stats.fuel_used);
+    test "a fuel budget under the slice trips as fuel, never expires" (fun () ->
+        let eng = Engine.with_limits (minijava ()) (Limits.v ~fuel:1_000 ()) in
+        let out, expired =
+          Engine.with_deadline ~now_ns:(fun () -> 2) ~deadline_ns:1 eng (fun e ->
+              Engine.run e (demo200 ()))
+        in
+        check Alcotest.bool "not expired" false expired;
+        match out.Engine.result with
+        | Error e ->
+            check Alcotest.bool "fuel" true
+              (Parse_error.exhausted_which e = Some Limits.Fuel)
+        | Ok _ -> Alcotest.fail "fuel 1000 should trip");
+  ]
+
+(* The README's mode table, read back: one row per mode-specific flag of
+   [rml parse], a mark per mode that accepts it, and the flags it
+   excludes within a mode. *)
+let readme_modes () =
+  let ticked s = List.filteri (fun i _ -> i mod 2 = 1) (String.split_on_char '`' s) in
+  let flag s = List.hd (String.split_on_char ' ' s) in
+  In_channel.with_open_bin "../README.md" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.split_on_char '|' line with
+         | [ ""; name; doc; edits; batch; excludes; "" ]
+           when String.starts_with ~prefix:"`-" (String.trim name) ->
+             Some
+               ( flag (List.hd (ticked name)),
+                 List.map (fun c -> String.trim c <> "") [ doc; edits; batch ],
+                 List.map flag (ticked excludes) )
+         | _ -> None)
+
+let mode_rule_tests =
+  let set name ((g : Run.grammar), (f : Run.flags)) =
+    match name with
+    | "-i" -> (g, { f with input = Some "doc.txt" })
+    | "--stdin" -> (g, { f with stdin = true })
+    | "--mmap" -> (g, { f with mmap = true })
+    | "--edits" -> (g, { f with edits = Some "script.txt" })
+    | "--trace" -> (g, { f with trace = true })
+    | "--profile" -> (g, { f with profile = true })
+    | "--trace-ring" -> (g, { f with trace_ring = Some 8 })
+    | "--timeout" -> (g, { f with timeout = Some 1. })
+    | "--recognize" -> ({ g with recognize = true }, f)
+    | "--stats" -> (g, { f with stats = true })
+    | "--stats-json" -> (g, { f with stats_json = true })
+    | "--batch" -> (g, { f with batch = Some "-" })
+    | "--batch-sep" -> (g, { f with batch_sep = Some '\n' })
+    | "--faults" -> (g, { f with faults = Some "seed=1,io@3" })
+    | "--doc-timeout" -> (g, { f with doc_timeout = Some 1. })
+    | "--metrics" -> (g, { f with metrics = Some "m.prom" })
+    | "--trace-out" -> (g, { f with trace_out = Some "t.json" })
+    | "--progress" -> (g, { f with progress = true })
+    | other -> Alcotest.failf "the README names %s, which the test does not know" other
+  in
+  [
+    test "every flag pair is accepted exactly when the README's table says" (fun () ->
+        let rows = readme_modes () in
+        check Alcotest.int "rows" 18 (List.length rows);
+        let batch_only =
+          List.filter_map
+            (fun (n, modes, _) -> if modes = [ false; false; true ] && n <> "--batch" then Some n else None)
+            rows
+        in
+        (* the least a command line adds to the pair: --batch for a
+           batch-only flag, else an input file when the pair has none *)
+        let complete names =
+          if List.exists (fun n -> List.mem n batch_only) names && not (List.mem "--batch" names)
+          then "--batch" :: names
+          else if List.exists (fun n -> List.mem n [ "-i"; "--stdin"; "--batch" ]) names then names
+          else "-i" :: names
+        in
+        let accepts (a, ma, xa) (b, mb, xb) =
+          List.exists2 ( && ) ma mb && (not (List.mem b xa)) && not (List.mem a xb)
+        in
+        List.iter
+          (fun ((a, _, _) as ra) ->
+            List.iter
+              (fun ((b, _, _) as rb) ->
+                if a <= b then
+                  let g, f =
+                    List.fold_left (fun acc n -> set n acc) (Run.default, Run.no_flags)
+                      (complete (List.sort_uniq compare [ a; b ]))
+                  in
+                  match Run.of_flags g f with
+                  | r ->
+                      check Alcotest.bool (a ^ " with " ^ b) (accepts ra rb) (Result.is_ok r)
+                  | exception e ->
+                      Alcotest.failf "%s with %s raised %s" a b (Printexc.to_string e))
+              rows)
+          rows);
+  ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -267,4 +413,6 @@ let () =
       ("consistency", consistency_tests);
       ("roundtrip", roundtrip_tests);
       ("parallel", parallel_tests);
+      ("deadline", deadline_tests);
+      ("mode-rule", mode_rule_tests);
     ]
