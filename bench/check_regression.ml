@@ -5,12 +5,13 @@
        [--time-threshold PCT] [--alloc-threshold PCT]
 
    Compares the E2, E3, E5, E8, E9 and E10 records of CURRENT against
-   BASELINE (normally the committed BENCH_pr8.json trajectory point)
-   and exits nonzero if any tracked metric regressed past its
-   threshold. Improvements never fail. Every block iterates the
-   BASELINE rows, so a baseline predating an experiment simply
-   contributes no checks for it (e.g. pre-E10 baselines make the E10
-   block a no-op). The methodology follows E8: each
+   BASELINE (the committed BENCH_*.json trajectory point that CI
+   passes, named in .github/workflows/ci.yml) and exits nonzero if any
+   tracked metric regressed past its threshold. Improvements never
+   fail. Every block iterates the BASELINE rows, so a baseline
+   predating an experiment simply contributes no checks for it (e.g.
+   pre-E10 baselines make the E10 block a no-op). The methodology
+   follows E8: each
    bench row is already the median of interleaved timed runs, and raw
    wall-clock medians are not compared across machines — E2 times are
    normalized by the same series' hand-written baseline row, E5 warm
@@ -251,8 +252,7 @@ let () =
   (* Deterministic-allocation rows; the deep-recursion closure rows are
      exempt (fiber-stack segment noise). *)
   let alloc_tracked = function
-    | "optimized interpreter" | "generated parser" | "hand-written" ->
-        true
+    | "optimized interpreter" | "hand-written" -> true
     | _ -> false
   in
   List.iter

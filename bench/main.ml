@@ -296,7 +296,6 @@ let e2 () =
       engine_contender "naive interpreter" calc Config.naive;
       engine_contender "packrat interpreter" calc Config.packrat;
       engine_contender "optimized interpreter" calc_opt Config.optimized;
-      { c_name = "generated parser"; parse = (fun s -> Result.is_ok (Bench_gen_calc.parse s)) };
       { c_name = "hand-written"; parse = (fun s -> Result.is_ok (Grammars.Calc.parse_hand s)) };
     ];
   let json = Grammars.Json.grammar () in
@@ -306,7 +305,6 @@ let e2 () =
       engine_contender "naive interpreter" json Config.naive;
       engine_contender "packrat interpreter" json Config.packrat;
       engine_contender "optimized interpreter" json_opt Config.optimized;
-      { c_name = "generated parser"; parse = (fun s -> Result.is_ok (Bench_gen_json.parse s)) };
       { c_name = "hand-written"; parse = (fun s -> Result.is_ok (Grammars.Json.parse_hand s)) };
     ];
   let minic = Grammars.Minic.grammar () in
@@ -325,7 +323,6 @@ let e2 () =
       engine_contender "naive interpreter" java Config.naive;
       engine_contender "packrat interpreter" java Config.packrat;
       engine_contender "optimized interpreter" java_opt Config.optimized;
-      { c_name = "generated parser"; parse = (fun s -> Result.is_ok (Bench_gen_java.parse s)) };
       { c_name = "hand-written"; parse = (fun s -> Result.is_ok (Grammars.Minijava.parse_hand s)) };
     ]
 
@@ -343,7 +340,6 @@ let e2_micro () =
          mk "packrat" (fun () -> Engine.parse eng corpus));
         (let eng = prepare ~config:Config.optimized (Pipeline.optimize calc) in
          mk "optimized" (fun () -> Engine.parse eng corpus));
-        mk "generated" (fun () -> Bench_gen_calc.parse corpus);
         mk "hand-written" (fun () -> Grammars.Calc.parse_hand corpus);
       ]
   in

@@ -1,9 +1,9 @@
 (* rml — the rats-ml command-line driver.
 
    Subcommands: modules, compose, optimize, passes, analyze, parse,
-   profile, trace, coverage, generate, fmt. Grammars come from .rats
-   files or from the built-in collection (--builtin). [parse], [profile],
-   [trace] and [coverage] only map their flags onto a [Rats.Run] spec;
+   profile, trace, coverage, fmt. Grammars come from .rats files or from
+   the built-in collection (--builtin). [parse], [profile], [trace] and
+   [coverage] only map their flags onto a [Rats.Run] spec;
    [Rats.Run.exec] runs it.
 
    Exit codes are part of the interface (scripts sort failures by them):
@@ -77,8 +77,8 @@ let source_term =
   in
   Term.(const source $ files_arg $ builtin_arg $ root_arg $ start_arg)
 
-(* The grammar half of a run spec: what [parse], [profile], [trace],
-   [coverage] and [generate] share. *)
+(* The grammar half of a run spec: what [parse], [profile], [trace] and
+   [coverage] share. *)
 let grammar_term =
   let grammar gs optimize config = { gs with Rats.Run.optimize; config } in
   Term.(const grammar $ source_term $ optimize_arg $ config_arg)
@@ -749,41 +749,6 @@ let coverage_cmd =
           each with its defining module.")
     Term.(const run $ grammar_term $ corpus_arg $ strict_arg)
 
-let generate_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the generated parser here (stdout by default).")
-  in
-  let mli_arg =
-    Arg.(
-      value & flag
-      & info [ "mli" ]
-          ~doc:"Also write the matching .mli next to the output file.")
-  in
-  let run gs out mli =
-    with_grammar gs @@ fun g ->
-    match Rats.generate ~optimize:gs.Rats.Run.optimize ~config:gs.config g with
-    | Error ds -> print_errors ds
-    | Ok code ->
-        (match out with
-        | None -> print_string code
-        | Some path ->
-            Out_channel.with_open_bin path (fun oc ->
-                Out_channel.output_string oc code);
-            if mli && Filename.check_suffix path ".ml" then
-              Out_channel.with_open_bin (path ^ "i") (fun oc ->
-                  Out_channel.output_string oc (Rats.Emit.interface ())));
-        0
-  in
-  Cmd.v
-    (Cmd.info "generate"
-       ~doc:"Generate a self-contained OCaml parser module for the grammar.")
-    Term.(
-      const run $ grammar_term $ out_arg $ mli_arg)
-
 let () =
   let doc = "modular syntax for extensible parsers (after Rats!, PLDI 2006)" in
   let man =
@@ -805,8 +770,7 @@ let () =
       (Cmd.group info
          [
            modules_cmd; compose_cmd; optimize_cmd; passes_cmd; analyze_cmd;
-           parse_cmd; profile_cmd; trace_cmd; coverage_cmd;
-           generate_cmd; fmt_cmd;
+           parse_cmd; profile_cmd; trace_cmd; coverage_cmd; fmt_cmd;
          ])
   in
   (* cmdliner reports CLI misuse as 124 and its own internal errors as

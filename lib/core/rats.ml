@@ -35,7 +35,6 @@ module Passes = Rats_optimize.Passes
 module Pass = Rats_optimize.Pass
 module Driver = Rats_optimize.Driver
 module Pipeline = Rats_optimize.Pipeline
-module Emit = Rats_codegen.Emit
 module Batch = Batch
 module Run = Run
 
@@ -78,9 +77,5 @@ let parse_input eng ?start input =
 let parse eng ?start input = parse_input eng ?start (Input.of_string input)
 
 module Session = Session
-
-let generate ?(optimize = true) ?config g =
-  let g = if optimize then Pipeline.optimize g else g in
-  Emit.grammar_module ?config g
 
 let version = "0.9.0"

@@ -54,7 +54,6 @@ module Passes = Rats_optimize.Passes
 module Pass = Rats_optimize.Pass
 module Driver = Rats_optimize.Driver
 module Pipeline = Rats_optimize.Pipeline
-module Emit = Rats_codegen.Emit
 
 module Batch = Batch
 (** Fault-isolated batch parsing — [rml parse --batch]. See {!Batch}. *)
@@ -134,9 +133,5 @@ val parse_input :
     same expected set. *)
 
 module Session = Session
-
-val generate :
-  ?optimize:bool -> ?config:Config.t -> Grammar.t -> string or_errors
-(** Emit a self-contained OCaml parser module for the grammar. *)
 
 val version : string

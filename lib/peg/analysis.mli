@@ -52,8 +52,8 @@ val expr_first : t -> Expr.t -> Charset.t * bool
 val expr_yields_unit : t -> Expr.t -> bool
 (** Statically known to produce [Value.Unit] on success: literals,
     predicates, drops, void productions, and combinations thereof. The
-    engine and the code generator use this to skip value collection in
-    repetitions over void bodies. *)
+    engine uses this to skip value collection in repetitions over void
+    bodies. *)
 
 val stores_no_value : t -> Production.t -> bool
 (** True when a successful full-mode run of the production provably

@@ -43,8 +43,7 @@ val choose : t -> char option
 val hash : t -> int
 
 val to_ranges : t -> (char * char) list
-(** Maximal inclusive runs, ascending — the basis of printing and code
-    generation. *)
+(** Maximal inclusive runs, ascending — the basis of printing. *)
 
 val of_ranges : (char * char) list -> t
 

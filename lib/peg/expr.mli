@@ -2,9 +2,9 @@
 
     This is the single intermediate form shared by the whole pipeline:
     the module resolver lowers grammar modules into it, the optimizer
-    rewrites it, the packrat engine interprets it and the code generator
-    prints it as OCaml. Every node carries the span of the grammar source
-    it came from ([Span.dummy] for synthesized nodes). *)
+    rewrites it, the packrat engine compiles it and the printer prints it
+    back as grammar source. Every node carries the span of the grammar
+    source it came from ([Span.dummy] for synthesized nodes). *)
 
 open Rats_support
 

@@ -1,6 +1,6 @@
 (** Grammar lints: composition mistakes that are legal but almost
     certainly not what the author meant. Reported as warnings by
-    [rml analyze]; none of them affect code generation.
+    [rml analyze]; none of them change the parser that is built.
 
     These matter more in a modular world than in a monolithic one: when
     unrelated modules splice alternatives into the same production, dead

@@ -21,8 +21,8 @@ val pp_grammar : Format.formatter -> Grammar.t -> unit
 val grammar_to_string : Grammar.t -> string
 
 val quote_string : string -> string
-(** ["text"] with grammar-source escaping — shared with the code
-    generator. *)
+(** ["text"] with grammar-source escaping — also the engine's
+    description of a literal in expected sets. *)
 
 val quote_char : char -> string
 (** ['c'] with grammar-source escaping. *)

@@ -108,7 +108,7 @@ EOF
 done
 
 # the option names of every subcommand's --help=plain
-for c in modules compose optimize passes analyze parse profile trace coverage generate fmt; do
+for c in modules compose optimize passes analyze parse profile trace coverage fmt; do
   for side in old new; do
     if [ "$side" = old ]; then bin=$old; else bin=$new; fi
     "$bin" "$c" --help=plain 2>&1 | grep -oE '^       -[-a-zA-Z]+(, --[-a-z]+)?' \

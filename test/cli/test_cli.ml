@@ -79,12 +79,13 @@ let tests =
         in
         check Alcotest.int "exit" 0 code;
         check Alcotest.bool "start" true (contains out "// start: Ini"));
-    test "generate emits OCaml" (fun () ->
-        let code, out =
-          run (Printf.sprintf "generate %s -r tutorial.Ini -O" tutorial)
-        in
+    test "--help lists the subcommands, without generate" (fun () ->
+        let code, out = run "--help=plain" in
         check Alcotest.int "exit" 0 code;
-        check Alcotest.bool "entry" true (contains out "let parse "));
+        List.iter
+          (fun cmd -> check Alcotest.bool cmd true (contains out ("\n       " ^ cmd ^ " ")))
+          [ "analyze"; "compose"; "fmt"; "optimize"; "parse"; "trace" ];
+        check Alcotest.bool "no generate" false (contains out "generate"));
     test "builtin grammars work end to end" (fun () ->
         let expr = write_temp "1 + 2 * 3" in
         let code, out = run (Printf.sprintf "parse -b calc -i %s --stats" expr) in
@@ -426,9 +427,7 @@ let exit_matrix_tests =
       ("compose ok", "compose -b calc", None, 0);
       ("compose usage", "compose -b calc --no-such-flag", None, 2);
       ("compose unknown builtin", "compose -b nonsense", None, 3);
-      ("generate ok", "generate -b calc", None, 0);
-      ("generate usage", "generate -b calc --no-such-flag", None, 2);
-      ("generate unknown builtin", "generate -b nonsense", None, 3);
+      ("generate removed: usage", "generate -b calc", None, 2);
       ("fmt ok", Printf.sprintf "fmt %s" tutorial, None, 0);
       ("fmt usage", "fmt --no-such-flag", None, 2);
       (* cmdliner validates positional file args itself, before the

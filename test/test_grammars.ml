@@ -469,7 +469,7 @@ let realistic_tests =
                  e));
         check Alcotest.bool "hand agrees" true
           (Result.is_ok (Grammars.Minijava.parse_hand src)));
-    test "the generated and interpreted parsers agree on demo.c values"
+    test "the optimized and naive configurations agree on demo.c values"
       (fun () ->
         let src = read_data "data/demo.c" in
         let e1 = Lazy.force minic_eng in

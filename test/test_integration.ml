@@ -44,11 +44,17 @@ let facade_tests =
         match modules_of_file "/no/such/file.rats" with
         | Error (_ :: _) -> ()
         | _ -> Alcotest.fail "expected diagnostics");
-    test "generate produces compilable-looking source" (fun () ->
-        let g = Grammars.Calc.grammar () in
-        let code = ok (generate g) in
-        check Alcotest.bool "has entry" true (contains code "let parse");
-        check Alcotest.bool "warns disabled" true (contains code "[@@@warning"));
+    test "parse_input agrees with parse, on success and on error" (fun () ->
+        let parser = ok (parser_of (Grammars.Json.grammar ())) in
+        List.iter
+          (fun text ->
+            match (parse parser text, parse_input parser (Input.of_string text)) with
+            | Ok a, Ok b -> check Alcotest.bool text true (a = b)
+            | Error a, Error b ->
+                check Alcotest.string text (Parse_error.message a)
+                  (Parse_error.message b)
+            | _ -> Alcotest.failf "%S: acceptance differs" text)
+          [ {|{"a": [1, {"b": null}]}|}; "[1,]"; "" ]);
     test "composition errors carry spans into the source text" (fun () ->
         let text = "module M; public X = Ghost;" in
         let modules = ok (modules_of_string text) in
@@ -152,21 +158,9 @@ let error_report_tests =
         | _ -> Alcotest.fail "expected failure");
   ]
 
-(* Cross-checks between independently implemented pipelines. *)
+(* The CLI's tables agree with what the library ships. *)
 let consistency_tests =
   [
-    test "interpreter and generated-source stats agree on slot budget" (fun () ->
-        let g = Pipeline.optimize (Grammars.Minic.grammar ()) in
-        let eng = Engine.prepare_exn ~config:Config.optimized g in
-        let code =
-          match Emit.grammar_module ~config:Config.optimized g with
-          | Ok c -> c
-          | Error _ -> Alcotest.fail "codegen"
-        in
-        (* The generated chunk width must equal the engine's slot count. *)
-        check Alcotest.bool "width" true
-          (contains code
-             (Printf.sprintf "Array.make %d 0" (Engine.memo_slots eng))));
     test "CLI builtins cover every shipped grammar" (fun () ->
         (* the table --builtin reads, composed the way rml composes it *)
         List.iter

@@ -781,7 +781,8 @@ let expected_tests =
 
 (* Whole trees, spans included (structural equality; [Value.equal]
    ignores spans), error positions and expected sets, from the engine
-   and from [Reference]. *)
+   and from [Reference]. The engine keeps the [Expected.max_entries]
+   smallest descriptions of a set; the reference keeps them all. *)
 let agrees_with_reference label cfg g input =
   let eng = Engine.prepare_exn ~config:cfg g in
   let o = Engine.run eng input and r = Reference.run g input in
@@ -793,7 +794,8 @@ let agrees_with_reference label cfg g input =
       if not cfg.Config.dispatch then
         check
           Alcotest.(list string)
-          (label ^ " expected set") descs
+          (label ^ " expected set")
+          (List.filteri (fun i _ -> i < Expected.max_entries) descs)
           (List.sort_uniq compare e.Parse_error.expected)
   | Ok _, Error _ | Error _, Ok _ ->
       Alcotest.failf "%s: engine and reference disagree on acceptance of %S"
@@ -1117,6 +1119,12 @@ let corpus_tests =
       ( "minic",
         Grammars.Minic.grammar (),
         Grammars.Corpus.minic (Rng.create 7) ~functions:4 );
+      ( "minic-ext",
+        Grammars.Minic.extended_grammar (),
+        Grammars.Corpus.minic_extended (Rng.create 7) ~functions:4 );
+      ( "minijava",
+        Grammars.Minijava.grammar (),
+        Grammars.Corpus.minijava (Rng.create 7) ~classes:3 );
     ]
   in
   List.concat_map
@@ -1136,6 +1144,200 @@ let corpus_tests =
         ])
     cases
 
+(* --- builtin grammars against the reference -------------------------------- *)
+
+(* Small hand-picked and seeded inputs, rejections included, through
+   the optimized builtin grammars under every configuration: values,
+   spans, error positions and expected sets are the reference's. *)
+let agree_on_inputs name g inputs =
+  let opt = Pipeline.optimize g in
+  List.iter
+    (fun (label, cfg) ->
+      List.iteri
+        (fun i input ->
+          agrees_with_reference (Printf.sprintf "%s #%d [%s]" name i label) cfg
+            opt input)
+        inputs)
+    every_config
+
+(* Each production of the optimized grammar as the start, matching a
+   prefix: where it stops, or where it fails, is the reference's. *)
+let agree_from_every_start name g inputs =
+  let opt = Pipeline.optimize g in
+  List.iter
+    (fun (label, cfg) ->
+      let eng = Engine.prepare_exn ~config:cfg opt in
+      List.iter
+        (fun (p : Production.t) ->
+          List.iter
+            (fun input ->
+              let what = Printf.sprintf "%s %s %S [%s]" name p.name input label in
+              let o = Engine.run eng ~start:p.name ~require_eof:false input
+              and r = Reference.run opt ~start:p.name ~require_eof:false input in
+              check Alcotest.int (what ^ " consumed") r.Reference.consumed
+                o.Engine.consumed;
+              match (o.Engine.result, r.Reference.result) with
+              | Ok va, Ok vb -> check Alcotest.bool (what ^ " same tree") true (va = vb)
+              | Error e, Error (pos, _) ->
+                  check Alcotest.int (what ^ " error position") pos
+                    e.Parse_error.position
+              | _ -> Alcotest.failf "%s: acceptance differs" what)
+            inputs)
+        (Grammar.productions opt))
+    every_config
+
+let builtin_tests =
+  [
+    test "hand-picked calculator inputs agree with the reference" (fun () ->
+        agree_on_inputs "calc" (Grammars.Calc.grammar ())
+          [
+            "1+2*3"; "2**3**2"; "(1+2)*3"; "8/4/2"; " 1 + 2 "; "1+"; "";
+            "((7))"; "3.25*4"; "1..2"; ")(";
+          ]);
+    test "a random calculator corpus agrees with the reference" (fun () ->
+        let rng = Rng.create 1234 in
+        agree_on_inputs "calc-corpus" (Grammars.Calc.grammar ())
+          (List.init 100 (fun _ -> Grammars.Corpus.arith rng ~size:15)));
+    test "calc parses from the Sum production" (fun () ->
+        (* Spacing is inlined away by the optimizer; Sum survives. *)
+        let opt = Pipeline.optimize (Grammars.Calc.grammar ()) in
+        each_config opt (fun label eng ->
+            check Alcotest.bool label true
+              (Engine.accepts eng ~start:"Sum" "1+1")));
+    test "every calc production, as the start, agrees with the reference"
+      (fun () ->
+        agree_from_every_start "calc" (Grammars.Calc.grammar ())
+          [ "1+2*3"; "(4) "; " 2**x"; "" ]);
+    test "calc values evaluate alike under every configuration" (fun () ->
+        let opt = Pipeline.optimize (Grammars.Calc.grammar ()) in
+        each_config opt (fun label eng ->
+            check (Alcotest.float 1e-9) label 9.0
+              (Grammars.Calc.eval (parse_ok label eng "2**3 + 1"))));
+    test "hand-picked JSON inputs agree with the reference" (fun () ->
+        agree_on_inputs "json" (Grammars.Json.grammar ())
+          [
+            "{}"; "[]"; "null"; "true"; "-12.5e3"; {|{"a": [1, {"b": null}]}|};
+            {|"esc\"aped"|}; "[1,]"; "{"; "01"; {| [true, false] |};
+          ]);
+    test "a random JSON corpus agrees with the reference" (fun () ->
+        let rng = Rng.create 77 in
+        agree_on_inputs "json-corpus" (Grammars.Json.grammar ())
+          (List.init 60 (fun _ -> Grammars.Corpus.json rng ~size:20)));
+    test "every JSON production, as the start, agrees with the reference"
+      (fun () ->
+        agree_from_every_start "json" (Grammars.Json.grammar ())
+          [ {|{"a": [1, 2]}|}; "[true, nul"; " -0.5e"; "" ]);
+    test "MiniC typedefs gate declarations as in the reference" (fun () ->
+        let g = Grammars.Minic.grammar () in
+        let with_typedef = "typedef int t; void f() { t x; }"
+        and without = "void f() { t x; }"
+        and rollback = "typedef int t; void f(int a, int b) { a * b; }" in
+        agree_on_inputs "minic" g [ with_typedef; without; rollback ];
+        each_config (Pipeline.optimize g) (fun label eng ->
+            check Alcotest.bool (label ^ " with typedef") true
+              (Engine.accepts eng with_typedef);
+            check Alcotest.bool (label ^ " without typedef") false
+              (Engine.accepts eng without);
+            check Alcotest.bool (label ^ " rollback") true
+              (Engine.accepts eng rollback)));
+    test "small MiniC programs agree with the reference" (fun () ->
+        agree_on_inputs "minic-corpus" (Grammars.Minic.grammar ())
+          (List.init 10 (fun seed ->
+               Grammars.Corpus.minic (Rng.create (100 + seed)) ~functions:2)));
+    test "base MiniC rejects extension syntax where the reference does"
+      (fun () ->
+        let until = "void f(int a) { until (a) a++; }" in
+        agree_on_inputs "minic" (Grammars.Minic.grammar ()) [ until ];
+        each_config (Pipeline.optimize (Grammars.Minic.grammar ()))
+          (fun label eng ->
+            check Alcotest.bool label false (Engine.accepts eng until)));
+    test "hand-picked MiniC extension programs agree with the reference"
+      (fun () ->
+        agree_on_inputs "minic-ext" (Grammars.Minic.extended_grammar ())
+          [
+            "int f(int a) { return a ** 2 ** 3 * 4; }";
+            "void f(int a) { until (a > 3) a++; }";
+            "int f(int lim) { return query { select a, b from t where a < lim \
+             ** 2 }; }";
+            "typedef int t; void f() { t x = 2 ** 3; until (x) x = x - 1; }";
+            "void f() { t x = 2 ** 3; }";
+            "int f() { return query { select from t }; }";
+          ]);
+    test "small MiniJava programs agree with the reference" (fun () ->
+        agree_on_inputs "java-corpus" (Grammars.Minijava.grammar ())
+          (List.init 10 (fun seed ->
+               Grammars.Corpus.minijava (Rng.create (200 + seed)) ~classes:2)));
+    test "a MiniJava error is located past the dangling operator" (fun () ->
+        let src = "class A { int f() { return 1 + ; } }" in
+        agree_on_inputs "java" (Grammars.Minijava.grammar ()) [ src ];
+        each_config (Pipeline.optimize (Grammars.Minijava.grammar ()))
+          (fun label eng ->
+            match Engine.parse eng src with
+            | Error e ->
+                check Alcotest.bool label true
+                  (e.Parse_error.position > String.index src '+')
+            | Ok _ -> Alcotest.failf "[%s] accepted" label));
+  ]
+
+(* --- memo layout per configuration ----------------------------------------- *)
+
+let layout_tests =
+  let minic = lazy (Pipeline.optimize (Grammars.Minic.grammar ())) in
+  let program = Grammars.Corpus.minic (Rng.create 5) ~functions:3 in
+  [
+    test "the no-memo configuration writes no memo entries" (fun () ->
+        let o = Engine.run (Engine.prepare_exn ~config:Config.naive (Lazy.force minic)) program in
+        check Alcotest.bool "accepted" true (Result.is_ok o.Engine.result);
+        List.iter
+          (fun (name, n) -> check Alcotest.int name 0 n)
+          [
+            ("hits", o.Engine.stats.Stats.memo_hits);
+            ("misses", o.Engine.stats.Stats.memo_misses);
+            ("stores", o.Engine.stats.Stats.memo_stores);
+            ("chunks", o.Engine.stats.Stats.chunks_allocated);
+          ]);
+    test "chunks are as wide as the engine's memo slot count" (fun () ->
+        List.iter
+          (fun (label, cfg) ->
+            let eng = Engine.prepare_exn ~config:cfg (Lazy.force minic) in
+            let st = (Engine.run eng program).Engine.stats in
+            check Alcotest.bool (label ^ " chunks") true (st.Stats.chunks_allocated > 0);
+            check Alcotest.int (label ^ " width")
+              (st.Stats.chunks_allocated * Engine.memo_slots eng)
+              st.Stats.chunk_slots)
+          [
+            ("optimized", Config.optimized);
+            ("chunked", Config.v ~memo:Config.Chunked ~honor_transient:true ());
+          ]);
+    test "dispatch agrees with the reference on shared-prefix choices"
+      (fun () ->
+        let open Builder in
+        let g =
+          Grammar.make_exn
+            [
+              prod "S" (plus (e "A") @: c ';');
+              prod "A" (s "ax" <|> s "bx" <|> s "ay" <|> plus (r 'c' 'e'));
+            ]
+        in
+        List.iter
+          (fun (label, cfg) ->
+            List.iter
+              (agrees_with_reference label cfg g)
+              [ "ax;"; "bxayce;"; "az;"; "cx;"; ";"; "ayb;"; "" ])
+          [
+            ("dispatch", Config.v ~dispatch:true ());
+            ("optimized", Config.optimized);
+          ]);
+    test "the extended MiniC grammar prepares under every configuration"
+      (fun () ->
+        let opt = Pipeline.optimize (Grammars.Minic.extended_grammar ()) in
+        let program =
+          Grammars.Corpus.minic_extended (Rng.create 3) ~functions:2
+        in
+        each_config opt (fun label eng ->
+            check Alcotest.bool label true (Engine.accepts eng program)));
+  ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -1151,4 +1353,6 @@ let () =
       ("bitmaps", bitmap_tests);
       ("unwinding", unwind_tests);
       ("corpora", corpus_tests);
+      ("builtins", builtin_tests);
+      ("memo layout", layout_tests);
     ]
