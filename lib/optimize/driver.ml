@@ -11,12 +11,15 @@ type outcome = {
 let total_time o = List.fold_left (fun acc r -> acc +. r.Stats.pass_time) 0. o.rows
 
 (* Structural equality, spans and origins ignored: what "this pass
-   changed nothing" means for instrumentation. *)
+   changed nothing" means for instrumentation. Passes return untouched
+   productions (and an untouched grammar) physically unchanged, so
+   [Production.equal]'s [==] test settles most of them without a walk. *)
 let grammar_equal a b =
-  String.equal (Grammar.start a) (Grammar.start b)
-  && List.compare_lengths (Grammar.productions a) (Grammar.productions b) = 0
-  && List.for_all2 Production.equal (Grammar.productions a)
-       (Grammar.productions b)
+  a == b
+  || String.equal (Grammar.start a) (Grammar.start b)
+     && List.compare_lengths (Grammar.productions a) (Grammar.productions b) = 0
+     && List.for_all2 Production.equal (Grammar.productions a)
+          (Grammar.productions b)
 
 exception Abort of Diagnostic.t list
 
@@ -26,19 +29,26 @@ let run ?(gate = true) ?(verify = false) ?dump_after ?on_pass passes g =
   in
   let ctx = Analysis_ctx.create g in
   let rows = ref [] in
+  (* The size of the grammar the next pass starts from: each grammar
+     value is sized once, as one pass's "after" and the next one's
+     "before". *)
+  let size = ref (-1) in
   let exec ~check (p : Pass.t) g =
     let t0 = Unix.gettimeofday () in
     let g' = p.run ctx g in
     let dt = Unix.gettimeofday () -. t0 in
     Analysis_ctx.advance ctx ~invalidates:p.invalidates g';
+    let nodes_before = if !size >= 0 then !size else Grammar.size g in
+    let nodes_after = if g' == g then nodes_before else Grammar.size g' in
+    size := nodes_after;
     let row =
       {
         Stats.pass_name = p.name;
         pass_time = dt;
         prods_before = Grammar.length g;
         prods_after = Grammar.length g';
-        nodes_before = Grammar.size g;
-        nodes_after = Grammar.size g';
+        nodes_before;
+        nodes_after;
         pass_changed = not (grammar_equal g g');
       }
     in

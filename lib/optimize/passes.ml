@@ -114,6 +114,9 @@ let foldable (p : Production.t) =
   | Attr.Plain | Attr.Text | Attr.Void -> true
   | Attr.Generic -> false
 
+(* Productions are grouped by kind, memo attribute and body size, and
+   compared with [Expr.equal] within a group: the same relation as
+   comparing printed bodies, without printing any. *)
 let fold_duplicates g =
   let rec iterate g rounds =
     if rounds = 0 then g
@@ -123,22 +126,15 @@ let fold_duplicates g =
       List.iter
         (fun (p : Production.t) ->
           if foldable p && not (String.equal p.name (Grammar.start g)) then
-            let key =
-              Printf.sprintf "%s|%s|%s"
-                (match p.attrs.Attr.kind with
-                | Attr.Plain -> "p"
-                | Attr.Text -> "t"
-                | Attr.Void -> "v"
-                | Attr.Generic -> assert false)
-                (match p.attrs.Attr.memo with
-                | Attr.Memo_auto -> "a"
-                | Attr.Memo_always -> "m"
-                | Attr.Memo_never -> "n")
-                (Pretty.expr_to_string p.expr)
-            in
-            match Hashtbl.find_opt canon key with
-            | Some first -> Hashtbl.replace redirect p.name first
-            | None -> Hashtbl.replace canon key p.name)
+            let key = (p.attrs.Attr.kind, p.attrs.Attr.memo, Expr.size p.expr) in
+            let group = Option.value ~default:[] (Hashtbl.find_opt canon key) in
+            match
+              List.find_opt
+                (fun (q : Production.t) -> Expr.equal q.expr p.expr)
+                group
+            with
+            | Some first -> Hashtbl.replace redirect p.name first.name
+            | None -> Hashtbl.replace canon key (group @ [ p ]))
         (Grammar.productions g);
       if Hashtbl.length redirect = 0 then g
       else
@@ -179,9 +175,15 @@ let rec factor_expr (e : Expr.t) =
   let e = Expr.map_children factor_expr e in
   match e.it with
   | Expr.Alt alts ->
-      let rec regroup = function
-        | [] -> []
+      (* Returns its argument itself when no two alternatives merge. *)
+      let rec regroup alts =
+        match alts with
+        | [] -> alts
         | (a : Expr.alt) :: rest -> (
+            let keep () =
+              let rest' = regroup rest in
+              if rest' == rest then alts else a :: rest'
+            in
             match head_tail a.body with
             | Some (hd, tl) when head_ok hd ->
                 let same, others =
@@ -195,7 +197,7 @@ let rec factor_expr (e : Expr.t) =
                   in
                   take [] rest
                 in
-                if same = [] then a :: regroup rest
+                if same = [] then keep ()
                 else
                   let tails = List.map tail_expr (tl :: same) in
                   let inner =
@@ -208,9 +210,10 @@ let rec factor_expr (e : Expr.t) =
                   in
                   let body = Expr.mk (Expr.Seq [ hd; Expr.splice inner ]) in
                   { Expr.label = None; body } :: regroup others
-            | _ -> a :: regroup rest)
+            | _ -> keep ())
       in
-      { e with it = Expr.Alt (regroup alts) }
+      let alts' = regroup alts in
+      if alts' == alts then e else { e with it = Expr.Alt alts' }
   | _ -> e
 
 let factor_prefixes g =

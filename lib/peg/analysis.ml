@@ -10,6 +10,10 @@ type t = {
   grammar : Grammar.t;
   mutable nullable_memo : (string, bool) Hashtbl.t option;
   mutable first_memo : (string, Charset.t) Hashtbl.t option;
+  mutable expr_first_memo : (Charset.t * bool) Expr.Shape.t option;
+      (* [expr_first] of each expression asked about and of each choice
+         alternative met on the way, by structure: the inliner leaves
+         many equal copies of one expansion *)
   mutable stateful_memo : (string, bool) Hashtbl.t option;
   mutable unit_memo : (string, bool) Hashtbl.t option;
   mutable reachable_memo : StringSet.t option;
@@ -17,6 +21,14 @@ type t = {
 }
 
 let grammar a = a.grammar
+
+(* The fixpoints below sweep the productions until nothing changes;
+   the fixpoint reached does not depend on the sweep order. Grammars
+   are written top-down, so a production's references mostly follow it,
+   and a sweep from the last production back propagates most facts in
+   one pass: MiniC's FIRST sets settle in 4 sweeps this way, against 15
+   in list order. *)
+let sweep_order g = List.rev (Grammar.productions g)
 
 (* --- nullability ------------------------------------------------------- *)
 
@@ -41,7 +53,7 @@ let compute_nullable g =
     (fun (p : Production.t) -> Hashtbl.replace tbl p.name false)
     (Grammar.productions g);
   let lookup n = try Hashtbl.find tbl n with Not_found -> false in
-  let changed = ref true in
+  let changed = ref true and sweep = sweep_order g in
   while !changed do
     changed := false;
     List.iter
@@ -50,48 +62,80 @@ let compute_nullable g =
         if v && not (Hashtbl.find tbl p.name) then (
           Hashtbl.replace tbl p.name true;
           changed := true))
-      (Grammar.productions g)
+      sweep
   done;
   tbl
 
 (* --- FIRST sets -------------------------------------------------------- *)
 
-let rec expr_first_env ~first ~nullable (e : Expr.t) =
-  let recur = expr_first_env ~first ~nullable in
-  match e.it with
-  | Expr.Empty -> (Charset.empty, true)
-  | Fail _ -> (Charset.empty, false)
-  | Any -> (Charset.full, false)
-  | Chr c -> (Charset.singleton c, false)
-  | Str s -> (Charset.singleton s.[0], false)
-  | Cls set -> (set, false)
-  | Ref n -> (first n, nullable n)
-  | Seq es ->
-      let rec go set = function
-        | [] -> (set, true)
-        | e :: rest ->
-            let s, eps = recur e in
-            let set = Charset.union set s in
-            if eps then go set rest else (set, false)
-      in
-      go Charset.empty es
-  | Alt alts ->
-      List.fold_left
-        (fun (set, eps) a ->
-          let s, e = recur a.Expr.body in
-          (Charset.union set s, eps || e))
-        (Charset.empty, false) alts
-  | Star x ->
-      let s, _ = recur x in
-      (s, true)
-  | Plus x -> recur x
-  | Opt x ->
-      let s, _ = recur x in
-      (s, true)
-  | And _ | Not _ -> (Charset.empty, true)
-  | Bind (_, x) | Token x | Node (_, x) | Drop x | Splice x
-  | Record (_, x) | Member (_, _, x) ->
-      recur x
+(* FIRST set and nullability in one walk. [recur] returns the set and
+   leaves the nullability in [eps], so a node costs no result tuple.
+   With [memo], the expression and every choice alternative met are
+   looked up and recorded by structure, so a nested choice is walked
+   once however many enclosing alternatives are asked about. *)
+let expr_first_env ?memo ~first ~nullable (e : Expr.t) =
+  let eps = ref false in
+  let rec memoized (e : Expr.t) =
+    match memo with
+    | None -> recur e
+    | Some m -> (
+        match Expr.Shape.find_opt m e with
+        | Some (s, n) ->
+            eps := n;
+            s
+        | None ->
+            let s = recur e in
+            Expr.Shape.add m e (s, !eps);
+            s)
+  and recur (e : Expr.t) =
+    match e.it with
+    | Expr.Empty | And _ | Not _ ->
+        eps := true;
+        Charset.empty
+    | Fail _ ->
+        eps := false;
+        Charset.empty
+    | Any ->
+        eps := false;
+        Charset.full
+    | Chr c ->
+        eps := false;
+        Charset.singleton c
+    | Str s ->
+        eps := false;
+        Charset.singleton s.[0]
+    | Cls set ->
+        eps := false;
+        set
+    | Ref n ->
+        eps := nullable n;
+        first n
+    | Seq es -> seq Charset.empty es
+    | Alt alts -> alt Charset.empty false alts
+    | Star x | Opt x ->
+        let s = recur x in
+        eps := true;
+        s
+    | Plus x | Bind (_, x) | Token x | Node (_, x) | Drop x | Splice x
+    | Record (_, x) | Member (_, _, x) ->
+        recur x
+  and seq set = function
+    | [] ->
+        eps := true;
+        set
+    | e :: rest ->
+        let set = Charset.union set (recur e) in
+        if !eps then seq set rest else set
+  and alt set any = function
+    | [] ->
+        eps := any;
+        set
+    | a :: rest ->
+        let set = Charset.union set (memoized a.Expr.body) in
+        alt set (any || !eps) rest
+  in
+  let s = memoized e in
+  (s, !eps)
 
 let compute_first g nullable_tbl =
   let tbl = Hashtbl.create 64 in
@@ -100,7 +144,7 @@ let compute_first g nullable_tbl =
     (Grammar.productions g);
   let first n = try Hashtbl.find tbl n with Not_found -> Charset.empty in
   let nullable n = try Hashtbl.find nullable_tbl n with Not_found -> false in
-  let changed = ref true in
+  let changed = ref true and sweep = sweep_order g in
   while !changed do
     changed := false;
     List.iter
@@ -109,7 +153,7 @@ let compute_first g nullable_tbl =
         if not (Charset.equal s (first p.name)) then (
           Hashtbl.replace tbl p.name s;
           changed := true))
-      (Grammar.productions g)
+      sweep
   done;
   tbl
 
@@ -122,7 +166,7 @@ let compute_stateful g =
       Hashtbl.replace tbl p.name (Expr.is_stateful p.expr))
     (Grammar.productions g);
   let lookup n = try Hashtbl.find tbl n with Not_found -> false in
-  let changed = ref true in
+  let changed = ref true and sweep = sweep_order g in
   while !changed do
     changed := false;
     List.iter
@@ -132,7 +176,7 @@ let compute_stateful g =
           if v then (
             Hashtbl.replace tbl p.name true;
             changed := true))
-      (Grammar.productions g)
+      sweep
   done;
   tbl
 
@@ -166,7 +210,7 @@ let compute_unit g =
       Hashtbl.replace tbl p.name init)
     (Grammar.productions g);
   let lookup n = try Hashtbl.find tbl n with Not_found -> false in
-  let changed = ref true in
+  let changed = ref true and sweep = sweep_order g in
   while !changed do
     changed := false;
     List.iter
@@ -175,7 +219,7 @@ let compute_unit g =
           if not (expr_unit_env lookup p.expr) then (
             Hashtbl.replace tbl p.name false;
             changed := true))
-      (Grammar.productions g)
+      sweep
   done;
   tbl
 
@@ -184,6 +228,7 @@ let analyze g =
     grammar = g;
     nullable_memo = None;
     first_memo = None;
+    expr_first_memo = None;
     stateful_memo = None;
     unit_memo = None;
     reachable_memo = None;
@@ -232,7 +277,15 @@ let first a n = try Hashtbl.find (first_tbl a) n with Not_found -> Charset.empty
 
 let expr_first a e =
   let firsts = first_tbl a and nulls = nullable_tbl a in
-  expr_first_env
+  let memo =
+    match a.expr_first_memo with
+    | Some m -> m
+    | None ->
+        let m = Expr.Shape.create 64 in
+        a.expr_first_memo <- Some m;
+        m
+  in
+  expr_first_env ~memo
     ~first:(fun n -> try Hashtbl.find firsts n with Not_found -> Charset.empty)
     ~nullable:(fun n -> try Hashtbl.find nulls n with Not_found -> false)
     e

@@ -47,7 +47,10 @@ val first : t -> string -> Charset.t
 
 val expr_first : t -> Expr.t -> Charset.t * bool
 (** [(set, eps)] — possible first bytes, and whether the expression may
-    succeed without consuming input. *)
+    succeed without consuming input. Results are kept by structure for
+    the expression and every choice alternative inside it, so asking
+    about a node already walked, or about an enclosing alternative,
+    walks no choice alternative twice. *)
 
 val expr_yields_unit : t -> Expr.t -> bool
 (** Statically known to produce [Value.Unit] on success: literals,

@@ -1,97 +1,129 @@
-(* A set of bytes as a 256-bit vector: four int64 words. *)
+(* A set of bytes as a 256-bit vector: eight immediate ints of 32 bits
+   each, word [i] holding bytes [32i .. 32i+31], byte [b] at bit
+   [b land 31] of word [b lsr 5]. Words are never boxed, so every
+   operation that builds a set allocates exactly one block. The arrays
+   are never mutated once returned. *)
 
-type t = { w0 : int64; w1 : int64; w2 : int64; w3 : int64 }
+type t = int array
 
-let empty = { w0 = 0L; w1 = 0L; w2 = 0L; w3 = 0L }
-let full = { w0 = -1L; w1 = -1L; w2 = -1L; w3 = -1L }
-
-let word s i =
-  match i with 0 -> s.w0 | 1 -> s.w1 | 2 -> s.w2 | _ -> s.w3
-
-let with_word s i w =
-  match i with
-  | 0 -> { s with w0 = w }
-  | 1 -> { s with w1 = w }
-  | 2 -> { s with w2 = w }
-  | _ -> { s with w3 = w }
+let words = 8
+let mask = 0xFFFF_FFFF
+let empty = Array.make words 0
+let full = Array.make words mask
 
 let mem c s =
   let b = Char.code c in
-  let w = word s (b lsr 6) in
-  Int64.logand (Int64.shift_right_logical w (b land 63)) 1L = 1L
+  (Array.unsafe_get s (b lsr 5) lsr (b land 31)) land 1 = 1
+
+(* [set_bit a b] on an array not yet returned to a caller. *)
+let set_bit a b =
+  let i = b lsr 5 in
+  Array.unsafe_set a i (Array.unsafe_get a i lor (1 lsl (b land 31)))
 
 let add c s =
-  let b = Char.code c in
-  let i = b lsr 6 in
-  with_word s i (Int64.logor (word s i) (Int64.shift_left 1L (b land 63)))
+  let a = Array.copy s in
+  set_bit a (Char.code c);
+  a
 
 let remove c s =
   let b = Char.code c in
-  let i = b lsr 6 in
-  with_word s i
-    (Int64.logand (word s i) (Int64.lognot (Int64.shift_left 1L (b land 63))))
+  let a = Array.copy s in
+  let i = b lsr 5 in
+  a.(i) <- a.(i) land lnot (1 lsl (b land 31));
+  a
 
-let singleton c = add c empty
+(* Singletons are made once per byte, on first use. Two domains racing
+   on an empty entry each store an equal set; either is correct. *)
+let singletons = Array.make 256 empty
+
+let singleton c =
+  let b = Char.code c in
+  let s = singletons.(b) in
+  if s != empty then s
+  else
+    let s = add c empty in
+    singletons.(b) <- s;
+    s
 
 let range lo hi =
-  let rec go acc b =
-    if b > Char.code hi then acc else go (add (Char.chr b) acc) (b + 1)
-  in
-  if hi < lo then empty else go empty (Char.code lo)
+  if hi < lo then empty
+  else
+    let a = Array.make words 0 in
+    for b = Char.code lo to Char.code hi do
+      set_bit a b
+    done;
+    a
 
-let of_string str = String.fold_left (fun acc c -> add c acc) empty str
-let of_list cs = List.fold_left (fun acc c -> add c acc) empty cs
+let of_string str =
+  let a = Array.make words 0 in
+  String.iter (fun c -> set_bit a (Char.code c)) str;
+  a
+
+let of_list cs =
+  let a = Array.make words 0 in
+  List.iter (fun c -> set_bit a (Char.code c)) cs;
+  a
 
 let map2 f a b =
-  { w0 = f a.w0 b.w0; w1 = f a.w1 b.w1; w2 = f a.w2 b.w2; w3 = f a.w3 b.w3 }
+  let r = Array.make words 0 in
+  for i = 0 to words - 1 do
+    Array.unsafe_set r i (f (Array.unsafe_get a i) (Array.unsafe_get b i))
+  done;
+  r
 
-let union = map2 Int64.logor
-let inter = map2 Int64.logand
-let diff a b = map2 (fun x y -> Int64.logand x (Int64.lognot y)) a b
+let diff = map2 (fun x y -> x land lnot y)
+let complement s = diff full s
 
-let complement s =
-  { w0 = Int64.lognot s.w0; w1 = Int64.lognot s.w1;
-    w2 = Int64.lognot s.w2; w3 = Int64.lognot s.w3 }
+(* The word loops below are closed top-level functions, so that a
+   query allocates no closure. *)
+let rec subset_from a b i =
+  i >= words || (a.(i) land lnot b.(i) = 0 && subset_from a b (i + 1))
 
-let is_empty s = s.w0 = 0L && s.w1 = 0L && s.w2 = 0L && s.w3 = 0L
+let subset a b = subset_from a b 0
 
-let popcount64 w =
-  let rec go acc w = if w = 0L then acc
-    else go (acc + 1) (Int64.logand w (Int64.sub w 1L))
-  in
-  go 0 w
+(* A result equal to an operand is that operand: FIRST sets are mostly
+   unions with the empty set or with a subset. *)
+let union a b = if subset b a then a else if subset a b then b else map2 ( lor ) a b
+let inter a b = if subset a b then a else if subset b a then b else map2 ( land ) a b
+
+let rec popcount acc w = if w = 0 then acc else popcount (acc + 1) (w land (w - 1))
 
 let cardinal s =
-  popcount64 s.w0 + popcount64 s.w1 + popcount64 s.w2 + popcount64 s.w3
+  let n = ref 0 in
+  for i = 0 to words - 1 do
+    n := popcount !n s.(i)
+  done;
+  !n
 
-let equal a b = a.w0 = b.w0 && a.w1 = b.w1 && a.w2 = b.w2 && a.w3 = b.w3
+let rec equal_from a b i = i >= words || (a.(i) = b.(i) && equal_from a b (i + 1))
+let equal a b = a == b || equal_from a b 0
 
-let compare a b =
-  let c = Int64.compare a.w0 b.w0 in
-  if c <> 0 then c
+(* Sets ordered as the 256-bit numbers they encode: the set holding the
+   highest byte on which the two differ is the greater. *)
+let rec compare_from a b i =
+  if i < 0 then 0
   else
-    let c = Int64.compare a.w1 b.w1 in
-    if c <> 0 then c
-    else
-      let c = Int64.compare a.w2 b.w2 in
-      if c <> 0 then c else Int64.compare a.w3 b.w3
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i - 1)
 
-let subset a b = equal (inter a b) a
-let disjoint a b = is_empty (inter a b)
+let compare a b = compare_from a b (words - 1)
 
-(* Walks the set a word at a time, each word as two 32-bit native-int
-   halves: empty words cost one compare, and no member test boxes. *)
+let is_empty s = equal s empty
+
+let rec disjoint_from a b i =
+  i >= words || (a.(i) land b.(i) = 0 && disjoint_from a b (i + 1))
+
+let disjoint a b = disjoint_from a b 0
+
+(* Walks the set a word at a time: empty words cost one compare. *)
 let iter f s =
   let rec bits b x =
     if x <> 0 then (
       if x land 1 = 1 then f (Char.unsafe_chr b);
       bits (b + 1) (x lsr 1))
   in
-  for i = 0 to 3 do
-    let w = word s i in
-    if w <> 0L then (
-      bits (64 * i) (Int64.to_int w land 0xFFFF_FFFF);
-      bits ((64 * i) + 32) (Int64.to_int (Int64.shift_right_logical w 32)))
+  for i = 0 to words - 1 do
+    bits (32 * i) s.(i)
   done
 
 let fold f s init =
@@ -103,8 +135,11 @@ let elements s = List.rev (fold (fun c acc -> c :: acc) s [])
 let choose s = match elements s with [] -> None | c :: _ -> Some c
 
 let hash s =
-  let h w = Int64.to_int (Int64.logxor w (Int64.shift_right_logical w 32)) in
-  (h s.w0 * 31 + h s.w1) * 31 + (h s.w2 * 31 + h s.w3)
+  let h = ref 0 in
+  for i = 0 to words - 1 do
+    h := (!h * 31) + s.(i)
+  done;
+  !h land max_int
 
 (* Printing: collapse into ranges, escape the unprintable. *)
 let add_escaped b c =
@@ -132,12 +167,6 @@ let ranges s =
     s;
   if !lo >= 0 then acc := (!lo, !hi) :: !acc;
   List.rev !acc
-
-let to_ranges s =
-  List.map (fun (lo, hi) -> (Char.chr lo, Char.chr hi)) (ranges s)
-
-let of_ranges rs =
-  List.fold_left (fun acc (lo, hi) -> union acc (range lo hi)) empty rs
 
 let to_string s =
   let b = Buffer.create 16 in

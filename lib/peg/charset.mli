@@ -2,7 +2,8 @@
 
     Rats! parses at the character level — the lexicon is part of the
     grammar — so character classes are pervasive and must be cheap. A set
-    is four 64-bit words; membership is two shifts and a mask. Sets are
+    is eight immediate 32-bit words; membership is two shifts and a mask,
+    and every operation that builds a set allocates one block. Sets are
     immutable. *)
 
 type t
@@ -30,6 +31,9 @@ val is_empty : t -> bool
 val cardinal : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** Sets ordered as the 256-bit numbers [sum of 2^b for b in s]: the set
+    holding the highest byte on which two sets differ is the greater. *)
+
 val subset : t -> t -> bool
 (** [subset a b] is true when every byte of [a] is in [b]. *)
 
@@ -41,11 +45,7 @@ val choose : t -> char option
 (** [choose s] is the smallest element, if any. *)
 
 val hash : t -> int
-
-val to_ranges : t -> (char * char) list
-(** Maximal inclusive runs, ascending — the basis of printing. *)
-
-val of_ranges : (char * char) list -> t
+(** Equal sets hash equally. *)
 
 val pp : Format.formatter -> t -> unit
 (** [pp] prints in grammar-class syntax, e.g. [[a-z0-9_]], escaping

@@ -80,26 +80,75 @@ let splice ?loc e = mk ?loc (Splice e)
 let record ?loc table e = mk ?loc (Record (table, e))
 let member ?loc table positive e = mk ?loc (Member (table, positive, e))
 
+(* [List.map f xs], or [xs] itself when [f] returned every element
+   unchanged: a rewrite that changes nothing allocates nothing. *)
+let rec map_same f xs =
+  match xs with
+  | [] -> xs
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_same f rest in
+      if x' == x && rest' == rest then xs else x' :: rest'
+
+let rec map_alts f alts =
+  match alts with
+  | [] -> alts
+  | a :: rest ->
+      let body = f a.body in
+      let rest' = map_alts f rest in
+      if body == a.body && rest' == rest then alts
+      else { a with body } :: rest'
+
+(* Written out case by case, so that a call that changes nothing
+   allocates nothing, not even a closure. *)
 let map_children f e =
   let it =
     match e.it with
-    | (Empty | Fail _ | Any | Chr _ | Str _ | Cls _ | Ref _) as leaf -> leaf
-    | Seq es -> Seq (List.map f es)
-    | Alt alts -> Alt (List.map (fun a -> { a with body = f a.body }) alts)
-    | Star x -> Star (f x)
-    | Plus x -> Plus (f x)
-    | Opt x -> Opt (f x)
-    | And x -> And (f x)
-    | Not x -> Not (f x)
-    | Bind (n, x) -> Bind (n, f x)
-    | Token x -> Token (f x)
-    | Node (n, x) -> Node (n, f x)
-    | Drop x -> Drop (f x)
-    | Splice x -> Splice (f x)
-    | Record (t, x) -> Record (t, f x)
-    | Member (t, p, x) -> Member (t, p, f x)
+    | Empty | Fail _ | Any | Chr _ | Str _ | Cls _ | Ref _ -> e.it
+    | Seq es ->
+        let es' = map_same f es in
+        if es' == es then e.it else Seq es'
+    | Alt alts ->
+        let alts' = map_alts f alts in
+        if alts' == alts then e.it else Alt alts'
+    | Star x ->
+        let x' = f x in
+        if x' == x then e.it else Star x'
+    | Plus x ->
+        let x' = f x in
+        if x' == x then e.it else Plus x'
+    | Opt x ->
+        let x' = f x in
+        if x' == x then e.it else Opt x'
+    | And x ->
+        let x' = f x in
+        if x' == x then e.it else And x'
+    | Not x ->
+        let x' = f x in
+        if x' == x then e.it else Not x'
+    | Bind (n, x) ->
+        let x' = f x in
+        if x' == x then e.it else Bind (n, x')
+    | Token x ->
+        let x' = f x in
+        if x' == x then e.it else Token x'
+    | Node (n, x) ->
+        let x' = f x in
+        if x' == x then e.it else Node (n, x')
+    | Drop x ->
+        let x' = f x in
+        if x' == x then e.it else Drop x'
+    | Splice x ->
+        let x' = f x in
+        if x' == x then e.it else Splice x'
+    | Record (t, x) ->
+        let x' = f x in
+        if x' == x then e.it else Record (t, x')
+    | Member (t, p, x) ->
+        let x' = f x in
+        if x' == x then e.it else Member (t, p, x')
   in
-  { e with it }
+  if it == e.it then e else { e with it }
 
 let iter_children f e =
   match e.it with
@@ -111,29 +160,70 @@ let iter_children f e =
   | Record (_, x) | Member (_, _, x) ->
       f x
 
+(* The queries below recurse directly, without [iter_children]'s
+   closure: they run over every production on every optimizer pass and
+   allocate nothing but what they return. *)
 let rec fold f acc e =
   let acc = f acc e in
-  let acc_ref = ref acc in
-  iter_children (fun c -> acc_ref := fold f !acc_ref c) e;
-  !acc_ref
+  match e.it with
+  | Empty | Fail _ | Any | Chr _ | Str _ | Cls _ | Ref _ -> acc
+  | Seq es -> fold_list f acc es
+  | Alt alts -> fold_alts f acc alts
+  | Star x | Plus x | Opt x | And x | Not x
+  | Bind (_, x) | Token x | Node (_, x) | Drop x | Splice x
+  | Record (_, x) | Member (_, _, x) ->
+      fold f acc x
 
-let refs e =
-  let seen = Hashtbl.create 16 in
-  let out =
-    fold
-      (fun acc e ->
-        match e.it with
-        | Ref n when not (Hashtbl.mem seen n) ->
-            Hashtbl.add seen n ();
-            n :: acc
-        | _ -> acc)
-      [] e
-  in
-  List.rev out
+and fold_list f acc = function
+  | [] -> acc
+  | e :: rest -> fold_list f (fold f acc e) rest
 
-let size e = fold (fun n _ -> n + 1) 0 e
+and fold_alts f acc = function
+  | [] -> acc
+  | a :: rest -> fold_alts f (fold f acc a.body) rest
+
+(* Names in reverse first-occurrence order; an expression references
+   few distinct names, so a list scan deduplicates. *)
+let rec refs_rev acc e =
+  match e.it with
+  | Ref n -> if List.exists (String.equal n) acc then acc else n :: acc
+  | Empty | Fail _ | Any | Chr _ | Str _ | Cls _ -> acc
+  | Seq es -> refs_list acc es
+  | Alt alts -> refs_alts acc alts
+  | Star x | Plus x | Opt x | And x | Not x
+  | Bind (_, x) | Token x | Node (_, x) | Drop x | Splice x
+  | Record (_, x) | Member (_, _, x) ->
+      refs_rev acc x
+
+and refs_list acc = function
+  | [] -> acc
+  | e :: rest -> refs_list (refs_rev acc e) rest
+
+and refs_alts acc = function
+  | [] -> acc
+  | a :: rest -> refs_alts (refs_rev acc a.body) rest
+
+let refs e = List.rev (refs_rev [] e)
+
+let rec size_from n e =
+  let n = n + 1 in
+  match e.it with
+  | Empty | Fail _ | Any | Chr _ | Str _ | Cls _ | Ref _ -> n
+  | Seq es -> size_list n es
+  | Alt alts -> size_alts n alts
+  | Star x | Plus x | Opt x | And x | Not x
+  | Bind (_, x) | Token x | Node (_, x) | Drop x | Splice x
+  | Record (_, x) | Member (_, _, x) ->
+      size_from n x
+
+and size_list n = function [] -> n | e :: rest -> size_list (size_from n e) rest
+and size_alts n = function [] -> n | a :: rest -> size_alts (size_from n a.body) rest
+
+let size e = size_from 0 e
 
 let rec equal a b =
+  a == b
+  ||
   match (a.it, b.it) with
   | Empty, Empty | Any, Any -> true
   | Fail a, Fail b -> String.equal a b
@@ -162,13 +252,38 @@ let rec equal a b =
       _ ) ->
       false
 
-let is_stateful e =
-  fold
-    (fun acc e ->
-      acc || match e.it with Record _ | Member _ -> true | _ -> false)
-    false e
-
-let rec rename_refs f e =
+let rec is_stateful e =
   match e.it with
-  | Ref n -> { e with it = Ref (f n) }
-  | _ -> map_children (rename_refs f) e
+  | Record _ | Member _ -> true
+  | Empty | Fail _ | Any | Chr _ | Str _ | Cls _ | Ref _ -> false
+  | Seq es -> List.exists is_stateful es
+  | Alt alts -> List.exists (fun a -> is_stateful a.body) alts
+  | Star x | Plus x | Opt x | And x | Not x
+  | Bind (_, x) | Token x | Node (_, x) | Drop x | Splice x ->
+      is_stateful x
+
+let shallow_hash e = Hashtbl.hash_param 3 8 e
+
+module Phys = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash = shallow_hash
+end)
+
+module Shape = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = shallow_hash
+end)
+
+let rename_refs f e =
+  let rec go e =
+    match e.it with
+    | Ref n ->
+        let n' = f n in
+        if String.equal n' n then e else { e with it = Ref n' }
+    | _ -> map_children go e
+  in
+  go e

@@ -78,7 +78,10 @@ val member : ?loc:Span.t -> string -> bool -> t -> t
 
 val map_children : (t -> t) -> t -> t
 (** [map_children f e] rebuilds [e] with [f] applied to each immediate
-    subexpression (not recursively). *)
+    subexpression (not recursively). When [f] returns every child
+    physically unchanged, the result is [e] itself and nothing is
+    allocated; otherwise only the spine above a changed child is new,
+    and unchanged siblings stay shared. *)
 
 val iter_children : (t -> unit) -> t -> unit
 
@@ -92,12 +95,29 @@ val size : t -> int
 (** Number of IR nodes — the optimizer's cost metric. *)
 
 val equal : t -> t -> bool
-(** Structural equality ignoring spans. *)
+(** Structural equality ignoring spans; physically equal subtrees are
+    equal without being walked. *)
 
 val is_stateful : t -> bool
 (** True when the expression itself contains [Record]/[Member] (does not
     chase [Ref]s; see {!Analysis.stateful_set} for the transitive
     version). *)
 
+val shallow_hash : t -> int
+(** A hash of a node's first few structural values: its constructor,
+    its span and little more. Cheap, and enough to spread a grammar's
+    nodes over a table; physically equal nodes hash equally, and so do
+    structurally equal ones with equal spans. *)
+
+module Phys : Hashtbl.S with type key = t
+(** Tables keyed by node identity ([==]), hashed with {!shallow_hash}. *)
+
+module Shape : Hashtbl.S with type key = t
+(** Tables keyed by structure ({!equal}, spans ignored), hashed with
+    {!shallow_hash}. The hash sees spans, so equal nodes with different
+    spans can miss each other: use it for caches, where a miss only
+    costs recomputing. *)
+
 val rename_refs : (string -> string) -> t -> t
-(** Rewrite every [Ref] name — used when flattening module namespaces. *)
+(** Rewrite every [Ref] name — used when flattening module namespaces.
+    Like {!map_children}, returns [e] itself when no name changes. *)

@@ -67,17 +67,20 @@ let mem g name = Hashtbl.mem g.index name
 let length g = List.length g.prods
 let size g = List.fold_left (fun acc p -> acc + Production.size p) 0 g.prods
 
+(* A transformation that returns every production physically unchanged
+   gets [g] back, index and all. *)
 let map f g =
-  let prods =
-    List.map
-      (fun (p : Production.t) ->
+  let rec go = function
+    | [] -> []
+    | p :: rest as l ->
         let q = f p in
-        if not (String.equal q.Production.name p.name) then
-          invalid_arg "Grammar.map: transformation renamed a production";
-        q)
-      g.prods
+        if q != p && not (String.equal q.Production.name p.Production.name)
+        then invalid_arg "Grammar.map: transformation renamed a production";
+        let rest' = go rest in
+        if q == p && rest' == rest then l else q :: rest'
   in
-  { g with prods; index = build_index prods }
+  let prods = go g.prods in
+  if prods == g.prods then g else { g with prods; index = build_index prods }
 
 let update g name f =
   if not (mem g name) then
@@ -116,9 +119,8 @@ let check_closed g =
     g.prods
 
 let restrict g ~keep =
-  let prods =
-    List.filter
-      (fun (p : Production.t) -> String.equal p.name g.start || keep p.name)
-      g.prods
-  in
-  { g with prods; index = build_index prods }
+  let kept (p : Production.t) = String.equal p.name g.start || keep p.name in
+  if List.for_all kept g.prods then g
+  else
+    let prods = List.filter kept g.prods in
+    { g with prods; index = build_index prods }

@@ -33,7 +33,9 @@ val size : t -> int
 (** Total IR nodes across all production bodies. *)
 
 val map : (Production.t -> Production.t) -> t -> t
-(** [map f g] transforms every production. [f] must preserve names. *)
+(** [map f g] transforms every production. [f] must preserve names.
+    When [f] returns every production physically unchanged, the result
+    is [g] itself. *)
 
 val update : t -> string -> (Production.t -> Production.t) -> t
 (** [update g name f] replaces the named production; raises
@@ -51,4 +53,5 @@ val check_closed : t -> Diagnostic.t list
     undefined nonterminal. Empty means closed. *)
 
 val restrict : t -> keep:(string -> bool) -> t
-(** Keep only the named productions (callers ensure closure). *)
+(** Keep only the named productions (callers ensure closure); [g]
+    itself when every production is kept. *)

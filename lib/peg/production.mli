@@ -14,10 +14,13 @@ type t = {
 
 val v : ?attrs:Attr.t -> ?loc:Span.t -> ?origin:string -> string -> Expr.t -> t
 val with_expr : t -> Expr.t -> t
+(** [with_expr p e] is [p] itself when [e] is physically [p.expr]. *)
+
 val with_attrs : t -> Attr.t -> t
 val is_public : t -> bool
 val size : t -> int
 (** IR size of the body. *)
 
 val equal : t -> t -> bool
-(** Ignores spans and origins: same name, attributes and body. *)
+(** Ignores spans and origins: same name, attributes and body; true at
+    once for physically equal productions. *)

@@ -99,13 +99,14 @@ let restore_tables st saved =
 let bitmap_mem bm c = Bytes.unsafe_get bm (Char.code c) <> '\000'
 
 (* Expression nodes by identity: a node compiled again is found
-   without comparing trees. *)
-module Phys = Hashtbl.Make (struct
-  type t = Expr.t
+   without comparing trees. [Expr.shallow_hash] reads a few values of
+   a node where [Hashtbl.hash] walks ten, which cost about 5% of a cold
+   MiniC run. *)
+module Phys = Expr.Phys
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+(* Expression nodes by structure, spans ignored. *)
+module Shape = Expr.Shape
+
 
 type compile_ctx = {
   parser : t;
@@ -119,7 +120,14 @@ type compile_ctx = {
          pushes backtrack events; call instrumentation lives in the
          per-production wrappers of [prepare_hooked] instead *)
   preds : int Phys.t;  (* predicate node -> id of its description *)
+  full_fns : fn Shape.t;  (* composite node -> its value-building matcher *)
+  lean_fns : fn Shape.t;  (* composite node -> its recognizer *)
+  chr_bms : Bytes.t array;
+      (* byte -> the one-byte test's bitmap of a [Chr] of it, made on
+         first use; [no_bitmap] until then *)
 }
+
+let no_bitmap = Bytes.empty
 
 (* A body that matches exactly one byte when [bm] admits it and
    records [id] at that byte otherwise: a class, a character or [.],
@@ -317,17 +325,25 @@ let peel_bind (e : Expr.t) =
 
 (* [e]'s one-byte test when it is one: a pattern match and the lookup
    the terminal's own matcher makes, interning exactly the description
-   that matcher interns. Not cached per node: [Phys] hashes structurally,
-   and the inliner leaves many equal copies of small bodies such as
-   whitespace classes, whose lookups would share one bucket. *)
+   that matcher interns. Not cached: the repetitions, options and
+   predicates that ask are themselves compiled once per structure
+   ([compile]). *)
 let rec byte_test ctx (e : Expr.t) =
   match e.it with
   | Expr.Cls set ->
       let bm, id = Charmap.lower ctx.charsets set in
       Some { bm; id }
   | Expr.Chr c ->
-      let bm = Bytes.make 256 '\000' in
-      Bytes.set bm (Char.code c) '\001';
+      let bm =
+        let b = Char.code c in
+        let bm = ctx.chr_bms.(b) in
+        if bm != no_bitmap then bm
+        else
+          let bm = Bytes.make 256 '\000' in
+          Bytes.set bm b '\001';
+          ctx.chr_bms.(b) <- bm;
+          bm
+      in
       Some { bm; id = Expected.intern_char ctx.parser.names c }
   | Expr.Any ->
       let id = Expected.intern ctx.parser.names "any character" in
@@ -336,7 +352,29 @@ let rec byte_test ctx (e : Expr.t) =
       byte_test ctx x
   | _ -> None
 
+(* A composite node is compiled once per structure and mode. The
+   inliner copies one expansion into every site that referenced it —
+   MiniC's optimized grammar holds 129 copies of its whitespace choice —
+   and a matcher depends on nothing but the node's structure and the
+   mode: no span, and no identity, except for observation's coverage
+   arms, so observed engines compile every site. A leaf's matcher costs
+   no more than the lookup, so leaves are compiled in place. *)
 let rec compile ctx ~lean (e : Expr.t) : fn =
+  match e.it with
+  | Expr.Empty | Expr.Fail _ | Expr.Any | Expr.Chr _ | Expr.Str _
+  | Expr.Cls _ | Expr.Ref _ ->
+      compile_expr ctx ~lean e
+  | _ when Option.is_some ctx.obs -> compile_expr ctx ~lean e
+  | _ -> (
+      let memo = if lean then ctx.lean_fns else ctx.full_fns in
+      match Shape.find_opt memo e with
+      | Some fn -> fn
+      | None ->
+          let fn = compile_expr ctx ~lean e in
+          Shape.add memo e fn;
+          fn)
+
+and compile_expr ctx ~lean (e : Expr.t) : fn =
   match e.it with
   | Expr.Empty ->
       if lean then fun _ _pos -> _pos
@@ -953,7 +991,21 @@ let assign_slots cfg prods =
   in
   (slots, !next)
 
+(* A copy of [e] that shares no node with [e] or within itself: each
+   site of a subtree the optimizer left shared gets its own nodes. *)
+let rec unshare (e : Expr.t) =
+  let e' = Expr.map_children unshare e in
+  if e' == e then { e with it = e.it } else e'
+
 let prepare_hooked ?hook ?(config = Config.optimized) gram =
+  (* Observation identifies choice arms by their physical alternative
+     lists, one set of arms per choice site; a shared subtree would
+     merge its sites' coverage and move every later arm's id. *)
+  let gram =
+    if Observe.enabled config.Config.observe then
+      Grammar.map (fun p -> Production.with_expr p (unshare p.expr)) gram
+    else gram
+  in
   let analysis = Analysis.analyze gram in
   match Analysis.check analysis with
   | _ :: _ as ds -> Error ds
@@ -1009,6 +1061,9 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
           charsets = Charmap.create names;
           obs;
           preds = Phys.create 64;
+          full_fns = Shape.create 256;
+          lean_fns = Shape.create 256;
+          chr_bms = Array.make 256 no_bitmap;
         }
       in
       (try

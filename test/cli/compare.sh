@@ -2,9 +2,13 @@
 # Compare two rml binaries run for run: stdout, stderr and exit code of
 # `rml parse` over calc, json, minic and minijava inputs under a fixed
 # set of flags, batches with per-document deadlines (with and without
-# faults), and the trace, coverage and profile subcommands; then the
-# option names of every subcommand's --help=plain. Wall-clock fields
-# (batch "ms" values and the stderr summary's latencies) are blanked.
+# faults), and the trace, coverage and profile subcommands, each with
+# and without -O; the optimized grammar `rml compose -O` prints for
+# every builtin; then the option names of every subcommand's
+# --help=plain. Wall-clock fields (batch "ms" values, the stderr
+# summary's latencies and the profile's time columns) are blanked; the
+# profile lists every production, sorted by name, since its own order
+# is by time.
 #
 #   test/cli/compare.sh OLD_RML NEW_RML [WORK_DIR]
 #
@@ -44,6 +48,12 @@ strip() {
           s/p50 [0-9.]+ms p99 [0-9.]+ms total [0-9.]+ms/p50 _ p99 _ total _/' "$1"
 }
 
+# A profile table's rows with their self ms, total ms and self% blanked,
+# in name order.
+strip_profile() {
+  sed -E 's/ +[0-9]+\.[0-9]+ +[0-9]+\.[0-9]+ +[0-9]+\.[0-9]+%$/ _/' "$1" | sort
+}
+
 runs=0
 diffs=0
 # compare NAME STDIN ARGS...: run both binaries, compare the three results
@@ -69,6 +79,33 @@ compare() {
   done
 }
 
+# compare_profile NAME ARGS...: like compare, on the blanked profile
+compare_profile() {
+  local name=$1
+  shift
+  local side bin
+  for side in old new; do
+    if [ "$side" = old ]; then bin=$old; else bin=$new; fi
+    "$bin" "$@" < /dev/null > "$work/$side.out" 2> "$work/$side.err"
+    echo $? > "$work/$side.code"
+    strip_profile "$work/$side.out" > "$work/$side.out.s"
+    strip "$work/$side.err" > "$work/$side.err.s"
+  done
+  runs=$((runs + 1))
+  local what
+  for what in out.s err.s code; do
+    if ! cmp -s "$work/old.$what" "$work/new.$what"; then
+      diffs=$((diffs + 1))
+      echo "DIFF ($what): $name"
+      break
+    fi
+  done
+}
+
+for g in calc json minic minic-ext minijava rats path; do
+  compare "compose -b $g -O" /dev/null compose -b "$g" -O
+done
+
 for g in calc json minic minijava; do
   for f in $(inputs_for "$g"); do
     i=$work/in/$f
@@ -90,13 +127,14 @@ for g in calc json minic minijava; do
 --timeout 60 --stats
 EOF
     compare "parse -b $g --stdin < $f" "$i" parse -b "$g" --stdin
-    compare "trace -b $g $f" /dev/null trace -b "$g" -i "$i" --last 40
-    compare "coverage -b $g $f" /dev/null coverage -b "$g" -i "$i"
-    # profile timings differ run to run: compare the exit code alone
-    "$old" profile -b "$g" -i "$i" > /dev/null 2>&1; a=$?
-    "$new" profile -b "$g" -i "$i" > /dev/null 2>&1; b=$?
-    runs=$((runs + 1))
-    if [ "$a" != "$b" ]; then diffs=$((diffs + 1)); echo "DIFF (code): profile -b $g $f"; fi
+    for o in '' -O; do
+      # shellcheck disable=SC2086
+      compare "trace -b $g $f $o" /dev/null trace -b "$g" -i "$i" --last 40 $o
+      # shellcheck disable=SC2086
+      compare "coverage -b $g $f $o" /dev/null coverage -b "$g" -i "$i" $o
+      # shellcheck disable=SC2086
+      compare_profile "profile -b $g $f $o" profile -b "$g" -i "$i" --top 100000 $o
+    done
   done
   manifest=$work/in/$g.manifest
   { for f in $(inputs_for "$g"); do echo "$work/in/$f"; done

@@ -142,6 +142,49 @@ let floor_tests =
         docs)
     configs
 
+(* The compile-side contract: the IR layers allocate what they return.
+   A cold [rml parse -O] runs meta, resolve, optimize and prepare
+   before it parses a byte, so the minor words of that chain are the
+   cold start's allocation; each bound is the measured figure plus 10%.
+   A traversal that allocates per node again — a closure or a ref in
+   [Expr.fold], a table per [Expr.refs] call — or a pass that rebuilds
+   what it does not change fails here. The chain runs once before it
+   is measured, so that caches made on first use (single-byte charsets)
+   are not counted. *)
+let compile_tests =
+  let ok what = function
+    | Ok v -> v
+    | Error ds ->
+        Alcotest.failf "%s: %s" what
+          (String.concat "; " (List.map Diagnostic.to_string ds))
+  in
+  let compile texts root () =
+    let modules =
+      List.concat_map (fun t -> ok "meta" (modules_of_string t)) texts
+    in
+    let g = ok "resolve" (compose ~root modules) in
+    let g = Pipeline.optimize g in
+    ignore (Engine.prepare_exn ~config:Config.optimized g)
+  in
+  List.map
+    (fun (gname, texts, root, bound) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s compile allocates <= %d minor words" gname bound)
+        `Quick
+        (fun () ->
+          let run = compile texts root in
+          run ();
+          let w0 = Gc.minor_words () in
+          run ();
+          let words = Gc.minor_words () -. w0 in
+          if words > float bound then
+            Alcotest.failf "%s: meta through prepare allocated %.0f minor words, bound %d"
+              gname words bound))
+    [
+      ("MiniC", Grammars.Minic.texts, "c.Program", 291_000);
+      ("MiniJava", Grammars.Minijava.texts, "j.Program", 228_000);
+    ]
+
 (* Farthest-failure recording runs on every failing terminal and every
    dispatch-skipped alternative, so it must not allocate at all. *)
 let record_tests =
@@ -171,5 +214,6 @@ let () =
       ("lean-ladder", ladder_tests);
       ("voidified", voidified_tests);
       ("full-value", floor_tests);
+      ("compile", compile_tests);
       ("expected", record_tests);
     ]

@@ -558,6 +558,117 @@ let printer_props =
         | Error _ -> false);
   ]
 
+(* --- IR traversals ---------------------------------------------------------------------- *)
+
+(* The traversals as they were written over [iter_children] — a ref and
+   a closure per node, a hash table per [refs] — kept as the models of
+   the direct recursions that replaced them. *)
+let model_fold f acc e =
+  let rec go acc e =
+    let acc = f acc e in
+    let r = ref acc in
+    Expr.iter_children (fun c -> r := go !r c) e;
+    !r
+  in
+  go acc e
+
+let model_refs e =
+  let seen = Hashtbl.create 16 in
+  List.rev
+    (model_fold
+       (fun acc (e : Expr.t) ->
+         match e.it with
+         | Expr.Ref n when not (Hashtbl.mem seen n) ->
+             Hashtbl.add seen n ();
+             n :: acc
+         | _ -> acc)
+       [] e)
+
+let model_size e = model_fold (fun n _ -> n + 1) 0 e
+
+let model_is_stateful e =
+  model_fold
+    (fun acc (e : Expr.t) ->
+      acc || match e.it with Expr.Record _ | Expr.Member _ -> true | _ -> false)
+    false e
+
+(* Expressions over a few names, some with a subtree shared between
+   two sites as the inliner leaves them. *)
+let gen_traversal_expr st =
+  let e = gen_expr ~refs:[ "A"; "B"; "C" ] ~depth:4 st in
+  if Gen.bool st then e
+  else Expr.alt [ e; Expr.seq [ gen_expr ~refs:[ "C"; "D" ] ~depth:2 st; e ] ]
+
+let arb_traversal_expr =
+  QCheck.make ~print:Pretty.expr_to_string gen_traversal_expr
+
+let nodes e = List.rev (model_fold (fun acc x -> x :: acc) [] e)
+
+let children e =
+  let acc = ref [] in
+  Expr.iter_children (fun c -> acc := c :: !acc) e;
+  List.rev !acc
+
+let traversal_props =
+  [
+    QCheck.Test.make ~name:"map_children Fun.id returns every node itself"
+      ~count:300 arb_traversal_expr (fun e ->
+        List.for_all (fun x -> Expr.map_children Fun.id x == x) (nodes e));
+    QCheck.Test.make ~name:"map_children shares every child it does not change"
+      ~count:300 arb_traversal_expr (fun e ->
+        List.for_all
+          (fun x ->
+            List.for_all
+              (fun target ->
+                let y =
+                  Expr.map_children
+                    (fun c -> if c == target then Expr.fail "changed" else c)
+                    x
+                in
+                y != x
+                && List.for_all2
+                     (fun c c' -> if c == target then c' != c else c' == c)
+                     (children x) (children y))
+              (children x))
+          (nodes e));
+    QCheck.Test.make
+      ~name:"fold, refs, size and is_stateful agree with their models"
+      ~count:300 arb_traversal_expr (fun e ->
+        let pre = Expr.fold (fun acc x -> x :: acc) [] e in
+        List.length pre = List.length (nodes e)
+        && List.for_all2 ( == ) (List.rev pre) (nodes e)
+        && Expr.refs e = model_refs e
+        && Expr.size e = model_size e
+        && Expr.is_stateful e = model_is_stateful e
+        && List.for_all
+             (fun x -> Expr.is_stateful x = model_is_stateful x)
+             (nodes e));
+    QCheck.Test.make ~name:"passes return what they do not change physically equal"
+      ~count:200
+      (QCheck.make ~print:(fun g -> Pretty.grammar_to_string g) gen_grammar)
+      (fun g ->
+        List.for_all
+          (fun (p : Pass.t) ->
+            let g' = p.run (Analysis_ctx.create g) g in
+            let untouched =
+              List.for_all
+                (fun (q : Production.t) ->
+                  match Grammar.find g q.name with
+                  | Some orig -> (not (Production.equal orig q)) || orig == q
+                  | None -> true)
+                (Grammar.productions g')
+            in
+            let same =
+              Grammar.length g = Grammar.length g'
+              && List.for_all2 ( == ) (Grammar.productions g)
+                   (Grammar.productions g')
+            in
+            untouched
+            && ((not same) || g' == g)
+            && (g' != g || same))
+          (Pipeline.passes ()));
+  ]
+
 (* --- module print/parse round-trip ------------------------------------------------------- *)
 
 let gen_attrs st =
@@ -1017,8 +1128,6 @@ let arb_charset =
 
 let charset_props =
   [
-    QCheck.Test.make ~name:"to_ranges/of_ranges round-trip" ~count:500
-      arb_charset (fun s -> Charset.equal s (Charset.of_ranges (Charset.to_ranges s)));
     QCheck.Test.make ~name:"printer output is lossless via meta parser"
       ~count:300 arb_charset (fun s ->
         match Meta_parser.parse_expr (Charset.to_string s) with
@@ -1036,6 +1145,97 @@ let charset_props =
         let b = Charset.diff b a in
         Charset.cardinal (Charset.union a b)
         = Charset.cardinal a + Charset.cardinal b);
+  ]
+
+(* --- charset against a bool-array model -------------------------------------------------- *)
+
+(* A set's model is the membership of each of the 256 bytes. Models
+   are drawn at densities from empty to full, and pairs are often one
+   or two bytes apart (or equal), so word boundaries, equal sets and
+   near misses all come up. Sets are built from a model by [of_list]
+   or, for the hash property, by [add] in reverse order. *)
+let model_of s = Array.init 256 (fun b -> Charset.mem (Char.chr b) s)
+let members m = List.filter (fun c -> m.(Char.code c)) (List.init 256 Char.chr)
+let set_of m = Charset.of_list (members m)
+
+let gen_model st =
+  let p = Gen.oneofl [ 0.; 0.03; 0.5; 0.97; 1. ] st in
+  Array.init 256 (fun _ -> Gen.float_bound_exclusive 1. st < p)
+
+let gen_model_pair st =
+  let a = gen_model st in
+  if Gen.bool st then (a, gen_model st)
+  else
+    let b = Array.copy a in
+    for _ = 1 to Gen.int_bound 2 st do
+      let i = Gen.int_bound 255 st in
+      b.(i) <- not b.(i)
+    done;
+    (a, b)
+
+let print_model m = Charset.to_string (set_of m)
+let arb_model = QCheck.make ~print:print_model gen_model
+
+let arb_model_pair =
+  QCheck.make ~print:(QCheck.Print.pair print_model print_model) gen_model_pair
+
+(* The order [Charset.compare] promises: the set holding the highest
+   byte on which the two differ is the greater. *)
+let model_compare a b =
+  let rec go i =
+    if i < 0 then 0
+    else if a.(i) = b.(i) then go (i - 1)
+    else if a.(i) then 1
+    else -1
+  in
+  go 255
+
+let map_model2 f a b = Array.init 256 (fun i -> f a.(i) b.(i))
+
+let charset_model_props =
+  [
+    QCheck.Test.make ~name:"mem, iter, cardinal and is_empty agree with the model"
+      ~count:300 arb_model (fun m ->
+        let s = set_of m in
+        let seen = ref [] in
+        Charset.iter (fun c -> seen := c :: !seen) s;
+        model_of s = m
+        && List.rev !seen = members m
+        && Charset.elements s = members m
+        && Charset.cardinal s = List.length (members m)
+        && Charset.is_empty s = (members m = []));
+    QCheck.Test.make ~name:"add and remove agree with the model" ~count:300
+      (QCheck.pair arb_model QCheck.char) (fun (m, c) ->
+        let s = set_of m in
+        let with_ v = Array.mapi (fun i b -> if i = Char.code c then v else b) m in
+        model_of (Charset.add c s) = with_ true
+        && model_of (Charset.remove c s) = with_ false
+        && model_of s = m);
+    QCheck.Test.make ~name:"union, inter, diff and complement agree with the model"
+      ~count:300 arb_model_pair (fun (ma, mb) ->
+        let a = set_of ma and b = set_of mb in
+        model_of (Charset.union a b) = map_model2 ( || ) ma mb
+        && model_of (Charset.inter a b) = map_model2 ( && ) ma mb
+        && model_of (Charset.diff a b) = map_model2 (fun x y -> x && not y) ma mb
+        && model_of (Charset.complement a) = Array.map not ma
+        && model_of a = ma && model_of b = mb);
+    QCheck.Test.make ~name:"equal and compare agree with the model" ~count:300
+      arb_model_pair (fun (ma, mb) ->
+        let a = set_of ma and b = set_of mb in
+        Charset.equal a b = (ma = mb)
+        && Int.compare (Charset.compare a b) 0 = model_compare ma mb
+        && Int.compare (Charset.compare b a) 0 = model_compare mb ma);
+    QCheck.Test.make ~name:"hash agrees with equal" ~count:300 arb_model_pair
+      (fun (ma, mb) ->
+        let a = set_of ma and b = set_of mb in
+        let a' =
+          List.fold_left (fun s c -> Charset.add c s) Charset.empty
+            (List.rev (members ma))
+        in
+        Charset.equal a a'
+        && Charset.hash a = Charset.hash a'
+        && Charset.hash a = Charset.hash (Charset.union a Charset.empty)
+        && ((not (Charset.equal a b)) || Charset.hash a = Charset.hash b));
   ]
 
 (* --- farthest-failure tracker ------------------------------------------------ *)
@@ -1197,6 +1397,7 @@ let () =
       ("pass-equivalence", to_alco pass_props);
       ("registry-pass-equivalence", to_alco registry_pass_props);
       ("printer", to_alco printer_props);
+      ("traversal", to_alco traversal_props);
       ("module-printer", to_alco module_props);
       ("fuzz", to_alco fuzz_props);
       ("engine-fuzz", to_alco engine_fuzz_props);
@@ -1204,5 +1405,6 @@ let () =
       ("recognizer-equivalence", to_alco recognizer_props);
       ("observability", to_alco observe_props);
       ("charset", to_alco charset_props);
+      ("charset-model", to_alco charset_model_props);
       ("expected", to_alco expected_props);
     ]
