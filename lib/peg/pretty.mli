@@ -10,6 +10,12 @@ val pp_expr : Format.formatter -> Expr.t -> unit
 
 val expr_to_string : Expr.t -> string
 
+val describe : Expr.t -> string
+(** [expr_to_string e] cut to 40 characters: its first 37 and ["..."]
+    when longer. Prints no more of [e] than that needs, so a large body
+    costs what a small one does. Expected sets and coverage arms use it
+    to name predicate bodies and alternatives. *)
+
 val pp_production : Format.formatter -> Production.t -> unit
 (** One production, [attrs kind Name = body ;] on as many lines as the
     body needs. *)

@@ -30,8 +30,6 @@ type t = {
   ids : (string, int) Hashtbl.t;
 }
 
-let truncate s = if String.length s <= 40 then s else String.sub s 0 37 ^ "..."
-
 let of_grammar g =
   let prods = Array.of_list (Grammar.productions g) in
   let nprods = Array.length prods in
@@ -57,7 +55,7 @@ let of_grammar g =
                          arm_choice = !choice;
                          arm_index = i;
                          arm_label = a.label;
-                         arm_desc = truncate (Pretty.expr_to_string a.body);
+                         arm_desc = Pretty.describe a.body;
                        }
                        :: !arms;
                      incr narms)

@@ -295,9 +295,6 @@ let[@inline] probe st { bm; _ } pos =
 (* Every byte, for [.]'s test. *)
 let all_bytes = Bytes.make 256 '\001'
 
-let truncate_desc s =
-  if String.length s <= 40 then s else String.sub s 0 37 ^ "..."
-
 (* Expected-set description of a predicate body: a one-byte body is
    described as its matcher is. *)
 let pred_body_desc (x : Expr.t) =
@@ -305,7 +302,7 @@ let pred_body_desc (x : Expr.t) =
   | Expr.Chr c -> Pretty.quote_char c
   | Expr.Cls set -> Charset.to_string set
   | Expr.Any -> "any character"
-  | _ -> truncate_desc (Pretty.expr_to_string x)
+  | _ -> Pretty.describe x
 
 (* The id of a predicate's description, printed once per predicate
    node: the full and the recognizer compilation of a body share its
@@ -521,7 +518,7 @@ and compile_expr ctx ~lean (e : Expr.t) : fn =
       let positive = match e.it with Expr.And _ -> true | _ -> false in
       let desc () =
         if positive then "&" ^ pred_body_desc x
-        else "not " ^ truncate_desc (Pretty.expr_to_string x)
+        else "not " ^ Pretty.describe x
       in
       match byte_test ctx x with
       | Some t ->

@@ -549,6 +549,26 @@ let gen_printable_expr st = gen_expr ~refs:[ "Other" ] ~depth:3 st
 let arb_expr =
   QCheck.make ~print:Pretty.expr_to_string gen_printable_expr
 
+(* Alternatives wider than the printer's margin: their "/" breaks
+   become newlines, some within the first 40 characters. *)
+let gen_described_expr st =
+  let wide () =
+    Expr.alt
+      (List.init (2 + Gen.int_bound 5 st) (fun _ ->
+           if Gen.bool st then gen_printable_expr st
+           else Expr.str (String.make (1 + Gen.int_bound 30 st) 'a')))
+  in
+  match Gen.int_bound 2 st with
+  | 0 -> gen_printable_expr st
+  | 1 -> wide ()
+  | _ -> Expr.seq [ gen_printable_expr st; wide () ]
+
+(* [Pretty.describe] as the engine and the coverage arms computed it
+   before it stopped printing early. *)
+let model_describe e =
+  let s = Pretty.expr_to_string e in
+  if String.length s <= 40 then s else String.sub s 0 37 ^ "..."
+
 let printer_props =
   [
     QCheck.Test.make ~name:"pretty output reparses to an equal expression"
@@ -556,6 +576,10 @@ let printer_props =
         match Meta_parser.parse_expr (Pretty.expr_to_string e) with
         | Ok e' -> Expr.equal e e'
         | Error _ -> false);
+    QCheck.Test.make ~name:"describe is the printed expression cut to 40"
+      ~count:500
+      (QCheck.make ~print:Pretty.expr_to_string gen_described_expr)
+      (fun e -> Pretty.describe e = model_describe e);
   ]
 
 (* --- IR traversals ---------------------------------------------------------------------- *)
