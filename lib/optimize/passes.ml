@@ -49,10 +49,16 @@ let expansion_of (p : Production.t) =
   | Attr.Text -> Expr.token p.expr
   | Attr.Void -> Expr.drop p.expr
 
+(* Every site of a callee receives the one expansion its round made,
+   so the sites share it. A later round keeps them sharing: the
+   expansions of the previous round, and the rewrites it made of the
+   ones before, are rewritten once each and the rewrite is reused at
+   every site. Only those nodes are looked up by identity; a leaf is
+   never rewritten, and no other node is shared by inlining. *)
 let inline_pass ?(threshold = 12) ?ctx g =
   (* Only the first round can reuse the shared cache; every later round
      analyzes the grammar its own substitutions produced. *)
-  let rec iterate ctx g rounds =
+  let rec iterate ctx g shared rounds =
     if rounds = 0 then g
     else
       let cyclic =
@@ -81,14 +87,28 @@ let inline_pass ?(threshold = 12) ?ctx g =
       if Hashtbl.length inlinable = 0 then g
       else
         let changed = ref false in
+        let rewrites = Expr.Phys.create 16 in
+        let shared' = Expr.Phys.create 16 in
         let rec subst (e : Expr.t) =
           match e.it with
           | Expr.Ref n -> (
               match Hashtbl.find_opt inlinable n with
               | Some ex ->
                   changed := true;
+                  Expr.Phys.replace shared' ex ();
                   ex
               | None -> e)
+          | Expr.Empty | Expr.Fail _ | Expr.Any | Expr.Chr _ | Expr.Str _
+          | Expr.Cls _ ->
+              e
+          | _ when Expr.Phys.mem shared e -> (
+              match Expr.Phys.find_opt rewrites e with
+              | Some e' -> e'
+              | None ->
+                  let e' = Expr.map_children subst e in
+                  Expr.Phys.add rewrites e e';
+                  Expr.Phys.replace shared' e' ();
+                  e')
           | _ -> Expr.map_children subst e
         in
         let g' =
@@ -101,9 +121,9 @@ let inline_pass ?(threshold = 12) ?ctx g =
               else Production.with_expr p (subst p.expr))
             g
         in
-        if !changed then iterate None (prune g') (rounds - 1) else g
+        if !changed then iterate None (prune g') shared' (rounds - 1) else g
   in
-  iterate ctx g 5
+  iterate ctx g (Expr.Phys.create 1) 5
 
 (* --- duplicate folding ----------------------------------------------------- *)
 

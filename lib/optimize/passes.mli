@@ -43,7 +43,8 @@ val inline_pass : ?threshold:int -> ?ctx:Analysis_ctx.t -> Grammar.t -> Grammar.
     unchanged), then prune. [Inline_always]/[Inline_never] attributes
     override the cost heuristic. Productions whose expansion starts with
     a top-level binding are skipped (inlining them would leak the label
-    into the host sequence). *)
+    into the host sequence). Every site of a callee holds the same
+    physical expansion, including after a later round rewrites it. *)
 
 val fold_duplicates : Grammar.t -> Grammar.t
 (** Grammar folding: structurally identical private [Plain]/[Text]/[Void]

@@ -10,10 +10,10 @@ type t = {
   grammar : Grammar.t;
   mutable nullable_memo : (string, bool) Hashtbl.t option;
   mutable first_memo : (string, Charset.t) Hashtbl.t option;
-  mutable expr_first_memo : (Charset.t * bool) Expr.Shape.t option;
+  mutable expr_first_memo : (Charset.t * bool) Expr.Phys.t option;
       (* [expr_first] of each expression asked about and of each choice
-         alternative met on the way, by structure: the inliner leaves
-         many equal copies of one expansion *)
+         alternative met on the way, by node: the inliner shares one
+         expansion among all of its sites *)
   mutable stateful_memo : (string, bool) Hashtbl.t option;
   mutable unit_memo : (string, bool) Hashtbl.t option;
   mutable reachable_memo : StringSet.t option;
@@ -71,21 +71,21 @@ let compute_nullable g =
 (* FIRST set and nullability in one walk. [recur] returns the set and
    leaves the nullability in [eps], so a node costs no result tuple.
    With [memo], the expression and every choice alternative met are
-   looked up and recorded by structure, so a nested choice is walked
-   once however many enclosing alternatives are asked about. *)
+   looked up and recorded by node, so a nested choice is walked once
+   however many enclosing alternatives are asked about. *)
 let expr_first_env ?memo ~first ~nullable (e : Expr.t) =
   let eps = ref false in
   let rec memoized (e : Expr.t) =
     match memo with
     | None -> recur e
     | Some m -> (
-        match Expr.Shape.find_opt m e with
+        match Expr.Phys.find_opt m e with
         | Some (s, n) ->
             eps := n;
             s
         | None ->
             let s = recur e in
-            Expr.Shape.add m e (s, !eps);
+            Expr.Phys.add m e (s, !eps);
             s)
   and recur (e : Expr.t) =
     match e.it with
@@ -281,7 +281,7 @@ let expr_first a e =
     match a.expr_first_memo with
     | Some m -> m
     | None ->
-        let m = Expr.Shape.create 64 in
+        let m = Expr.Phys.create 64 in
         a.expr_first_memo <- Some m;
         m
   in

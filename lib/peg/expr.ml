@@ -271,13 +271,6 @@ module Phys = Hashtbl.Make (struct
   let hash = shallow_hash
 end)
 
-module Shape = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = shallow_hash
-end)
-
 let rename_refs f e =
   let rec go e =
     match e.it with

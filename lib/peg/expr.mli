@@ -112,12 +112,6 @@ val shallow_hash : t -> int
 module Phys : Hashtbl.S with type key = t
 (** Tables keyed by node identity ([==]), hashed with {!shallow_hash}. *)
 
-module Shape : Hashtbl.S with type key = t
-(** Tables keyed by structure ({!equal}, spans ignored), hashed with
-    {!shallow_hash}. The hash sees spans, so equal nodes with different
-    spans can miss each other: use it for caches, where a miss only
-    costs recomputing. *)
-
 val rename_refs : (string -> string) -> t -> t
 (** Rewrite every [Ref] name — used when flattening module namespaces.
     Like {!map_children}, returns [e] itself when no name changes. *)

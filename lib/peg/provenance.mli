@@ -4,23 +4,31 @@
     coverage to grammar-level entities, not to whatever the engine
     compiled them into. This module assigns those identities once, from
     the prepared grammar itself: production ids follow definition order
-    (exactly the id space the engine already uses), and every arm of
-    every [Alt] node gets a global arm id from a deterministic pre-order
-    walk. Because the engine compiles the physical [Expr.t] nodes of the
-    grammar, arm ids are recovered at compile time by physical identity
-    — robust against a body being compiled more than once (the engine
-    compiles each production twice, matcher and recognizer).
+    (exactly the id space the engine already uses), and every physical
+    [Alt] node gets one set of global arm ids from a deterministic
+    pre-order walk. Because the engine compiles each physical [Expr.t]
+    node of the grammar once per mode, arm ids are recovered at compile
+    time by physical identity.
 
-    Productions dissolved by the grammar-level inline pass no longer
-    exist when observation ids are assigned; their cost is charged to
-    the caller that absorbed them. *)
+    The inliner places one shared expansion at every site of a callee,
+    so a choice can be reached from several productions. It is counted
+    once, and owned by the smallest body that reaches it, the earlier
+    production on a tie: the production that defined it when that
+    production survives (MiniC's [Spacing]), otherwise the caller that
+    absorbed it. An arm matched through any site counts as matched.
+    Productions dissolved by the inline pass no longer exist when
+    observation ids are assigned; their cost is charged to the caller
+    that absorbed them. *)
 
 type arm = {
   arm_prod : int;  (** production id of the enclosing production *)
-  arm_choice : int;  (** ordinal of the [Alt] node within that production *)
+  arm_choice : int;
+      (** ordinal of the [Alt] node among the choices its production owns *)
   arm_index : int;  (** position of the arm inside its choice, from 0 *)
   arm_label : string option;  (** the arm's modification label, if any *)
-  arm_desc : string;  (** pretty-printed arm body, truncated *)
+  arm_body : Expr.t;
+      (** the arm's body; reports describe it ({!Pretty.describe}) only
+          when they print it *)
 }
 
 type t

@@ -292,7 +292,8 @@ let pp_coverage ppf t =
       let a = Provenance.arm t.prov i in
       let origin = Provenance.prod_origin t.prov a.Provenance.arm_prod in
       Format.fprintf ppf "unexercised alternative: %a = %s%s%s@."
-        (Provenance.pp_arm t.prov) i a.Provenance.arm_desc
+        (Provenance.pp_arm t.prov) i
+        (Pretty.describe a.Provenance.arm_body)
         (if arm_tried t i then "" else "  (never tried)")
         (if origin = "" then "" else "  [module " ^ origin ^ "]"))
     dead_arms

@@ -204,7 +204,7 @@ let coverage_tests =
               List.exists
                 (fun a ->
                   let arm = Provenance.arm (Observe.provenance o) a in
-                  contains arm.Provenance.arm_desc "z")
+                  contains (Pretty.describe arm.Provenance.arm_body) "z")
                 dead_arms
             in
             if not described then
@@ -401,6 +401,68 @@ let provenance_tests =
           check Alcotest.string "name" (Provenance.prod_name p1 i)
             (Provenance.prod_name p2 i)
         done);
+    test "a shared choice has one set of arms, owned by the smaller body"
+      (fun () ->
+        (* [shared] is one node reached from Big and from Small, the way
+           the inliner leaves an expansion at every site; Other holds an
+           equal copy, which is a choice of its own. Big is defined
+           first, but Small's body is smaller, so Small owns the arms. *)
+        let open Builder in
+        let shared = alt [ c 'x'; c 'y'; c 'z' ] in
+        let copy = alt [ c 'x'; c 'y'; c 'z' ] in
+        let g =
+          b
+            [
+              prod "S"
+                (alt
+                   [
+                     c 's' @: e "Big"; c 't' @: e "Small"; c 'u' @: e "Other";
+                   ]);
+              prod "Big" (c 'b' @: shared @: c 'b');
+              prod "Small" shared;
+              prod "Other" (c 'o' @: copy);
+            ]
+        in
+        let config = Config.with_observe (Observe.all ()) Config.optimized in
+        let eng = Engine.prepare_exn ~config g in
+        (* x through Big, y through Small, z through the copy only *)
+        List.iter
+          (fun s ->
+            match Engine.parse eng s with
+            | Ok _ -> ()
+            | Error _ -> Alcotest.failf "%S rejected" s)
+          [ "sbxb"; "ty"; "uoz" ];
+        let o = obs_of eng in
+        let prov = Observe.provenance o in
+        let alts_of (e : Expr.t) =
+          match e.it with
+          | Expr.Alt alts -> alts
+          | _ -> Alcotest.fail "not a choice"
+        in
+        check Alcotest.int "arms: S's, the shared choice's, the copy's" 9
+          (Provenance.narms prov);
+        let base = Provenance.arms_of prov (alts_of shared) in
+        let copy_base = Provenance.arms_of prov (alts_of copy) in
+        if base < 0 || copy_base < 0 || base = copy_base then
+          Alcotest.failf "arm bases %d and %d" base copy_base;
+        check Alcotest.(option int) "owner"
+          (Provenance.prod_id prov "Small")
+          (Some (Provenance.arm prov base).Provenance.arm_prod);
+        check Alcotest.int "choice ordinal" 0
+          (Provenance.arm prov base).Provenance.arm_choice;
+        check
+          Alcotest.(list bool)
+          "shared arms matched (x via Big, y via Small)" [ true; true; false ]
+          (List.init 3 (fun i -> Observe.arm_matched o (base + i)));
+        check
+          Alcotest.(list bool)
+          "copy's arms matched (z only)" [ false; false; true ]
+          (List.init 3 (fun i -> Observe.arm_matched o (copy_base + i)));
+        let report = Format.asprintf "%a" Observe.pp_coverage o in
+        if not (contains report "Small / choice 0 / arm 2 = 'z'") then
+          Alcotest.failf "shared arm not reported under Small:\n%s" report;
+        if contains report "Big / choice" then
+          Alcotest.failf "shared arm reported under Big:\n%s" report);
     test "arms_of recovers ids by physical identity" (fun () ->
         let g = dead_arm_grammar () in
         let prov = Provenance.of_grammar g in
