@@ -16,6 +16,11 @@ open Cmdliner
 let guarded = Rats.Run.guarded
 let print_errors = Rats.Run.print_errors
 
+(* The built-ins composed when this binary was built: a spec that is
+   exactly a built-in loads one instead of composing and optimizing. *)
+let snapshot = Rats_snapshot.find
+let exec = Rats.Run.exec ~snapshot
+
 (* --- shared arguments ------------------------------------------------------ *)
 
 let files_arg =
@@ -83,9 +88,9 @@ let grammar_term =
   let grammar gs optimize config = { gs with Rats.Run.optimize; config } in
   Term.(const grammar $ source_term $ optimize_arg $ config_arg)
 
-let with_grammar gs k =
+let with_grammar ?snapshot gs k =
   guarded @@ fun () ->
-  match Rats.Run.compose gs with Error ds -> print_errors ds | Ok g -> k g
+  match Rats.Run.grammar_of ?snapshot gs with Error ds -> print_errors ds | Ok g -> k g
 
 (* --- subcommands ------------------------------------------------------------ *)
 
@@ -153,18 +158,9 @@ let leftrec_arg =
           "Enable the opt-in \"leftrec\" registry pass: rewrite direct left \
            recursion into iteration before use.")
 
-(* The one place the -L flag maps to the optimizer: the registered
-   repair pass, run through the driver like every other pass. *)
-let apply_leftrec g =
-  match Rats.Pipeline.find_pass "leftrec" with
-  | None -> g
-  | Some p -> (Rats.Driver.run_exn ~gate:false [ p ] g).Rats.Driver.grammar
-
 let compose_cmd =
   let run gs optimize leftrec =
-    with_grammar gs @@ fun g ->
-    let g = if leftrec then apply_leftrec g else g in
-    let g = if optimize then Rats.Pipeline.optimize g else g in
+    with_grammar ~snapshot { gs with Rats.Run.optimize; leftrec } @@ fun g ->
     Fmt.pr "%s" (Rats.Pretty.grammar_to_string g);
     0
   in
@@ -214,6 +210,7 @@ let optimize_cmd =
             "Comma-separated registry pass names to run instead of the \
              default pipeline (see $(b,rml passes)).")
   in
+  (* composed at run time: the passes are the point *)
   let run gs leftrec passes trace print_grammar verify dump_after =
     with_grammar gs @@ fun g ->
     let named =
@@ -331,7 +328,7 @@ let fmt_cmd =
 
 let analyze_cmd =
   let run gs =
-    with_grammar gs @@ fun g ->
+    with_grammar ~snapshot gs @@ fun g ->
     let a = Rats.Analysis.analyze g in
     let issues = Rats.Analysis.check a in
     Fmt.pr "productions:      %d@." (Rats.Grammar.length g);
@@ -620,7 +617,7 @@ let parse_cmd =
     | Error msg ->
         Fmt.epr "rml: %s@." msg;
         Rats.Run.exit_usage
-    | Ok spec -> Rats.Run.exec spec
+    | Ok spec -> exec spec
   in
   Cmd.v (Cmd.info "parse" ~doc:"Parse an input file with a composed grammar.")
     Term.(
@@ -633,7 +630,7 @@ let parse_cmd =
 let observe_document grammar input observe =
   let input = if input = "-" then Rats.Run.Stdin else File input in
   let show = { Rats.Run.quiet = true; stats = false; stats_json = false } in
-  Rats.Run.exec { grammar; mode = Document { input; observe; show } }
+  exec { grammar; mode = Document { input; observe; show } }
 
 let obs_input_arg =
   Arg.(
@@ -739,7 +736,7 @@ let coverage_cmd =
             "Exit 1 when any production or alternative stays unexercised.")
   in
   let run grammar paths strict =
-    Rats.Run.exec { grammar; mode = Corpus { paths; strict } }
+    exec { grammar; mode = Corpus { paths; strict } }
   in
   Cmd.v
     (Cmd.info "coverage"

@@ -83,6 +83,7 @@ type grammar = {
   builtin : string option;
   root : string option;
   start : string option;
+  leftrec : bool;
   optimize : bool;
   recognize : bool;
   config : Config.t;
@@ -90,8 +91,9 @@ type grammar = {
 }
 
 let default =
-  { files = []; builtin = None; root = None; start = None; optimize = false;
-    recognize = false; config = Config.optimized; limits = Limits.unlimited }
+  { files = []; builtin = None; root = None; start = None; leftrec = false;
+    optimize = false; recognize = false; config = Config.optimized;
+    limits = Limits.unlimited }
 
 let compose (gs : grammar) =
   let* modules = load_modules gs.files gs.builtin in
@@ -99,6 +101,38 @@ let compose (gs : grammar) =
   match (gs.root, Option.bind gs.builtin root_of) with
   | Some root, _ | None, Some root -> compose_modules ?start:gs.start ~root modules
   | None, None -> Error [ Diagnostic.error "no --root given" ]
+
+type snapshot = string -> optimized:bool -> Grammar.t option
+
+(* -L: the registered repair pass, run through the driver like every
+   other pass, before the optimizer *)
+let repair_leftrec g =
+  match Rats_optimize.Pipeline.find_pass "leftrec" with
+  | None -> g
+  | Some p -> (Rats_optimize.Driver.run_exn ~gate:false [ p ] g).Rats_optimize.Driver.grammar
+
+let grammar_of ?snapshot (gs : grammar) =
+  let composed () =
+    let* g = compose gs in
+    let g = if gs.leftrec then repair_leftrec g else g in
+    Ok (if gs.optimize then Rats_optimize.Pipeline.optimize g else g)
+  in
+  let* g =
+    match (snapshot, gs) with
+    (* a snapshot stands for exactly what [-b NAME [-O]] composes: no
+       files, the built-in's own root and start, no repair pass *)
+    | Some find, { builtin = Some name; files = []; root = None; start = None; leftrec = false; _ }
+      -> (
+        match find name ~optimized:gs.optimize with Some g -> Ok g | None -> composed ())
+    | _ -> composed ()
+  in
+  (* whole-grammar kind erasure, up front: everything downstream sees an
+     ordinary grammar that happens to be all-Void *)
+  if not gs.recognize then Ok g
+  else
+    match Batch.recognizer_erase g with
+    | Some g -> Ok g
+    | None -> Error [ Diagnostic.error "recognizer erasure produced an ill-formed grammar" ]
 
 (* --- specs -------------------------------------------------------------- *)
 
@@ -505,21 +539,11 @@ let batch (gs : grammar) (b : batch) g =
       Format.eprintf "batch: %a@." Batch.pp_summary report.summary;
       Batch.exit_code report
 
-let exec { grammar = gs; mode } =
+let exec ?snapshot { grammar = gs; mode } =
   guarded @@ fun () ->
-  match compose gs with
+  match grammar_of ?snapshot gs with
   | Error ds -> print_errors ds
   | Ok g -> (
-      let g = if gs.optimize then Rats_optimize.Pipeline.optimize g else g in
-      (* whole-grammar kind erasure, up front: everything downstream sees
-         an ordinary grammar that happens to be all-Void *)
-      let g =
-        if not gs.recognize then g
-        else
-          match Batch.recognizer_erase g with
-          | Some g -> g
-          | None -> Diagnostic.failf "recognizer erasure produced an ill-formed grammar"
-      in
       match mode with
       | Document { input; observe; show } ->
           with_engine gs (want observe) g (document gs g ~input ~observe ~show)

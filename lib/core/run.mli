@@ -1,7 +1,8 @@
 (** One run of the pipeline, as a value.
 
     A {!t} names a grammar and what to do with it. {!exec} carries it
-    out in one place: load the modules, compose, optimize, erase to a
+    out in one place: load the modules, compose, optimize (or load a
+    built-in composed at build time, {!grammar_of}), erase to a
     recognizer when asked, prepare the engine, read the input, run,
     print, and map the outcome to an exit code. [rml parse], [profile],
     [trace] and [coverage] only map their flags onto a spec.
@@ -60,6 +61,7 @@ type grammar = {
   builtin : string option;  (** a name from {!builtins} *)
   root : string option;  (** defaults to the built-in's root *)
   start : string option;
+  leftrec : bool;  (** run the opt-in [leftrec] repair pass before optimizing *)
   optimize : bool;  (** run the optimizer pipeline *)
   recognize : bool;  (** erase every kind to [Void] ({!Batch.recognizer_erase}) *)
   config : Config.t;  (** its limits are ignored: [limits] are the run's *)
@@ -70,7 +72,21 @@ val default : grammar
 (** No modules, no optimization, {!Config.optimized}, {!Limits.unlimited}. *)
 
 val compose : grammar -> (Grammar.t, Diagnostic.t list) result
-(** Load and compose, without optimizing. *)
+(** Load and compose, without repairing or optimizing. *)
+
+type snapshot = string -> optimized:bool -> Grammar.t option
+(** A lookup of built-ins composed ahead of time: [find name ~optimized]
+    is what {!grammar_of} would build for [--builtin name], with
+    [optimize = optimized] and nothing else set, or [None] when it holds
+    no such grammar. [rml] passes the one its build generates
+    ([Rats_snapshot.find]). *)
+
+val grammar_of : ?snapshot:snapshot -> grammar -> (Grammar.t, Diagnostic.t list) result
+(** The grammar a spec runs: composed, repaired when [leftrec], optimized
+    when [optimize], then erased to a recognizer when [recognize]. When
+    the spec is exactly a built-in (no [files], [root], [start] or
+    [leftrec]), the [snapshot] is asked first and the composition and
+    optimization are skipped when it answers. *)
 
 (** {1 Specs} *)
 
@@ -158,9 +174,9 @@ val of_flags : grammar -> flags -> (t, string) result
     [--profile], [--trace-ring] and [--timeout]. [Error] is the usage
     message for anything else. Never raises. *)
 
-val exec : t -> int
-(** Run the spec and return the exit code: [0], [1] (an unexercised
-    grammar under [Corpus]'s [strict]), [2] (a malformed edit script, an
-    empty corpus), [3], [4] or [5]; a batch returns
+val exec : ?snapshot:snapshot -> t -> int
+(** Run the spec on its {!grammar_of} and return the exit code: [0], [1]
+    (an unexercised grammar under [Corpus]'s [strict]), [2] (a malformed
+    edit script, an empty corpus), [3], [4] or [5]; a batch returns
     {!Batch.exit_code}. Output goes to stdout and stderr as [rml] prints
     it. Never raises. *)

@@ -162,15 +162,134 @@ let error_report_tests =
 let consistency_tests =
   [
     test "CLI builtins cover every shipped grammar" (fun () ->
-        (* the table --builtin reads, composed the way rml composes it *)
+        (* the table --builtin reads, composed at run time and loaded
+           from the snapshot rml links *)
         List.iter
           (fun (name, (b : Run.builtin)) ->
             let g = ok (Run.compose { Run.default with builtin = Some name }) in
             check Alcotest.bool (name ^ " composes " ^ b.root) true
-              (Grammar.length g > 0))
+              (Grammar.length g > 0);
+            List.iter
+              (fun optimized ->
+                check Alcotest.bool (name ^ " is snapshotted") true
+                  (Option.is_some (Rats_snapshot.find name ~optimized)))
+              [ false; true ])
           Run.builtins);
     test "version string is well-formed" (fun () ->
         check Alcotest.bool "dotted" true (String.contains version '.'));
+  ]
+
+(* rml loads the built-ins from a snapshot composed at build time
+   (lib/snapshot); every other spec composes at run time. The table of
+   test/cli/snapshot_ab.sh, which checks rml both ways: each built-in's
+   name, root module and demo document (from the repository root). *)
+let snapshot_ab_table () =
+  In_channel.with_open_bin "cli/snapshot_ab.sh" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ name; root; demo ] when List.mem_assoc name Run.builtins ->
+             Some (name, (root, "../" ^ demo))
+         | _ -> None)
+
+(* Every node a traversal meets, and how many of them are physically
+   distinct: Marshal must keep the inliner's shared expansions shared. *)
+let sharing g =
+  let seen = Expr.Phys.create 256 in
+  let total =
+    List.fold_left
+      (fun n (p : Production.t) ->
+        Expr.fold
+          (fun n e ->
+            Expr.Phys.replace seen e ();
+            n + 1)
+          n p.expr)
+      0 (Grammar.productions g)
+  in
+  (total, Expr.Phys.length seen)
+
+(* What a run prints of one document: the tree or the error, the
+   counters, and the coverage report of an observed engine. *)
+let run_report g text =
+  let out = Engine.run (Engine.prepare_exn ~config:Config.optimized g) text in
+  let coverage =
+    let cfg = Config.with_observe { Observe.off with coverage = true } Config.optimized in
+    let eng = Engine.prepare_exn ~config:cfg g in
+    ignore (Engine.run eng text);
+    Format.asprintf "%a" Observe.pp_coverage (Option.get (Engine.observation eng))
+  in
+  ( (match out.result with
+    | Ok v -> Value.to_string v
+    | Error e -> "error: " ^ Parse_error.message e),
+    Stats.to_json out.stats,
+    coverage )
+
+let snapshot_tests =
+  let sentinel = Grammar.make_exn [ Production.v "Sentinel" Expr.empty ] in
+  let asked = ref [] in
+  let fake name ~optimized =
+    asked := (name, optimized) :: !asked;
+    Some sentinel
+  in
+  let picks gs =
+    asked := [];
+    let g = ok (Run.grammar_of ~snapshot:fake gs) in
+    (g == sentinel, !asked)
+  in
+  let calc = { Run.default with builtin = Some "calc" } in
+  [
+    test "snapshot_ab.sh runs every built-in from its own root" (fun () ->
+        check
+          Alcotest.(list (pair string string))
+          "name, root"
+          (List.map (fun (name, (b : Run.builtin)) -> (name, b.root)) Run.builtins)
+          (List.map (fun (name, (root, _)) -> (name, root)) (snapshot_ab_table ())));
+    test "a spec that is exactly a built-in loads the snapshot" (fun () ->
+        List.iter
+          (fun optimize ->
+            check
+              Alcotest.(pair bool (list (pair string bool)))
+              (Printf.sprintf "optimize=%b" optimize)
+              (true, [ ("calc", optimize) ])
+              (picks { calc with optimize }))
+          [ false; true ]);
+    test "files, --root, --start and -L bypass the snapshot" (fun () ->
+        List.iter
+          (fun (what, gs) ->
+            check
+              Alcotest.(pair bool (list (pair string bool)))
+              what (false, []) (picks gs))
+          [
+            ("a .rats file", { calc with files = [ "../grammars/tutorial.rats" ] });
+            ("--root", { calc with root = Some "calc.Main" });
+            ("--start", { calc with start = Some "Calculation" });
+            ("-L", { calc with leftrec = true; optimize = true });
+            ( "no built-in",
+              { Run.default with files = [ "../grammars/tutorial.rats" ]; root = Some "tutorial.Ini" }
+            );
+          ]);
+    test "the snapshot is the run-time composition, raw and -O, erased or not"
+      (fun () ->
+        List.iter
+          (fun (name, (_, demo)) ->
+            let text = In_channel.with_open_bin demo In_channel.input_all in
+            List.iter
+              (fun (optimize, recognize) ->
+                let gs = { Run.default with builtin = Some name; optimize; recognize } in
+                let label = Printf.sprintf "%s optimize=%b recognize=%b" name optimize recognize in
+                let loaded = ok (Run.grammar_of ~snapshot:Rats_snapshot.find gs) in
+                let composed = ok (Run.grammar_of gs) in
+                check Alcotest.string (label ^ ": printed grammar")
+                  (Pretty.grammar_to_string composed) (Pretty.grammar_to_string loaded);
+                check Alcotest.(pair int int) (label ^ ": sharing") (sharing composed)
+                  (sharing loaded);
+                let tree, stats, coverage = run_report composed text in
+                let tree', stats', coverage' = run_report loaded text in
+                check Alcotest.string (label ^ ": output") tree tree';
+                check Alcotest.string (label ^ ": counters") stats stats';
+                check Alcotest.string (label ^ ": coverage") coverage coverage')
+              [ (false, false); (false, true); (true, false); (true, true) ])
+          (snapshot_ab_table ()));
   ]
 
 let slow name f = Alcotest.test_case name `Slow f
@@ -405,6 +524,7 @@ let () =
       ("extension-story", extension_story_tests);
       ("errors", error_report_tests);
       ("consistency", consistency_tests);
+      ("snapshot", snapshot_tests);
       ("roundtrip", roundtrip_tests);
       ("parallel", parallel_tests);
       ("deadline", deadline_tests);
