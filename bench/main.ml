@@ -34,21 +34,7 @@ let json_path : string option ref = ref None
    or strings; nothing here needs a JSON library. *)
 let json_rows : string list ref = ref []
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
+let jstr = Rats_support.Json.string
 let jint i = string_of_int i
 let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
@@ -401,17 +387,17 @@ let e3 () =
   | Error _ -> row "  (driver failed)\n"
   | Ok o ->
       List.iter
-        (fun (r : Stats.pass_row) ->
+        (fun (r : Driver.row) ->
           record ~experiment:"e3" ~series:"passes"
             [
-              ("pass", jstr r.Stats.pass_name);
-              ("time_ms", jfloat (ms r.Stats.pass_time));
-              ("prods_after", jint r.Stats.prods_after);
-              ("nodes_after", jint r.Stats.nodes_after);
-              ("changed", if r.Stats.pass_changed then "true" else "false");
+              ("pass", jstr r.pass_name);
+              ("time_ms", jfloat (ms r.pass_time));
+              ("prods_after", jint r.prods_after);
+              ("nodes_after", jint r.nodes_after);
+              ("changed", if r.pass_changed then "true" else "false");
             ])
         o.Driver.rows;
-      row "%s" (Format.asprintf "%a" Stats.pp_pass_table o.Driver.rows));
+      row "%s" (Format.asprintf "%a" Driver.pp_table o.Driver.rows));
   (* Ablation for the one cost-based heuristic: the inlining threshold. *)
   row "\ninlining-threshold ablation (DESIGN.md: cost-based inlining):\n";
   row "  %-10s %9s %8s\n" "threshold" "time ms" "prods";

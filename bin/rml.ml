@@ -155,8 +155,8 @@ let leftrec_arg =
     value & flag
     & info [ "L"; "eliminate-left-recursion" ]
         ~doc:
-          "Enable the opt-in \"leftrec\" registry pass: rewrite direct left \
-           recursion into iteration before use.")
+          "Rewrite direct left recursion into iteration before the grammar \
+           is checked and optimized.")
 
 let compose_cmd =
   let run gs optimize leftrec =
@@ -212,61 +212,63 @@ let optimize_cmd =
   in
   (* composed at run time: the passes are the point *)
   let run gs leftrec passes trace print_grammar verify dump_after =
-    with_grammar gs @@ fun g ->
-    let named =
-      match passes with
-      | None -> Ok (Rats.Pipeline.passes ())
-      | Some list ->
-          List.fold_left
-            (fun acc name ->
-              match (acc, Rats.Pipeline.find_pass name) with
-              | (Error _ as e), _ -> e
-              | Ok ps, Some p -> Ok (ps @ [ p ])
-              | Ok _, None ->
-                  Error
-                    [
-                      Rats.Diagnostic.errorf
-                        "unknown pass %S (try: rml passes)" name;
-                    ])
-            (Ok [])
-            (String.split_on_char ',' (String.trim list))
+    with_grammar gs @@ fun composed ->
+    let ( let* ) = Result.bind in
+    let find among name =
+      match List.find_opt (fun (p : Rats.Pass.t) -> String.equal p.name name) among with
+      | Some p -> Ok p
+      | None -> Error [ Rats.Diagnostic.errorf "unknown pass %S (try: rml passes)" name ]
     in
-    match named with
+    let outcome =
+      let* selected =
+        match passes with
+        | None -> Ok (Rats.Pipeline.passes ())
+        | Some list ->
+            List.fold_right
+              (fun name rest ->
+                let* p = find (Rats.Pipeline.passes ()) name in
+                let* ps = rest in
+                Ok (p :: ps))
+              (String.split_on_char ',' (String.trim list))
+              (Ok [])
+      in
+      (* --dump-after names one of the passes this run executes *)
+      let* () =
+        match dump_after with
+        | None -> Ok ()
+        | Some name -> Result.map ignore (find selected name)
+      in
+      let dump_after =
+        Option.map
+          (fun name (p : Rats.Pass.t) g' ->
+            if String.equal p.name name then
+              Fmt.pr "; after %s@.%s@." name (Rats.Pretty.grammar_to_string g'))
+          dump_after
+      in
+      let g = if leftrec then Rats.Passes.eliminate_left_recursion composed else composed in
+      Rats.Driver.run ?dump_after ~verify selected g
+    in
+    match outcome with
     | Error ds -> print_errors ds
-    | Ok selected -> (
-        let selected =
-          if leftrec then Option.to_list (Rats.Pipeline.find_pass "leftrec") @ selected
-          else selected
-        in
-        let dump_after =
-          Option.map
-            (fun name (p : Rats.Pass.t) g' ->
-              if String.equal p.Rats.Pass.name name then
-                Fmt.pr "; after %s@.%s@." name
-                  (Rats.Pretty.grammar_to_string g'))
-            dump_after
-        in
-        match Rats.Driver.run ?dump_after ~verify selected g with
-        | Error ds -> print_errors ds
-        | Ok o ->
-            List.iter
-              (fun d -> Fmt.epr "%s@." (Rats.Diagnostic.to_string d))
-              o.Rats.Driver.warnings;
-            if trace then
-              Fmt.pr "%a" Rats.Stats.pp_pass_table o.Rats.Driver.rows;
-            if print_grammar then
-              Fmt.pr "%s" (Rats.Pretty.grammar_to_string o.Rats.Driver.grammar);
-            if (not trace) && not print_grammar then
-              Fmt.pr
-                "%d passes, %d -> %d productions, %d -> %d nodes, %.2f \
-                 ms (use --trace for the per-pass table)@."
-                (List.length o.Rats.Driver.rows)
-                (Rats.Grammar.length g)
-                (Rats.Grammar.length o.Rats.Driver.grammar)
-                (Rats.Grammar.size g)
-                (Rats.Grammar.size o.Rats.Driver.grammar)
-                (1000. *. Rats.Driver.total_time o);
-            0)
+    | Ok o ->
+        List.iter
+          (fun d -> Fmt.epr "%s@." (Rats.Diagnostic.to_string d))
+          o.Rats.Driver.warnings;
+        if trace then
+          Fmt.pr "%a" Rats.Driver.pp_table o.Rats.Driver.rows;
+        if print_grammar then
+          Fmt.pr "%s" (Rats.Pretty.grammar_to_string o.Rats.Driver.grammar);
+        if (not trace) && not print_grammar then
+          Fmt.pr
+            "%d passes, %d -> %d productions, %d -> %d nodes, %.2f \
+             ms (use --trace for the per-pass table)@."
+            (List.length o.Rats.Driver.rows)
+            (Rats.Grammar.length composed)
+            (Rats.Grammar.length o.Rats.Driver.grammar)
+            (Rats.Grammar.size composed)
+            (Rats.Grammar.size o.Rats.Driver.grammar)
+            (1000. *. Rats.Driver.total_time o);
+        0
   in
   Cmd.v
     (Cmd.info "optimize"
@@ -280,20 +282,10 @@ let optimize_cmd =
 let passes_cmd =
   let run () =
     guarded @@ fun () ->
-    let show (p : Rats.Pass.t) =
-      Fmt.pr "  %-12s %-10s %-12s %s@." p.Rats.Pass.name
-        (match p.Rats.Pass.stage with
-        | Rats.Pass.Repair -> "repair"
-        | Rats.Pass.Optimize -> "optimize")
-        (match p.Rats.Pass.invalidates with
-        | Rats.Analysis_ctx.Nothing -> "keeps-cache"
-        | Rats.Analysis_ctx.Analyses -> "structural")
-        p.Rats.Pass.doc
-    in
     Fmt.pr "default pipeline (in order):@.";
-    List.iter show (Rats.Pipeline.passes ());
-    Fmt.pr "@.opt-in (enable with --passes or -L):@.";
-    List.iter show Rats.Pipeline.optional_passes;
+    List.iter
+      (fun (p : Rats.Pass.t) -> Fmt.pr "  %-12s %s@." p.name p.doc)
+      (Rats.Pipeline.passes ());
     Fmt.pr "@.E3 ladder steps (cumulative; passes in brackets):@.";
     List.iter
       (fun (s : Rats.Pipeline.step) ->

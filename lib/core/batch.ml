@@ -146,22 +146,6 @@ let iter_channel ~sep ~cap ic yield =
 (* ------------------------------------------------------------------ *)
 (* JSON rendering *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let fail_name = function
   | Syntax -> "syntax"
   | Resource _ -> "resource"
@@ -172,8 +156,8 @@ let jsonl_of_record r =
   let b = Buffer.create 160 in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"doc\":%d,\"name\":\"%s\",\"bytes\":%d,\"status\":\"%s\",\"rung\":\"%s\",\"retried\":%b"
-       r.r_index (json_escape r.r_name) r.r_bytes
+       "{\"doc\":%d,\"name\":%s,\"bytes\":%d,\"status\":\"%s\",\"rung\":\"%s\",\"retried\":%b"
+       r.r_index (Json.string r.r_name) r.r_bytes
        (if r.r_ok then "ok" else "fail")
        (rung_name r.r_rung) r.r_retried);
   (match r.r_fail with
@@ -186,7 +170,7 @@ let jsonl_of_record r =
       if r.r_position >= 0 then
         Buffer.add_string b (Printf.sprintf ",\"position\":%d" r.r_position);
       Buffer.add_string b
-        (Printf.sprintf ",\"message\":\"%s\"" (json_escape r.r_message)));
+        (Printf.sprintf ",\"message\":%s" (Json.string r.r_message)));
   Buffer.add_string b
     (Printf.sprintf ",\"ms\":%.3f,\"memo_degraded\":%d,\"fuel_used\":%d}" r.r_ms
        r.r_memo_degraded r.r_fuel_used);

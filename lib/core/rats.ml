@@ -56,17 +56,11 @@ let modules_of_file = Run.modules_of_file
 
 let compose = Run.compose_modules
 
-let parser_of ?(optimize = true) ?passes ?(config = Config.optimized) ?limits g
-    =
+let parser_of ?(optimize = true) ?(config = Config.optimized) ?limits g =
   let config =
     match limits with Some l -> Config.with_limits l config | None -> config
   in
-  let passes =
-    match passes with
-    | Some ps -> ps
-    | None -> if optimize then Pipeline.passes () else []
-  in
-  match Driver.run passes g with
+  match Driver.run (if optimize then Pipeline.passes () else []) g with
   | Error ds -> Error ds
   | Ok o -> Engine.prepare ~config o.Driver.grammar
 

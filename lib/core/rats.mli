@@ -91,19 +91,19 @@ val compose :
 
 val parser_of :
   ?optimize:bool ->
-  ?passes:Pass.t list ->
   ?config:Config.t ->
   ?limits:Limits.t ->
   Grammar.t ->
   Engine.t or_errors
 (** Prepare an engine. The grammar first goes through the gated
     optimizer {!Driver} — ill-formed grammars (left recursion, dangling
-    references) fail fast here, before any optimization — running
-    [passes] when given, else the full registry pipeline when [optimize]
-    (default [true]), else no passes at all. The default [config] is
-    {!Config.optimized}; [limits] (default: the config's own, normally
-    {!Limits.unlimited}) overrides its resource budget — pass
-    {!Limits.hardened} when the input is untrusted. *)
+    references) fail fast here, before any optimization — running the
+    full registry pipeline when [optimize] (default [true]), else no
+    passes at all. Repair direct left recursion first with
+    {!Passes.eliminate_left_recursion} when the grammar needs it. The
+    default [config] is {!Config.optimized}; [limits] (default: the
+    config's own, normally {!Limits.unlimited}) overrides its resource
+    budget — pass {!Limits.hardened} when the input is untrusted. *)
 
 val parse :
   Engine.t -> ?start:string -> string -> (Value.t, Parse_error.t) result

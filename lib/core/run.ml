@@ -104,23 +104,16 @@ let compose (gs : grammar) =
 
 type snapshot = string -> optimized:bool -> Grammar.t option
 
-(* -L: the registered repair pass, run through the driver like every
-   other pass, before the optimizer *)
-let repair_leftrec g =
-  match Rats_optimize.Pipeline.find_pass "leftrec" with
-  | None -> g
-  | Some p -> (Rats_optimize.Driver.run_exn ~gate:false [ p ] g).Rats_optimize.Driver.grammar
-
 let grammar_of ?snapshot (gs : grammar) =
   let composed () =
     let* g = compose gs in
-    let g = if gs.leftrec then repair_leftrec g else g in
+    let g = if gs.leftrec then Rats_optimize.Passes.eliminate_left_recursion g else g in
     Ok (if gs.optimize then Rats_optimize.Pipeline.optimize g else g)
   in
   let* g =
     match (snapshot, gs) with
     (* a snapshot stands for exactly what [-b NAME [-O]] composes: no
-       files, the built-in's own root and start, no repair pass *)
+       files, the built-in's own root and start, no -L repair *)
     | Some find, { builtin = Some name; files = []; root = None; start = None; leftrec = false; _ }
       -> (
         match find name ~optimized:gs.optimize with Some g -> Ok g | None -> composed ())

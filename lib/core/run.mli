@@ -61,7 +61,7 @@ type grammar = {
   builtin : string option;  (** a name from {!builtins} *)
   root : string option;  (** defaults to the built-in's root *)
   start : string option;
-  leftrec : bool;  (** run the opt-in [leftrec] repair pass before optimizing *)
+  leftrec : bool;  (** repair direct left recursion before optimizing ([-L]) *)
   optimize : bool;  (** run the optimizer pipeline *)
   recognize : bool;  (** erase every kind to [Void] ({!Batch.recognizer_erase}) *)
   config : Config.t;  (** its limits are ignored: [limits] are the run's *)

@@ -1,14 +1,38 @@
 open Rats_support
 open Rats_peg
-module Stats = Rats_runtime.Stats
+
+type row = {
+  pass_name : string;
+  pass_time : float;
+  prods_before : int;
+  prods_after : int;
+  nodes_before : int;
+  nodes_after : int;
+  pass_changed : bool;
+}
 
 type outcome = {
   grammar : Grammar.t;
-  rows : Stats.pass_row list;
+  rows : row list;
   warnings : Diagnostic.t list;
 }
 
-let total_time o = List.fold_left (fun acc r -> acc +. r.Stats.pass_time) 0. o.rows
+let time rows = List.fold_left (fun acc r -> acc +. r.pass_time) 0. rows
+let total_time o = time o.rows
+
+let pp_table ppf rows =
+  Format.fprintf ppf "  %-14s %9s %7s %7s %8s %8s@." "pass" "time ms"
+    "prods" "Δprods" "nodes" "Δnodes";
+  List.iter
+    (fun r ->
+      Format.fprintf ppf "  %-14s %9.3f %7d %+7d %8d %+8d%s@." r.pass_name
+        (r.pass_time *. 1000.) r.prods_after
+        (r.prods_after - r.prods_before)
+        r.nodes_after
+        (r.nodes_after - r.nodes_before)
+        (if r.pass_changed then "" else "   (no change)"))
+    rows;
+  Format.fprintf ppf "  %-14s %9.3f@." "total" (time rows *. 1000.)
 
 (* Structural equality, spans and origins ignored: what "this pass
    changed nothing" means for instrumentation. Passes return untouched
@@ -23,27 +47,23 @@ let grammar_equal a b =
 
 exception Abort of Diagnostic.t list
 
-let run ?(gate = true) ?(verify = false) ?dump_after ?on_pass passes g =
-  let repair, opt =
-    List.partition (fun (p : Pass.t) -> p.stage = Pass.Repair) passes
-  in
-  let ctx = Analysis_ctx.create g in
+let run ?(gate = true) ?(verify = false) ?dump_after passes g =
+  let ctx = Analysis_ctx.create () in
   let rows = ref [] in
   (* The size of the grammar the next pass starts from: each grammar
      value is sized once, as one pass's "after" and the next one's
      "before". *)
   let size = ref (-1) in
-  let exec ~check (p : Pass.t) g =
+  let exec g (p : Pass.t) =
     let t0 = Unix.gettimeofday () in
     let g' = p.run ctx g in
     let dt = Unix.gettimeofday () -. t0 in
-    Analysis_ctx.advance ctx ~invalidates:p.invalidates g';
     let nodes_before = if !size >= 0 then !size else Grammar.size g in
     let nodes_after = if g' == g then nodes_before else Grammar.size g' in
     size := nodes_after;
-    let row =
+    rows :=
       {
-        Stats.pass_name = p.name;
+        pass_name = p.name;
         pass_time = dt;
         prods_before = Grammar.length g;
         prods_after = Grammar.length g';
@@ -51,12 +71,10 @@ let run ?(gate = true) ?(verify = false) ?dump_after ?on_pass passes g =
         nodes_after;
         pass_changed = not (grammar_equal g g');
       }
-    in
-    rows := row :: !rows;
-    Option.iter (fun f -> f row) on_pass;
+      :: !rows;
     Option.iter (fun f -> f p g') dump_after;
-    (if check then
-       match Analysis.check (Analysis_ctx.analysis ctx) with
+    (if verify then
+       match Analysis.check (Analysis_ctx.analysis ctx g') with
        | [] -> ()
        | ds ->
            raise
@@ -67,25 +85,14 @@ let run ?(gate = true) ?(verify = false) ?dump_after ?on_pass passes g =
     g'
   in
   try
-    let g = List.fold_left (fun g p -> exec ~check:false p g) g repair in
     let warnings =
       if not gate then []
       else
-        let a = Analysis_ctx.analysis ctx in
+        let a = Analysis_ctx.analysis ctx g in
         match List.filter Diagnostic.is_error (Analysis.check a) with
         | _ :: _ as hard -> raise (Abort hard)
         | [] -> Lint.check ~analysis:a g
     in
-    let g = List.fold_left (fun g p -> exec ~check:verify p g) g opt in
+    let g = List.fold_left exec g passes in
     Ok { grammar = g; rows = List.rev !rows; warnings }
   with Abort ds -> Error ds
-
-let run_exn ?gate ?verify ?dump_after ?on_pass passes g =
-  match run ?gate ?verify ?dump_after ?on_pass passes g with
-  | Ok o -> o
-  | Error ds ->
-      raise
-        (Diagnostic.Fail
-           (match ds with
-           | d :: _ -> d
-           | [] -> Diagnostic.error "optimizer driver failed"))

@@ -1,35 +1,25 @@
 open Rats_peg
 module SSet = Analysis.StringSet
 
-(* A pass invoked by the driver receives the driver's shared cache; a
-   pass invoked directly (the historical entry points below) builds a
-   private one. The physical-equality guard means a stale context is
-   silently replaced rather than trusted. *)
-let ctx_for ?ctx g =
-  match ctx with
-  | Some c when Analysis_ctx.grammar c == g -> c
-  | _ -> Analysis_ctx.create g
-
 (* --- pruning ------------------------------------------------------------ *)
 
-let prune ?ctx g =
-  let keep = Analysis_ctx.reachable (ctx_for ?ctx g) in
+let prune ?(ctx = Analysis_ctx.create ()) g =
+  let keep = Analysis_ctx.reachable ctx g in
   Grammar.restrict g ~keep:(fun n -> SSet.mem n keep)
 
 (* --- transient marking --------------------------------------------------- *)
 
-let mark_transients ?ctx g =
-  let c = ctx_for ?ctx g in
+let mark_transients ?(ctx = Analysis_ctx.create ()) g =
   Grammar.map
     (fun (p : Production.t) ->
-      if p.attrs.Attr.memo = Attr.Memo_auto && Analysis_ctx.ref_count c p.name <= 1
+      if p.attrs.Attr.memo = Attr.Memo_auto && Analysis_ctx.ref_count ctx g p.name <= 1
       then Production.with_attrs p { p.attrs with Attr.memo = Attr.Memo_never }
       else p)
     g
 
 (* --- terminal detection --------------------------------------------------- *)
 
-let terminal_set ?ctx g = Analysis_ctx.terminals (ctx_for ?ctx g)
+let terminal_set ?(ctx = Analysis_ctx.create ()) g = Analysis_ctx.terminals ctx g
 
 let mark_terminals ?ctx g =
   let terminals = terminal_set ?ctx g in
@@ -55,15 +45,11 @@ let expansion_of (p : Production.t) =
    ones before, are rewritten once each and the rewrite is reused at
    every site. Only those nodes are looked up by identity; a leaf is
    never rewritten, and no other node is shared by inlining. *)
-let inline_pass ?(threshold = 12) ?ctx g =
-  (* Only the first round can reuse the shared cache; every later round
-     analyzes the grammar its own substitutions produced. *)
-  let rec iterate ctx g shared rounds =
+let inline_pass ?(threshold = 12) ?(ctx = Analysis_ctx.create ()) g =
+  let rec iterate g shared rounds =
     if rounds = 0 then g
     else
-      let cyclic =
-        Analysis.recursive (Analysis_ctx.analysis (ctx_for ?ctx g))
-      in
+      let cyclic = Analysis.recursive (Analysis_ctx.analysis ctx g) in
       let inlinable = Hashtbl.create 16 in
       List.iter
         (fun (p : Production.t) ->
@@ -121,9 +107,9 @@ let inline_pass ?(threshold = 12) ?ctx g =
               else Production.with_expr p (subst p.expr))
             g
         in
-        if !changed then iterate None (prune g') shared' (rounds - 1) else g
+        if !changed then iterate (prune ~ctx g') shared' (rounds - 1) else g
   in
-  iterate ctx g (Expr.Phys.create 1) 5
+  iterate g (Expr.Phys.create 1) 5
 
 (* --- duplicate folding ----------------------------------------------------- *)
 

@@ -6,10 +6,10 @@
 
     Every analysis-consuming pass takes an optional [?ctx]: the shared
     {!Rats_peg.Analysis_ctx.t} the optimizer driver threads through a
-    pipeline so FIRST sets, reference counts and reachability are
-    computed once per structural change instead of once per pass. Called
-    without it (or with a context for a different grammar), a pass
-    simply analyzes its input itself — identical results, more work. *)
+    pipeline, so a fact about a grammar is computed once however many
+    passes ask for it. The cache answers for the grammar a pass is
+    given and nothing else; called without it, a pass analyzes its
+    input in a fresh one — identical results, possibly more work. *)
 
 open Rats_peg
 
@@ -74,4 +74,7 @@ val eliminate_left_recursion : Grammar.t -> Grammar.t
     Only {e direct} left recursion (an alternative starting with a bare
     reference to the production itself) is transformed; indirect cycles
     are still rejected by {!Rats_peg.Analysis.check}. Labels of the
-    rewritten alternatives are preserved on their tails. *)
+    rewritten alternatives are preserved on their tails.
+
+    A repair, not a registered {!Pass}: [-L] ([Run.grammar_of], [rml
+    optimize -L]) applies it before the driver's well-formedness gate. *)

@@ -1,48 +1,46 @@
 module SSet = Analysis.StringSet
 
-type invalidation = Nothing | Analyses
-
 type t = {
-  mutable grammar : Grammar.t;
+  mutable grammar : Grammar.t option;
   mutable analysis : Analysis.t option;
   mutable ref_counts : (string, int) Hashtbl.t option;
   mutable terminals : SSet.t option;
   mutable computations : int;
 }
 
-let create g =
+let create () =
   {
-    grammar = g;
+    grammar = None;
     analysis = None;
     ref_counts = None;
     terminals = None;
     computations = 0;
   }
 
-let grammar t = t.grammar
 let computations t = t.computations
 
-let advance t ~invalidates g' =
-  t.grammar <- g';
-  match invalidates with
-  | Nothing -> ()
-  | Analyses ->
+(* Every query goes through here: the cached facts are kept for the
+   grammar they were computed for and dropped for any other. *)
+let sync t g =
+  match t.grammar with
+  | Some cached when cached == g -> ()
+  | _ ->
+      t.grammar <- Some g;
       t.analysis <- None;
       t.ref_counts <- None;
       t.terminals <- None
 
-let analysis t =
+let analysis t g =
+  sync t g;
   match t.analysis with
   | Some a -> a
   | None ->
-      let a = Analysis.analyze t.grammar in
+      let a = Analysis.analyze g in
       t.analysis <- Some a;
       t.computations <- t.computations + 1;
       a
 
-let reachable t = Analysis.reachable (analysis t)
-let first t n = Analysis.first (analysis t) n
-let nullable t n = Analysis.nullable (analysis t) n
+let reachable t g = Analysis.reachable (analysis t g)
 
 (* --- reference counts, one sweep ---------------------------------------- *)
 
@@ -59,12 +57,13 @@ let compute_ref_counts g =
   bump (Grammar.start g);
   tbl
 
-let ref_count t n =
+let ref_count t g n =
+  sync t g;
   let tbl =
     match t.ref_counts with
     | Some tbl -> tbl
     | None ->
-        let tbl = compute_ref_counts t.grammar in
+        let tbl = compute_ref_counts g in
         t.ref_counts <- Some tbl;
         tbl
   in
@@ -105,10 +104,11 @@ let compute_terminals g =
   done;
   Hashtbl.fold (fun n ok acc -> if ok then SSet.add n acc else acc) tbl SSet.empty
 
-let terminals t =
+let terminals t g =
+  sync t g;
   match t.terminals with
   | Some s -> s
   | None ->
-      let s = compute_terminals t.grammar in
+      let s = compute_terminals g in
       t.terminals <- Some s;
       s

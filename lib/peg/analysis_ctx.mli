@@ -1,48 +1,33 @@
 (** Shared analysis cache for grammar transformation pipelines.
 
     The optimizer passes all consume the same static facts — FIRST sets,
-    nullability, reachability, reference counts, the terminal level — but
-    each pass used to recompute them from scratch. An [Analysis_ctx.t]
-    owns one grammar snapshot plus every analysis computed against it, so
-    a pass manager can hand the same cache to each pass and only discard
-    what a transformation actually invalidates.
+    nullability, reachability, reference counts, the terminal level. An
+    [Analysis_ctx.t] caches them for one grammar at a time, so the pass
+    driver can hand one context to every pass and a fact is computed
+    once for as long as passes keep returning the same grammar.
 
-    The cache is deliberately conservative: every query checks that the
-    caller's grammar is (physically) the cached snapshot and falls back
-    to a fresh computation otherwise, so a stale context can cost time
-    but never correctness. *)
-
-type invalidation =
-  | Nothing
-      (** The pass only flips memoization attributes ([Attr.memo]); no
-          analysis reads those, so every cached fact stays valid. *)
-  | Analyses
-      (** The pass may change production structure, names or kinds:
-          drop all cached analyses. *)
+    Every query names the grammar it asks about. The cache is keyed on
+    it: a query about the grammar the cached facts were computed for
+    (physically the same value) reuses them, and a query about any other
+    grammar drops them and starts over. A pass therefore never sees
+    facts about a grammar other than its input, whatever ran before it. *)
 
 type t
 
-val create : Grammar.t -> t
-val grammar : t -> Grammar.t
-(** The current snapshot the cached facts are valid for. *)
+val create : unit -> t
+(** An empty cache. *)
 
-val advance : t -> invalidates:invalidation -> Grammar.t -> unit
-(** [advance t ~invalidates g'] moves the context to the post-pass
-    grammar [g'], dropping cached analyses according to [invalidates]. *)
-
-val analysis : t -> Analysis.t
+val analysis : t -> Grammar.t -> Analysis.t
 (** The full {!Analysis} record (nullability, FIRST sets, statefulness,
-    reachability) for the snapshot; computed on first use. *)
+    reachability) of the grammar; computed on first use. *)
 
-val reachable : t -> Analysis.StringSet.t
-val first : t -> string -> Charset.t
-val nullable : t -> string -> bool
+val reachable : t -> Grammar.t -> Analysis.StringSet.t
 
-val ref_count : t -> string -> int
+val ref_count : t -> Grammar.t -> string -> int
 (** Like {!Analysis.ref_count}, but all counts are computed in one sweep
     over the grammar on first use instead of one sweep per query. *)
 
-val terminals : t -> Analysis.StringSet.t
+val terminals : t -> Grammar.t -> Analysis.StringSet.t
 (** Productions at the lexical level: they never build syntax-tree nodes
     or touch parser state, and transitively reference only such
     productions (greatest fixed point). This is the set the terminal

@@ -251,19 +251,7 @@ let to_prometheus t =
     (families t);
   Buffer.contents b
 
-let json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+module Json = Rats_support.Json
 
 let to_json t =
   let b = Buffer.create 1024 in
@@ -272,20 +260,20 @@ let to_json t =
     (fun i m ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"name\":";
-      json_string b m.m_name;
+      Json.add_string b m.m_name;
       if m.m_labels <> [] then begin
         Buffer.add_string b ",\"labels\":{";
         List.iteri
           (fun j (k, v) ->
             if j > 0 then Buffer.add_char b ',';
-            json_string b k;
+            Json.add_string b k;
             Buffer.add_char b ':';
-            json_string b v)
+            Json.add_string b v)
           m.m_labels;
         Buffer.add_char b '}'
       end;
       Buffer.add_string b ",\"kind\":";
-      json_string b (kind_name m.m_kind);
+      Json.add_string b (kind_name m.m_kind);
       (match m.m_kind with
       | Counter | Gauge ->
           Buffer.add_string b (Printf.sprintf ",\"value\":%d" m.m_value)

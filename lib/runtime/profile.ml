@@ -183,18 +183,7 @@ let truncated t = t.ev_truncated
 
 (* --- flamegraph export --------------------------------------------------- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+module Json = Rats_support.Json
 
 (* Speedscope "evented" profile: frames are productions, events are the
    logged open/close pairs. [finalize] guarantees balance. *)
@@ -206,13 +195,13 @@ let to_speedscope ?(name = "rats parse") t =
   Array.iteri
     (fun i n ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"name\":\"";
-      json_escape b n;
-      Buffer.add_string b "\"}")
+      Buffer.add_string b "{\"name\":";
+      Json.add_string b n;
+      Buffer.add_char b '}')
     t.names;
-  Buffer.add_string b "]},\"profiles\":[{\"type\":\"evented\",\"name\":\"";
-  json_escape b name;
-  Buffer.add_string b "\",\"unit\":\"nanoseconds\",\"startValue\":0,";
+  Buffer.add_string b "]},\"profiles\":[{\"type\":\"evented\",\"name\":";
+  Json.add_string b name;
+  Buffer.add_string b ",\"unit\":\"nanoseconds\",\"startValue\":0,";
   let end_value = if t.ev_n = 0 then 0 else t.ev_ts.(t.ev_n - 1) in
   Buffer.add_string b (Printf.sprintf "\"endValue\":%d,\"events\":[" end_value);
   for i = 0 to t.ev_n - 1 do
@@ -221,9 +210,9 @@ let to_speedscope ?(name = "rats parse") t =
       (Printf.sprintf "{\"type\":\"%c\",\"frame\":%d,\"at\":%d}"
          (Bytes.get t.ev_kind i) t.ev_prod.(i) t.ev_ts.(i))
   done;
-  Buffer.add_string b "]}],\"name\":\"";
-  json_escape b name;
-  Buffer.add_string b "\",\"activeProfileIndex\":0}";
+  Buffer.add_string b "]}],\"name\":";
+  Json.add_string b name;
+  Buffer.add_string b ",\"activeProfileIndex\":0}";
   Buffer.contents b
 
 (* --- batch-level spans --------------------------------------------------- *)
@@ -265,12 +254,12 @@ module Spans = struct
     List.iteri
       (fun i e ->
         if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b "{\"name\":\"";
-        json_escape b e.e_name;
-        Buffer.add_string b "\",\"cat\":\"";
-        json_escape b e.e_cat;
+        Buffer.add_string b "{\"name\":";
+        Json.add_string b e.e_name;
+        Buffer.add_string b ",\"cat\":";
+        Json.add_string b e.e_cat;
         Buffer.add_string b
-          (Printf.sprintf "\",\"ph\":\"%s\",\"ts\":%.3f"
+          (Printf.sprintf ",\"ph\":\"%s\",\"ts\":%.3f"
              (if e.e_dur < 0 then "i" else "X")
              (float_of_int (e.e_ts - t0) /. 1e3));
         if e.e_dur >= 0 then
@@ -283,11 +272,9 @@ module Spans = struct
           List.iteri
             (fun j (k, v) ->
               if j > 0 then Buffer.add_char b ',';
-              Buffer.add_char b '"';
-              json_escape b k;
-              Buffer.add_string b "\":\"";
-              json_escape b v;
-              Buffer.add_char b '"')
+              Json.add_string b k;
+              Buffer.add_char b ':';
+              Json.add_string b v)
             e.e_args;
           Buffer.add_char b '}'
         end;
@@ -302,11 +289,11 @@ let to_chrome t =
   Buffer.add_char b '[';
   for i = 0 to t.ev_n - 1 do
     if i > 0 then Buffer.add_char b ',';
-    Buffer.add_string b "{\"name\":\"";
-    json_escape b t.names.(t.ev_prod.(i));
+    Buffer.add_string b "{\"name\":";
+    Json.add_string b t.names.(t.ev_prod.(i));
     Buffer.add_string b
       (Printf.sprintf
-         "\",\"cat\":\"parse\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":1}"
+         ",\"cat\":\"parse\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":1}"
          (if Bytes.get t.ev_kind i = 'O' then 'B' else 'E')
          (float_of_int t.ev_ts.(i) /. 1e3))
   done;

@@ -59,37 +59,6 @@ let add acc t =
 
 let memo_entries t = if t.chunk_slots > 0 then t.chunk_slots else t.memo_stores
 
-type pass_row = {
-  pass_name : string;
-  pass_time : float;
-  prods_before : int;
-  prods_after : int;
-  nodes_before : int;
-  nodes_after : int;
-  pass_changed : bool;
-}
-
-let pp_pass_row ppf r =
-  Format.fprintf ppf "%-14s %8.2fms  productions %4d -> %-4d  nodes %5d -> %-5d%s"
-    r.pass_name (r.pass_time *. 1000.) r.prods_before r.prods_after
-    r.nodes_before r.nodes_after
-    (if r.pass_changed then "" else "  (no change)")
-
-let pp_pass_table ppf rows =
-  Format.fprintf ppf "  %-14s %9s %7s %7s %8s %8s@." "pass" "time ms"
-    "prods" "Δprods" "nodes" "Δnodes";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-14s %9.3f %7d %+7d %8d %+8d%s@." r.pass_name
-        (r.pass_time *. 1000.) r.prods_after
-        (r.prods_after - r.prods_before)
-        r.nodes_after
-        (r.nodes_after - r.nodes_before)
-        (if r.pass_changed then "" else "   (no change)"))
-    rows;
-  let total = List.fold_left (fun acc r -> acc +. r.pass_time) 0. rows in
-  Format.fprintf ppf "  %-14s %9.3f@." "total" (total *. 1000.)
-
 (* Every counter, in declaration order, under its stable display name.
    This is the single schema every printer (and any JSON emitter) renders
    from: zero-valued fields are included, so consumers that key on field

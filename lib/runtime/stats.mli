@@ -50,26 +50,3 @@ val to_json : t -> string
     order, zero-valued fields included — so [rml parse --stats-json]
     and any future machine consumer share one stable schema. No
     trailing newline. *)
-
-(** {1 Per-pass optimizer instrumentation}
-
-    Rows produced by the optimizer driver ({!Rats_optimize.Driver}): one
-    per executed grammar pass, reporting wall time and the pass's effect
-    on grammar size — the per-pass half of the E3 story. They live here
-    so every layer (CLI, bench harness, tests) renders them the same
-    way parse-run counters are rendered. *)
-
-type pass_row = {
-  pass_name : string;
-  pass_time : float;  (** wall-clock seconds for this pass alone *)
-  prods_before : int;
-  prods_after : int;
-  nodes_before : int;  (** {!Rats_peg.Grammar.size} before the pass *)
-  nodes_after : int;
-  pass_changed : bool;
-      (** false when the pass returned a structurally identical grammar *)
-}
-
-val pp_pass_row : Format.formatter -> pass_row -> unit
-val pp_pass_table : Format.formatter -> pass_row list -> unit
-(** Aligned table with a Δ column per metric and a total-time footer. *)

@@ -4,11 +4,13 @@
 # set of flags, batches with per-document deadlines (with and without
 # faults), and the trace, coverage and profile subcommands, each with
 # and without -O; the optimized grammar `rml compose -O` prints for
-# every builtin; then the option names of every subcommand's
-# --help=plain. Wall-clock fields (batch "ms" values, the stderr
-# summary's latencies and the profile's time columns) are blanked; the
-# profile lists every production, sorted by name, since its own order
-# is by time.
+# every builtin; `rml passes`, and `rml optimize` of every builtin
+# (summary, --trace, --verify -p, --passes, --dump-after) and of a
+# left-recursive grammar file with -L; then the option names of every
+# subcommand's --help=plain. Wall-clock fields (batch "ms" values, the
+# stderr summary's latencies, the profile's and the optimizer's time
+# columns) are blanked; the profile lists every production, sorted by
+# name, since its own order is by time.
 #
 #   test/cli/compare.sh OLD_RML NEW_RML [WORK_DIR]
 #
@@ -54,18 +56,25 @@ strip_profile() {
   sed -E 's/ +[0-9]+\.[0-9]+ +[0-9]+\.[0-9]+ +[0-9]+\.[0-9]+%$/ _/' "$1" | sort
 }
 
+# `rml optimize`: the time column of --trace and of the summary line
+strip_optimize() {
+  strip "$1" | sed -E 's/^(  .{14}) +[0-9]+\.[0-9]{3}( |$)/\1 _\2/;
+                       s/, [0-9]+\.[0-9]+ ms \(use/, _ ms (use/'
+}
+
 runs=0
 diffs=0
-# compare NAME STDIN ARGS...: run both binaries, compare the three results
-compare() {
-  local name=$1 stdin=$2
-  shift 2
+# compare_with FILTER NAME STDIN ARGS...: run both binaries, compare
+# stdout through FILTER, stderr through strip, and the exit codes
+compare_with() {
+  local filter=$1 name=$2 stdin=$3
+  shift 3
   local side bin
   for side in old new; do
     if [ "$side" = old ]; then bin=$old; else bin=$new; fi
     "$bin" "$@" < "$stdin" > "$work/$side.out" 2> "$work/$side.err"
     echo $? > "$work/$side.code"
-    strip "$work/$side.out" > "$work/$side.out.s"
+    "$filter" "$work/$side.out" > "$work/$side.out.s"
     strip "$work/$side.err" > "$work/$side.err.s"
   done
   runs=$((runs + 1))
@@ -79,28 +88,44 @@ compare() {
   done
 }
 
-# compare_profile NAME ARGS...: like compare, on the blanked profile
+# compare NAME STDIN ARGS...: stdout with wall-clock fields blanked
+compare() { compare_with strip "$@"; }
+
+# compare_profile NAME ARGS...: the blanked, sorted profile
 compare_profile() {
   local name=$1
   shift
-  local side bin
-  for side in old new; do
-    if [ "$side" = old ]; then bin=$old; else bin=$new; fi
-    "$bin" "$@" < /dev/null > "$work/$side.out" 2> "$work/$side.err"
-    echo $? > "$work/$side.code"
-    strip_profile "$work/$side.out" > "$work/$side.out.s"
-    strip "$work/$side.err" > "$work/$side.err.s"
-  done
-  runs=$((runs + 1))
-  local what
-  for what in out.s err.s code; do
-    if ! cmp -s "$work/old.$what" "$work/new.$what"; then
-      diffs=$((diffs + 1))
-      echo "DIFF ($what): $name"
-      break
-    fi
-  done
+  compare_with strip_profile "$name" /dev/null "$@"
 }
+
+compare passes /dev/null passes
+for g in calc json minic minic-ext minijava rats path; do
+  while IFS= read -r flags; do
+    # shellcheck disable=SC2086
+    compare_with strip_optimize "optimize -b $g $flags" /dev/null optimize -b "$g" $flags
+  done <<EOF
+
+--trace
+--verify -p
+--passes inline,prune --trace
+--dump-after fold
+EOF
+done
+leftrec="$data/leftrec.rats -r leftrec.Expr"
+while IFS= read -r flags; do
+  # shellcheck disable=SC2086
+  compare_with strip_optimize "optimize leftrec.rats $flags" /dev/null optimize $leftrec $flags
+done <<EOF
+-L
+-L --trace
+-L --verify -p
+-L --dump-after leftrec
+--passes leftrec
+-L --passes nosuch
+-L --dump-after nosuch
+EOF
+# shellcheck disable=SC2086
+compare "compose leftrec.rats -L -O" /dev/null compose $leftrec -L -O
 
 for g in calc json minic minic-ext minijava rats path; do
   compare "compose -b $g -O" /dev/null compose -b "$g" -O

@@ -379,6 +379,19 @@ let tests =
         check Alcotest.int "failing exit" 3 code';
         check Alcotest.bool "ring dumped on failure" true
           (contains out' "exit-fail"));
+    test "--passes and --dump-after reject a pass the run lacks alike" (fun () ->
+        let code, passes = run "optimize -b calc --passes nosuch" in
+        let code', dump = run "optimize -b calc --dump-after nosuch" in
+        check Alcotest.int "--passes" 3 code;
+        check Alcotest.int "--dump-after" 3 code';
+        check Alcotest.string "same diagnostic" passes dump;
+        check Alcotest.bool "names the pass" true
+          (contains dump "unknown pass \"nosuch\"");
+        let code, _ = run "optimize -b calc --passes inline --dump-after fold" in
+        check Alcotest.int "registered but not run" 3 code;
+        let code, out = run "optimize -b calc --passes inline,fold --dump-after fold" in
+        check Alcotest.int "run" 0 code;
+        check Alcotest.bool "dumped" true (contains out "; after fold"));
   ]
 
 (* --- the exit-code contract, table-driven ------------------------------------
@@ -428,6 +441,12 @@ let exit_matrix_tests =
       ("compose usage", "compose -b calc --no-such-flag", None, 2);
       ("compose unknown builtin", "compose -b nonsense", None, 3);
       ("generate removed: usage", "generate -b calc", None, 2);
+      ("optimize ok", "optimize -b calc", None, 0);
+      ("optimize unknown pass: --passes", "optimize -b calc --passes nosuch", None, 3);
+      ( "optimize unknown pass: --dump-after",
+        "optimize -b calc --dump-after nosuch",
+        None,
+        3 );
       ("fmt ok", Printf.sprintf "fmt %s" tutorial, None, 0);
       ("fmt usage", "fmt --no-such-flag", None, 2);
       (* cmdliner validates positional file args itself, before the

@@ -457,44 +457,62 @@ let ctx_tests =
   in
   [
     test "queries share one analysis run" (fun () ->
-        let ctx = Analysis_ctx.create (two_prods ()) in
-        ignore (Analysis_ctx.first ctx "S");
-        ignore (Analysis_ctx.nullable ctx "A");
-        ignore (Analysis_ctx.reachable ctx);
+        let g = two_prods () in
+        let ctx = Analysis_ctx.create () in
+        ignore (Analysis_ctx.analysis ctx g);
+        ignore (Analysis_ctx.reachable ctx g);
+        ignore (Analysis_ctx.ref_count ctx g "A");
+        ignore (Analysis_ctx.terminals ctx g);
         check Alcotest.int "one run" 1 (Analysis_ctx.computations ctx));
-    test "attribute-only advance keeps the cache" (fun () ->
+    test "the cache is keyed on the grammar asked about" (fun () ->
         let g = two_prods () in
-        let ctx = Analysis_ctx.create g in
-        ignore (Analysis_ctx.first ctx "S");
-        let g' = Passes.mark_transients ~ctx g in
-        Analysis_ctx.advance ctx ~invalidates:Analysis_ctx.Nothing g';
-        ignore (Analysis_ctx.first ctx "S");
-        check Alcotest.int "still one run" 1 (Analysis_ctx.computations ctx));
-    test "structural advance recomputes" (fun () ->
-        let g = two_prods () in
-        let ctx = Analysis_ctx.create g in
-        ignore (Analysis_ctx.first ctx "S");
-        Analysis_ctx.advance ctx ~invalidates:Analysis_ctx.Analyses
-          (Passes.inline_pass g);
-        ignore (Analysis_ctx.reachable ctx);
-        check Alcotest.int "two runs" 2 (Analysis_ctx.computations ctx));
+        let g' = Passes.mark_transients g in
+        let ctx = Analysis_ctx.create () in
+        ignore (Analysis_ctx.analysis ctx g);
+        ignore (Analysis_ctx.analysis ctx g);
+        check Alcotest.int "same grammar" 1 (Analysis_ctx.computations ctx);
+        ignore (Analysis_ctx.analysis ctx g');
+        check Alcotest.int "another grammar" 2 (Analysis_ctx.computations ctx);
+        ignore (Analysis_ctx.analysis ctx g);
+        check Alcotest.int "and back" 3 (Analysis_ctx.computations ctx));
     test "ref counts match Analysis.ref_count" (fun () ->
         let g = Grammars.Minic.grammar () in
-        let ctx = Analysis_ctx.create g in
+        let ctx = Analysis_ctx.create () in
         let a = Analysis.analyze g in
         List.iter
           (fun (p : Production.t) ->
             check Alcotest.int p.name (Analysis.ref_count a p.name)
-              (Analysis_ctx.ref_count ctx p.name))
+              (Analysis_ctx.ref_count ctx g p.name))
           (Grammar.productions g));
-    test "stale grammar falls back instead of lying" (fun () ->
-        (* Passing a context for a different snapshot must not corrupt
-           the pass: ctx_for detects the mismatch and analyzes fresh. *)
+    test "another grammar's cached facts are not trusted" (fun () ->
+        let calc = Grammars.Calc.grammar () in
         let g = two_prods () in
-        let stale = Analysis_ctx.create (Grammars.Calc.grammar ()) in
-        let g' = Passes.mark_transients ~ctx:stale g in
+        let ctx = Analysis_ctx.create () in
+        ignore (Analysis_ctx.ref_count ctx calc "A");
+        let g' = Passes.mark_transients ~ctx g in
         check Alcotest.bool "A not transient" false
           (Attr.is_transient (Grammar.find_exn g' "A").Production.attrs));
+    test "an ungated driver run: every analysis it makes" (fun () ->
+        (* What rmlbench's compile layer times. Every analysis of the
+           run goes through the driver's cache (the inliner's rounds and
+           prunes, then the final prune), so these are all of them. *)
+        let last = ref None in
+        let spy =
+          List.map
+            (fun (p : Pass.t) ->
+              { p with run = (fun ctx g -> last := Some ctx; p.run ctx g) })
+            (Pipeline.passes ())
+        in
+        List.iter
+          (fun (name, g, analyses) ->
+            ignore (Driver.run ~gate:false spy g);
+            check Alcotest.int name analyses
+              (Analysis_ctx.computations (Option.get !last)))
+          [
+            ("minic", Grammars.Minic.grammar (), 11);
+            ("minijava", Grammars.Minijava.grammar (), 11);
+            ("json", Grammars.Json.grammar (), 5);
+          ]);
   ]
 
 (* --- the driver ------------------------------------------------------------------------------- *)
@@ -508,52 +526,55 @@ let driver_tests =
         prod "N" (plus (r '0' '9'));
       ]
   in
+  let run_ok ?dump_after passes g =
+    match Driver.run ?dump_after passes g with
+    | Ok o -> o
+    | Error ds ->
+        Alcotest.failf "driver failed: %s"
+          (String.concat "; " (List.map Diagnostic.to_string ds))
+  in
   [
     test "rows come back one per pass, in order" (fun () ->
         let g = Grammars.Minic.grammar () in
         let passes = Pipeline.passes () in
-        let o = Driver.run_exn passes g in
+        let o = run_ok passes g in
         check
           Alcotest.(list string)
           "names"
           (List.map (fun (p : Pass.t) -> p.Pass.name) passes)
-          (List.map (fun (r : Stats.pass_row) -> r.Stats.pass_name)
-             o.Driver.rows));
+          (List.map (fun (r : Driver.row) -> r.pass_name) o.Driver.rows));
     test "deltas are consistent across rows" (fun () ->
         let g = Grammars.Minic.grammar () in
-        let o = Driver.run_exn (Pipeline.passes ()) g in
+        let o = run_ok (Pipeline.passes ()) g in
         let rec chain before = function
           | [] -> ()
-          | (r : Stats.pass_row) :: rest ->
-              check Alcotest.int
-                (r.Stats.pass_name ^ " before")
-                before r.Stats.prods_before;
-              chain r.Stats.prods_after rest
+          | (r : Driver.row) :: rest ->
+              check Alcotest.int (r.pass_name ^ " before") before r.prods_before;
+              chain r.prods_after rest
         in
         chain (Grammar.length g) o.Driver.rows;
         check Alcotest.int "final"
           (Grammar.length o.Driver.grammar)
           (List.nth o.Driver.rows (List.length o.Driver.rows - 1))
-            .Stats.prods_after);
+            .Driver.prods_after);
     test "gate rejects left recursion before any optimization" (fun () ->
         match Driver.run (Pipeline.passes ()) (left_recursive ()) with
         | Error ds ->
             check Alcotest.bool "an error" true
               (List.exists Diagnostic.is_error ds)
         | Ok _ -> Alcotest.fail "expected rejection");
-    test "a repair pass runs before the gate" (fun () ->
-        match
-          Driver.run (Pass.leftrec :: Pipeline.passes ()) (left_recursive ())
-        with
-        | Error _ -> Alcotest.fail "leftrec should have repaired it"
-        | Ok o ->
-            let eng = Engine.prepare_exn o.Driver.grammar in
-            check Alcotest.bool "parses" true (Engine.accepts eng "8-3-2"));
+    test "a repaired grammar passes the gate" (fun () ->
+        let o =
+          run_ok (Pipeline.passes ())
+            (Passes.eliminate_left_recursion (left_recursive ()))
+        in
+        let eng = Engine.prepare_exn o.Driver.grammar in
+        check Alcotest.bool "parses" true (Engine.accepts eng "8-3-2"));
     test "lint warnings land in the outcome" (fun () ->
         let g =
           Grammar.make_exn ~start:"S" [ prod "S" (c 'a' <|> c 'a') ]
         in
-        let o = Driver.run_exn (Pipeline.passes ()) g in
+        let o = run_ok (Pipeline.passes ()) g in
         check Alcotest.bool "warned" true (o.Driver.warnings <> []);
         check Alcotest.bool "no hard error" true
           (not (List.exists Diagnostic.is_error o.Driver.warnings)));
@@ -563,8 +584,7 @@ let driver_tests =
           seen := (p.Pass.name, Grammar.length g') :: !seen
         in
         let o =
-          Driver.run_exn ~dump_after (Pipeline.passes ())
-            (Grammars.Minic.grammar ())
+          run_ok ~dump_after (Pipeline.passes ()) (Grammars.Minic.grammar ())
         in
         check Alcotest.int "one per pass"
           (List.length o.Driver.rows)
@@ -572,21 +592,6 @@ let driver_tests =
         check Alcotest.int "last matches outcome"
           (Grammar.length o.Driver.grammar)
           (snd (List.hd !seen)));
-    test "on_pass streams rows as they are measured" (fun () ->
-        let streamed = ref [] in
-        let on_pass (r : Stats.pass_row) =
-          streamed := r.Stats.pass_name :: !streamed
-        in
-        let o =
-          Driver.run_exn ~on_pass (Pipeline.passes ())
-            (Grammars.Minic.grammar ())
-        in
-        check
-          Alcotest.(list string)
-          "same rows"
-          (List.map (fun (r : Stats.pass_row) -> r.Stats.pass_name)
-             o.Driver.rows)
-          (List.rev !streamed));
     test "verify accepts the full pipeline on minic" (fun () ->
         match
           Driver.run ~verify:true (Pipeline.passes ())
@@ -598,10 +603,14 @@ let driver_tests =
               (String.concat "; " (List.map Diagnostic.to_string ds)));
     test "verify catches a pass that breaks the grammar" (fun () ->
         let vandal =
-          Pass.v ~name:"vandal" ~doc:"drop every production but the start"
-            (fun _ g ->
-              Grammar.make_exn ~start:(Grammar.start g)
-                [ prod (Grammar.start g) (e "Gone") ])
+          {
+            Pass.name = "vandal";
+            doc = "drop every production but the start";
+            run =
+              (fun _ g ->
+                Grammar.make_exn ~start:(Grammar.start g)
+                  [ prod (Grammar.start g) (e "Gone") ]);
+          }
         in
         match Driver.run ~verify:true [ vandal ] (Grammars.Calc.grammar ()) with
         | Error _ -> ()
@@ -611,20 +620,10 @@ let driver_tests =
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected rejection");
         match
-          Rats.parser_of ~passes:(Pass.leftrec :: Pipeline.passes ())
-            (left_recursive ())
+          Rats.parser_of (Passes.eliminate_left_recursion (left_recursive ()))
         with
         | Ok eng -> check Alcotest.bool "parses" true (Engine.accepts eng "1-2")
-        | Error _ -> Alcotest.fail "repair via ?passes failed");
-    test "find_pass knows every registered name" (fun () ->
-        List.iter
-          (fun (p : Pass.t) ->
-            match Pipeline.find_pass p.Pass.name with
-            | Some q -> check Alcotest.string p.Pass.name p.Pass.name q.Pass.name
-            | None -> Alcotest.failf "%s not found" p.Pass.name)
-          (Pipeline.all_passes ());
-        check Alcotest.bool "unknown is None" true
-          (Pipeline.find_pass "nosuch" = None));
+        | Error _ -> Alcotest.fail "the repaired grammar was rejected");
   ]
 
 (* --- the ladder and the full pipeline ------------------------------------------------------- *)
@@ -697,12 +696,6 @@ let pipeline_tests =
         match (Engine.parse e1 src, Engine.parse e2 src) with
         | Ok a, Ok b -> check Alcotest.bool "equal" true (Value.equal a b)
         | _ -> Alcotest.fail "parse failure");
-    test "prepare_optimized end to end" (fun () ->
-        match Pipeline.prepare_optimized (Grammars.Json.grammar ()) with
-        | Ok eng ->
-            check Alcotest.bool "parses" true
-              (Engine.accepts eng {|{"a": [1, 2, null]}|})
-        | Error _ -> Alcotest.fail "prepare failed");
   ]
 
 (* --- sharing ------------------------------------------------------------------ *)

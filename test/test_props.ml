@@ -254,6 +254,22 @@ let pass_props =
       (prepare_with Config.packrat)
       (fun g ->
         Engine.prepare ~config:Config.packrat (Desugar.expand_repetitions g));
+    (* The driver hands one analysis cache to every pass; it must answer
+       each pass as a cache of its own would. *)
+    QCheck.Test.make ~name:"one shared analysis cache optimizes as fresh ones do"
+      ~count:200 arb_case (fun (g, _) ->
+        let passes = Pipeline.passes () in
+        let shared =
+          (Result.get_ok (Driver.run ~gate:false passes g)).Driver.grammar
+        in
+        let fresh =
+          List.fold_left
+            (fun g (p : Pass.t) -> p.run (Analysis_ctx.create ()) g)
+            g passes
+        in
+        String.equal
+          (Pretty.grammar_to_string shared)
+          (Pretty.grammar_to_string fresh));
   ]
 
 (* --- registry passes, one suite per registered name ---------------------------------- *)
@@ -300,21 +316,27 @@ let full_equal a b =
   | FAccept _, FReject _ | FReject _, FAccept _ -> false
 
 let apply_pass (p : Pass.t) g =
-  (Driver.run_exn ~gate:false [ p ] g).Driver.grammar
+  (Result.get_ok (Driver.run ~gate:false [ p ] g)).Driver.grammar
+
+(* Every registry pass through the driver, and the [-L] repair, which
+   runs before it. *)
+let transforms =
+  List.map (fun (p : Pass.t) -> (p.name, apply_pass p)) (Pipeline.passes ())
+  @ [ ("leftrec", Passes.eliminate_left_recursion) ]
 
 let registry_pass_props =
   List.concat_map
-    (fun (p : Pass.t) ->
+    (fun (name, apply) ->
       [
         QCheck.Test.make
           ~name:
             (Printf.sprintf "%s preserves values, positions, expected"
-               p.Pass.name)
+               name)
           ~count:120 arb_case
           (fun (g, inputs) ->
             match
               ( prepare_with Config.packrat g,
-                prepare_with Config.packrat (apply_pass p g) )
+                prepare_with Config.packrat (apply g) )
             with
             | Ok e1, Ok e2 ->
                 List.for_all
@@ -327,12 +349,12 @@ let registry_pass_props =
           ~name:
             (Printf.sprintf
                "%s preserves values, positions, expected (reference)"
-               p.Pass.name)
+               name)
           ~count:120 arb_case
           (fun (g, inputs) ->
             match
               ( prepare_with Config.packrat g,
-                prepare_with Config.packrat (apply_pass p g) )
+                prepare_with Config.packrat (apply g) )
             with
             | Ok _, Ok eng ->
                 List.for_all
@@ -342,7 +364,7 @@ let registry_pass_props =
             | Error _, Error _ -> true
             | _ -> false);
       ])
-    (Pipeline.all_passes ())
+    transforms
 
 (* --- reference interpreter ------------------------------------------------------------ *)
 
@@ -673,7 +695,7 @@ let traversal_props =
       (fun g ->
         List.for_all
           (fun (p : Pass.t) ->
-            let g' = p.run (Analysis_ctx.create g) g in
+            let g' = p.run (Analysis_ctx.create ()) g in
             let untouched =
               List.for_all
                 (fun (q : Production.t) ->

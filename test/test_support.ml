@@ -619,6 +619,58 @@ let memo_arena_tests =
         check_edit_survivors ~fresh:true ~start:39 ~old_len:1 ~new_len:0);
   ]
 
+(* --- Json ------------------------------------------------------------------ *)
+
+let json = Rats_support.Json.string
+
+(* What [json] writes is a JSON string literal: quoted, no raw control
+   byte, every quote and backslash inside escaped. *)
+let check_json_literal label lit =
+  let n = String.length lit in
+  check Alcotest.bool (label ^ " quoted") true
+    (n >= 2 && lit.[0] = '"' && lit.[n - 1] = '"');
+  let rec scan i =
+    if i < n - 1 then
+      match lit.[i] with
+      | c when Char.code c < 0x20 -> Alcotest.failf "%s: raw byte %02x" label (Char.code c)
+      | '"' -> Alcotest.failf "%s: unescaped quote at %d" label i
+      | '\\' ->
+          (match lit.[i + 1] with
+          | '"' | '\\' | 'n' | 'r' | 't' -> scan (i + 2)
+          | 'u'
+            when i + 5 < n - 1
+                 && String.for_all
+                      (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+                      (String.sub lit (i + 2) 4) ->
+              scan (i + 6)
+          | c -> Alcotest.failf "%s: bad escape \\%c" label c)
+      | _ -> scan (i + 1)
+  in
+  scan 1;
+  match Grammars.Json.parse_hand (Printf.sprintf "{%s: [%s]}" lit lit) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "%s: %s" label m
+
+let json_tests =
+  [
+    test "every byte is written as valid JSON" (fun () ->
+        for c = 0 to 255 do
+          let s = String.make 1 (Char.chr c) in
+          check_json_literal (Printf.sprintf "byte %02x" c) (json s);
+          check_json_literal
+            (Printf.sprintf "byte %02x inside" c)
+            (json ("a" ^ s ^ s ^ "b"))
+        done;
+        check_json_literal "all bytes"
+          (json (String.init 256 Char.chr)));
+    test "the batch escapes" (fun () ->
+        check Alcotest.string "named" {|"\"\\\n\r\t"|}
+          (json "\"\\\n\r\t");
+        check Alcotest.string "numbered" {|"\u0000\u001f\u0008"|}
+          (json "\000\031\b");
+        check Alcotest.string "copied" "\"\127\255/\"" (json "\127\255/"));
+  ]
+
 let () =
   let to_alco = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "support"
@@ -631,4 +683,5 @@ let () =
       ("memo-arena", memo_arena_tests);
       ("diagnostic", diagnostic_tests);
       ("rng", rng_tests);
+      ("json", json_tests);
     ]
