@@ -739,6 +739,13 @@ let coverage_cmd =
     Term.(const run $ grammar_term $ corpus_arg $ strict_arg)
 
 let () =
+  (* rml is a short-lived process: its memo arena's rows (Bigarrays)
+     should not pace major cycles. With this bound a row of up to 1 MB
+     is a minor-heap custom block, and the copy a growth replaces is
+     freed at the next minor collection instead of counting towards a
+     major one. The library sets no GC parameter (DESIGN.md, "A
+     one-shot run does no collection work"). *)
+  Gc.set { (Gc.get ()) with custom_minor_max_size = 1 lsl 20 };
   let doc = "modular syntax for extensible parsers (after Rats!, PLDI 2006)" in
   let man =
     [

@@ -308,7 +308,7 @@ let report ~(show : show) ~observe ~source eng stats result =
     match result with
     | Ok v ->
         if not show.quiet then (
-          print_string (Value.to_string v);
+          Value.output stdout v;
           print_newline ());
         0
     | Error e ->

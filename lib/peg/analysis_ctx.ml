@@ -19,11 +19,30 @@ let create () =
 
 let computations t = t.computations
 
+(* The cached facts hold for [b] when it differs from [a] at most in
+   memo hints: every fact is read off the start symbol, the production
+   names, kinds and visibilities and the bodies, never off [memo]. The
+   transient and terminal passes change only [memo] and keep every body
+   physically, so the facts outlive them. *)
+let same_facts a b =
+  let same (p : Production.t) (q : Production.t) =
+    p == q
+    || String.equal p.name q.name
+       && p.expr == q.expr
+       && p.attrs.Attr.kind = q.attrs.Attr.kind
+       && p.attrs.Attr.visibility = q.attrs.Attr.visibility
+  in
+  String.equal (Grammar.start a) (Grammar.start b)
+  && List.compare_lengths (Grammar.productions a) (Grammar.productions b) = 0
+  && List.for_all2 same (Grammar.productions a) (Grammar.productions b)
+
 (* Every query goes through here: the cached facts are kept for the
-   grammar they were computed for and dropped for any other. *)
+   grammar they were computed for, and for one that differs from it in
+   memo hints only, and dropped for any other. *)
 let sync t g =
   match t.grammar with
   | Some cached when cached == g -> ()
+  | Some cached when same_facts cached g -> t.grammar <- Some g
   | _ ->
       t.grammar <- Some g;
       t.analysis <- None;

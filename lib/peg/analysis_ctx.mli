@@ -8,9 +8,12 @@
 
     Every query names the grammar it asks about. The cache is keyed on
     it: a query about the grammar the cached facts were computed for
-    (physically the same value) reuses them, and a query about any other
-    grammar drops them and starts over. A pass therefore never sees
-    facts about a grammar other than its input, whatever ran before it. *)
+    (physically the same value), or about one that differs from it only
+    in memo hints (same start, same production names, kinds and
+    visibilities, physically the same bodies), reuses them; a query
+    about any other grammar drops them and starts over. No fact depends
+    on memo hints, so a pass never sees facts that do not hold for its
+    input, whatever ran before it. *)
 
 type t
 

@@ -128,10 +128,10 @@ and pp_children ppf children =
 
 (* --- direct renderer ------------------------------------------------------
 
-   [to_string] writes the layout [pp] produces through [Format.asprintf]
-   straight into a buffer. The contract is byte identity with the [Format]
-   printer (margin 78, maximum indentation 68), which stays the oracle the
-   tests compare against:
+   [to_string] and [output] write the layout [pp] produces through
+   [Format.asprintf] without [Format], one line at a time. The contract
+   is byte identity with the [Format] printer (margin 78, maximum
+   indentation 68), which stays the oracle the tests compare against:
 
    - a list is an [hv 1] box and a node an [hv 2] box; a box either fits
      and prints flat, with a space at every break, or breaks every break
@@ -227,16 +227,20 @@ and add_label b = function
 let margin = 78
 let max_indent = 68
 
-(* The writer's cursor: the buffer and where its current line starts. *)
-type writer = { b : Buffer.t; mutable line : int }
+(* The writer holds the current line only, in a buffer it reuses. At
+   each break it hands the finished line, newline included, to [sink]
+   and starts the next line in the same buffer, so a render keeps one
+   line of output in memory whatever the size of the tree. *)
+type writer = { b : Buffer.t; sink : Buffer.t -> unit }
 
-let column w = Buffer.length w.b - w.line
+let column w = Buffer.length w.b
 
 let spaces = String.make max_indent ' '
 
 let newline w indent =
   Buffer.add_char w.b '\n';
-  w.line <- Buffer.length w.b;
+  w.sink w.b;
+  Buffer.clear w.b;
   Buffer.add_substring w.b spaces 0 (min max_indent indent)
 
 (* [render w encl v] writes [v] inside a broken box (or at top level)
@@ -275,10 +279,19 @@ and broken w v =
       Buffer.add_char w.b ')'
   | Unit | Chr _ | Str _ -> flat w.b v
 
-let to_string v =
-  let w = { b = Buffer.create 1024; line = 0 } in
+(* A line is rarely wider than the margin; a longer leaf grows the
+   buffer once. *)
+let write sink v =
+  let w = { b = Buffer.create 256; sink } in
   render w 0 v;
-  Buffer.contents w.b
+  sink w.b
+
+let to_string v =
+  let out = Buffer.create 1024 in
+  write (Buffer.add_buffer out) v;
+  Buffer.contents out
+
+let output oc v = write (Buffer.output_buffer oc) v
 
 let rec equal a b =
   match (a, b) with

@@ -105,6 +105,12 @@ val to_string : t -> string
     golden tests. Byte-identical to [Format.asprintf "%a" pp], written
     directly into a buffer without [Format]. *)
 
+val output : out_channel -> t -> unit
+(** [output oc v] writes [to_string v] to [oc] without building it: the
+    renderer hands each line to the channel as it finishes it, so only
+    one line is held in memory. No trailing newline; [oc] is not
+    flushed. *)
+
 val pp : Format.formatter -> t -> unit
 (** The [Format] printer: [hv 1] list boxes and [hv 2] node boxes. The
     oracle {!to_string} is tested against. *)

@@ -449,6 +449,18 @@ let leftrec_tests =
 
 (* --- the analysis cache ---------------------------------------------------------------------- *)
 
+(* The analyses a driver run of the pipeline makes, read off the
+   context its passes are handed. *)
+let driver_analyses ~gate g =
+  let last = ref None in
+  let spy =
+    List.map
+      (fun (p : Pass.t) -> { p with run = (fun ctx g -> last := Some ctx; p.run ctx g) })
+      (Pipeline.passes ())
+  in
+  ignore (Driver.run ~gate spy g);
+  Analysis_ctx.computations (Option.get !last)
+
 let ctx_tests =
   let open Builder in
   let two_prods () =
@@ -466,7 +478,8 @@ let ctx_tests =
         check Alcotest.int "one run" 1 (Analysis_ctx.computations ctx));
     test "the cache is keyed on the grammar asked about" (fun () ->
         let g = two_prods () in
-        let g' = Passes.mark_transients g in
+        (* the same productions, built again: physically other bodies *)
+        let g' = two_prods () in
         let ctx = Analysis_ctx.create () in
         ignore (Analysis_ctx.analysis ctx g);
         ignore (Analysis_ctx.analysis ctx g);
@@ -475,6 +488,26 @@ let ctx_tests =
         check Alcotest.int "another grammar" 2 (Analysis_ctx.computations ctx);
         ignore (Analysis_ctx.analysis ctx g);
         check Alcotest.int "and back" 3 (Analysis_ctx.computations ctx));
+    test "facts outlive a change of memo hints only" (fun () ->
+        let g = two_prods () in
+        let ctx = Analysis_ctx.create () in
+        ignore (Analysis_ctx.analysis ctx g);
+        let g' = Passes.mark_transients ~ctx g in
+        check Alcotest.bool "S marked transient" true
+          (Attr.is_transient (Grammar.find_exn g' "S").Production.attrs);
+        ignore (Analysis_ctx.analysis ctx g');
+        ignore (Analysis_ctx.terminals ctx g');
+        ignore (Analysis_ctx.ref_count ctx g' "A");
+        check Alcotest.int "across mark_transients" 1 (Analysis_ctx.computations ctx);
+        (* a kind or a visibility is read by the analysis: a grammar
+           that changes one is another grammar *)
+        let with_attrs f = Grammar.update g' "A" (fun p -> Production.with_attrs p (f p.attrs)) in
+        ignore (Analysis_ctx.analysis ctx (with_attrs (fun a -> { a with Attr.kind = Attr.Text })));
+        check Alcotest.int "another kind" 2 (Analysis_ctx.computations ctx);
+        ignore
+          (Analysis_ctx.analysis ctx
+             (with_attrs (fun a -> { a with Attr.visibility = Attr.Public })));
+        check Alcotest.int "another visibility" 3 (Analysis_ctx.computations ctx));
     test "ref counts match Analysis.ref_count" (fun () ->
         let g = Grammars.Minic.grammar () in
         let ctx = Analysis_ctx.create () in
@@ -496,23 +529,21 @@ let ctx_tests =
         (* What rmlbench's compile layer times. Every analysis of the
            run goes through the driver's cache (the inliner's rounds and
            prunes, then the final prune), so these are all of them. *)
-        let last = ref None in
-        let spy =
-          List.map
-            (fun (p : Pass.t) ->
-              { p with run = (fun ctx g -> last := Some ctx; p.run ctx g) })
-            (Pipeline.passes ())
-        in
         List.iter
           (fun (name, g, analyses) ->
-            ignore (Driver.run ~gate:false spy g);
-            check Alcotest.int name analyses
-              (Analysis_ctx.computations (Option.get !last)))
+            check Alcotest.int name analyses (driver_analyses ~gate:false g))
           [
             ("minic", Grammars.Minic.grammar (), 11);
             ("minijava", Grammars.Minijava.grammar (), 11);
             ("json", Grammars.Json.grammar (), 5);
           ]);
+    test "a gated driver run makes no more analyses" (fun () ->
+        (* the gate's analysis of the input serves [transients], which
+           changes memo hints only, and then [inline] *)
+        List.iter
+          (fun (name, g) ->
+            check Alcotest.int name 11 (driver_analyses ~gate:true g))
+          [ ("minic", Grammars.Minic.grammar ()); ("minijava", Grammars.Minijava.grammar ()) ]);
   ]
 
 (* --- the driver ------------------------------------------------------------------------------- *)

@@ -181,18 +181,38 @@ let value_tests =
 
 (* --- Renderer ------------------------------------------------------------- *)
 
-(* [Value.to_string] is a direct writer that must reproduce the layout of
-   the [Format] printer [Value.pp] byte for byte; these tests compare the
-   two on seeded random trees, on trees built to sit on the margin and
-   the maximum indentation, on every escape class, and on real parses. *)
+(* [Value.to_string] and [Value.output] are one direct writer that must
+   reproduce the layout of the [Format] printer [Value.pp] byte for byte;
+   these tests compare both with it on seeded random trees, on trees
+   built to sit on the margin and the maximum indentation, on every
+   escape class, and on real parses. *)
 
 let oracle v = Format.asprintf "%a" Value.pp v
 
+(* [Value.output] writes through one temp file, rewound for each case;
+   the channel's position after the write is the length to read back. *)
+let output_file =
+  lazy
+    (let path = Filename.temp_file "rats_render" ".txt" in
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     (path, open_out_bin path))
+
+let output_render v =
+  let path, oc = Lazy.force output_file in
+  seek_out oc 0;
+  Value.output oc v;
+  flush oc;
+  let n = pos_out oc in
+  In_channel.with_open_bin path (fun ic -> really_input_string ic n)
+
 let same_render what v =
-  let want = oracle v and got = Value.to_string v in
-  if not (String.equal want got) then
-    Alcotest.failf "%s: renderer differs from Format@.want:@.%s@.got:@.%s" what
-      want got
+  let want = oracle v in
+  List.iter
+    (fun (how, got) ->
+      if not (String.equal want got) then
+        Alcotest.failf "%s: %s differs from Format@.want:@.%s@.got:@.%s" what
+          how want got)
+    [ ("to_string", Value.to_string v); ("output", output_render v) ]
 
 let random_text rng n =
   (* printable bytes mostly, with every escape class mixed in *)
@@ -268,6 +288,36 @@ let render_tests =
           same_render "chr" (Value.Chr (Char.chr c));
           same_render "str" (Value.Str (String.make 3 (Char.chr c)))
         done);
+    test "a line longer than the line buffer" (fun () ->
+        let rng = Rng.create 4096 in
+        let long = Value.Str (random_text rng 5000) in
+        same_render "leaf" long;
+        same_render "labelled" (Value.node "n" [ (Some "l", long); (None, Value.Unit) ]);
+        same_render "list" (Value.List [ Value.Chr 'a'; long; long; Value.Str "z" ]);
+        check Alcotest.int "one line" 5002
+          (String.length (output_render (Value.Str (String.make 5000 'x')))));
+    test "a top-level leaf" (fun () ->
+        List.iter
+          (fun (want, v) ->
+            same_render want v;
+            check Alcotest.string want want (output_render v))
+          [
+            ("()", Value.Unit); ("'\\n'", Value.Chr '\n'); ("\"\"", Value.Str "");
+            ("\"leaf\"", Value.Str "leaf");
+          ]);
+    test "a box forced onto a new line right after a flush" (fun () ->
+        (* the break before the label ends a line; the label then pushes
+           the cursor past column 68, so the list box is moved to a new
+           line of its own before it is laid out *)
+        let label = String.make 70 'l' in
+        let item = Value.Str (String.make 40 'x') in
+        let v = Value.node "n" [ (Some label, Value.List [ item; item ]) ] in
+        same_render "forced" v;
+        match String.split_on_char '\n' (output_render v) with
+        | "(n" :: l :: box :: _ ->
+            check Alcotest.string "label line" ("  " ^ label ^ ":") l;
+            check Alcotest.bool "box line" true (String.starts_with ~prefix:"  [" box)
+        | _ -> Alcotest.fail "expected the node to break");
     test "seeded random trees" (fun () ->
         let rng = Rng.create 2006 in
         for i = 1 to 20_000 do
