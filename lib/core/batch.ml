@@ -382,8 +382,9 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
           ~dur_ns:(raw_now () - t0))
       spans
   in
-  (* Compile once, up front: a grammar that doesn't build is the run's
-     only error — after this point every failure is a record. *)
+  (* Prepare once, up front: a grammar that doesn't build is the run's
+     only error — after this point every failure is a record. Each body
+     compiles on the first document that calls it. *)
   let t_compile = span_now () in
   let prepared = Engine.prepare ~config:base_config g in
   span "compile" t_compile;

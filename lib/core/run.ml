@@ -102,30 +102,32 @@ let compose (gs : grammar) =
   | Some root, _ | None, Some root -> compose_modules ?start:gs.start ~root modules
   | None, None -> Error [ Diagnostic.error "no --root given" ]
 
-type snapshot = string -> optimized:bool -> Grammar.t option
+type snapshot = string -> optimized:bool -> Analysis.t option
 
-let grammar_of ?snapshot (gs : grammar) =
+let analysis_of ?snapshot (gs : grammar) =
   let composed () =
     let* g = compose gs in
     let g = if gs.leftrec then Rats_optimize.Passes.eliminate_left_recursion g else g in
-    Ok (if gs.optimize then Rats_optimize.Pipeline.optimize g else g)
+    Ok (Analysis.analyze (if gs.optimize then Rats_optimize.Pipeline.optimize g else g))
   in
-  let* g =
+  let* a =
     match (snapshot, gs) with
     (* a snapshot stands for exactly what [-b NAME [-O]] composes: no
        files, the built-in's own root and start, no -L repair *)
     | Some find, { builtin = Some name; files = []; root = None; start = None; leftrec = false; _ }
       -> (
-        match find name ~optimized:gs.optimize with Some g -> Ok g | None -> composed ())
+        match find name ~optimized:gs.optimize with Some a -> Ok a | None -> composed ())
     | _ -> composed ()
   in
   (* whole-grammar kind erasure, up front: everything downstream sees an
-     ordinary grammar that happens to be all-Void *)
-  if not gs.recognize then Ok g
+     ordinary grammar that happens to be all-Void, and facts of its own *)
+  if not gs.recognize then Ok a
   else
-    match Batch.recognizer_erase g with
-    | Some g -> Ok g
+    match Batch.recognizer_erase (Analysis.grammar a) with
+    | Some g -> Ok (Analysis.analyze g)
     | None -> Error [ Diagnostic.error "recognizer erasure produced an ill-formed grammar" ]
+
+let grammar_of ?snapshot gs = Result.map Analysis.grammar (analysis_of ?snapshot gs)
 
 (* --- specs -------------------------------------------------------------- *)
 
@@ -276,11 +278,12 @@ let want = function
   | Profile _ -> { Observe.off with Observe.profile = true }
   | Events { ring; _ } -> ring_want ring
 
-(* Prepare once under the spec's configuration and observation; every
-   run gets the spec's budgets through [Engine.with_limits]. *)
-let with_engine (gs : grammar) want g k =
+(* Prepare once under the spec's configuration and observation, from the
+   facts [a] holds; every run gets the spec's budgets through
+   [Engine.with_limits]. *)
+let with_engine (gs : grammar) want a k =
   let config = if Observe.enabled want then Config.with_observe want gs.config else gs.config in
-  match Engine.prepare ~config g with
+  match Engine.prepare_analysis ~config a with
   | Error ds -> print_errors ds
   | Ok eng -> k (Engine.with_limits eng gs.limits)
 
@@ -534,15 +537,16 @@ let batch (gs : grammar) (b : batch) g =
 
 let exec ?snapshot { grammar = gs; mode } =
   guarded @@ fun () ->
-  match grammar_of ?snapshot gs with
+  match analysis_of ?snapshot gs with
   | Error ds -> print_errors ds
-  | Ok g -> (
+  | Ok a -> (
+      let g = Analysis.grammar a in
       match mode with
       | Document { input; observe; show } ->
-          with_engine gs (want observe) g (document gs g ~input ~observe ~show)
+          with_engine gs (want observe) a (document gs g ~input ~observe ~show)
       | Edits { input; script; profile; ring; show } ->
           let observe = Watch { profile; ring; timeout = None } in
-          with_engine gs (want observe) g (edits gs ~input ~script ~observe ~show)
+          with_engine gs (want observe) a (edits gs ~input ~script ~observe ~show)
       | Batch b -> batch gs b g
       | Corpus { paths; strict } ->
-          with_engine gs { Observe.off with Observe.coverage = true } g (corpus ~paths ~strict))
+          with_engine gs { Observe.off with Observe.coverage = true } a (corpus ~paths ~strict))

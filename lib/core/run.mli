@@ -2,7 +2,7 @@
 
     A {!t} names a grammar and what to do with it. {!exec} carries it
     out in one place: load the modules, compose, optimize (or load a
-    built-in composed at build time, {!grammar_of}), erase to a
+    built-in composed at build time, with its facts, {!analysis_of}), erase to a
     recognizer when asked, prepare the engine, read the input, run,
     print, and map the outcome to an exit code. [rml parse], [profile],
     [trace] and [coverage] only map their flags onto a spec.
@@ -74,19 +74,27 @@ val default : grammar
 val compose : grammar -> (Grammar.t, Diagnostic.t list) result
 (** Load and compose, without repairing or optimizing. *)
 
-type snapshot = string -> optimized:bool -> Grammar.t option
+type snapshot = string -> optimized:bool -> Analysis.t option
 (** A lookup of built-ins composed ahead of time: [find name ~optimized]
-    is what {!grammar_of} would build for [--builtin name], with
+    is what {!analysis_of} would build for [--builtin name], with
     [optimize = optimized] and nothing else set, or [None] when it holds
-    no such grammar. [rml] passes the one its build generates
+    no such grammar. The analysis carries the facts preparing and
+    compiling the grammar read, so an engine prepared from it computes
+    none; each call must return a fresh one, which the engine it is
+    prepared for then owns. [rml] passes the one its build generates
     ([Rats_snapshot.find]). *)
 
+val analysis_of : ?snapshot:snapshot -> grammar -> (Analysis.t, Diagnostic.t list) result
+(** The grammar a spec runs, with its facts: composed, repaired when
+    [leftrec], optimized when [optimize], then erased to a recognizer
+    when [recognize]. When the spec is exactly a built-in (no [files],
+    [root], [start] or [leftrec]), the [snapshot] is asked first and the
+    composition and optimization are skipped when it answers; its facts
+    are kept unless the grammar is erased. A composed or erased grammar
+    starts from no facts ({!Analysis.analyze}). *)
+
 val grammar_of : ?snapshot:snapshot -> grammar -> (Grammar.t, Diagnostic.t list) result
-(** The grammar a spec runs: composed, repaired when [leftrec], optimized
-    when [optimize], then erased to a recognizer when [recognize]. When
-    the spec is exactly a built-in (no [files], [root], [start] or
-    [leftrec]), the [snapshot] is asked first and the composition and
-    optimization are skipped when it answers. *)
+(** The grammar of {!analysis_of}. *)
 
 (** {1 Specs} *)
 
@@ -175,7 +183,7 @@ val of_flags : grammar -> flags -> (t, string) result
     message for anything else. Never raises. *)
 
 val exec : ?snapshot:snapshot -> t -> int
-(** Run the spec on its {!grammar_of} and return the exit code: [0], [1]
+(** Run the spec on its {!analysis_of} and return the exit code: [0], [1]
     (an unexercised grammar under [Corpus]'s [strict]), [2] (a malformed
     edit script, an empty corpus), [3], [4] or [5]; a batch returns
     {!Batch.exit_code}. Output goes to stdout and stderr as [rml] prints

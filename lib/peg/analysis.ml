@@ -18,6 +18,10 @@ type t = {
   mutable unit_memo : (string, bool) Hashtbl.t option;
   mutable reachable_memo : StringSet.t option;
   mutable recursive_memo : StringSet.t option;
+  mutable check_memo : Diagnostic.t list option;
+  mutable computed : int;
+      (* facts computed so far: one a table or check, one an expression
+         whose FIRST set was walked rather than found *)
 }
 
 let grammar a = a.grammar
@@ -233,13 +237,22 @@ let analyze g =
     unit_memo = None;
     reachable_memo = None;
     recursive_memo = None;
+    check_memo = None;
+    computed = 0;
   }
+
+let computed a = a.computed
+
+(* [compute ()], counted as one fact computed *)
+let counted a compute =
+  a.computed <- a.computed + 1;
+  compute ()
 
 let nullable_tbl a =
   match a.nullable_memo with
   | Some t -> t
   | None ->
-      let t = compute_nullable a.grammar in
+      let t = counted a (fun () -> compute_nullable a.grammar) in
       a.nullable_memo <- Some t;
       t
 
@@ -247,7 +260,8 @@ let first_tbl a =
   match a.first_memo with
   | Some t -> t
   | None ->
-      let t = compute_first a.grammar (nullable_tbl a) in
+      let nullable = nullable_tbl a in
+      let t = counted a (fun () -> compute_first a.grammar nullable) in
       a.first_memo <- Some t;
       t
 
@@ -255,7 +269,7 @@ let stateful_tbl a =
   match a.stateful_memo with
   | Some t -> t
   | None ->
-      let t = compute_stateful a.grammar in
+      let t = counted a (fun () -> compute_stateful a.grammar) in
       a.stateful_memo <- Some t;
       t
 
@@ -263,7 +277,7 @@ let unit_tbl a =
   match a.unit_memo with
   | Some t -> t
   | None ->
-      let t = compute_unit a.grammar in
+      let t = counted a (fun () -> compute_unit a.grammar) in
       a.unit_memo <- Some t;
       t
 
@@ -285,10 +299,15 @@ let expr_first a e =
         a.expr_first_memo <- Some m;
         m
   in
-  expr_first_env ~memo
-    ~first:(fun n -> try Hashtbl.find firsts n with Not_found -> Charset.empty)
-    ~nullable:(fun n -> try Hashtbl.find nulls n with Not_found -> false)
-    e
+  let known = Expr.Phys.length memo in
+  let r =
+    expr_first_env ~memo
+      ~first:(fun n -> try Hashtbl.find firsts n with Not_found -> Charset.empty)
+      ~nullable:(fun n -> try Hashtbl.find nulls n with Not_found -> false)
+      e
+  in
+  a.computed <- a.computed + Expr.Phys.length memo - known;
+  r
 
 let stateful a n = try Hashtbl.find (stateful_tbl a) n with Not_found -> false
 
@@ -391,7 +410,7 @@ let reachable a =
                if Production.is_public p then Some p.name else None)
              (Grammar.productions a.grammar)
       in
-      let s = reachable_from a roots in
+      let s = counted a (fun () -> reachable_from a roots) in
       a.reachable_memo <- Some s;
       s
 
@@ -439,6 +458,7 @@ let recursive a =
           | [ _ ] when not !self -> ()
           | members -> List.iter (fun m -> acc := StringSet.add m !acc) members)
       in
+      a.computed <- a.computed + 1;
       List.iter
         (fun (p : Production.t) ->
           if not (Hashtbl.mem index p.name) then visit p.name p)
@@ -540,7 +560,7 @@ let left_recursion a =
 
 (* --- well-formedness ---------------------------------------------------- *)
 
-let check a =
+let compute_check a =
   let dangling = Grammar.check_closed a.grammar in
   let left_rec =
     match left_recursion a with
@@ -569,3 +589,11 @@ let check a =
       (Grammar.productions a.grammar)
   in
   dangling @ left_rec @ vacuous
+
+let check a =
+  match a.check_memo with
+  | Some ds -> ds
+  | None ->
+      let ds = counted a (fun () -> compute_check a) in
+      a.check_memo <- Some ds;
+      ds

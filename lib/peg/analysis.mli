@@ -18,9 +18,16 @@ type nullability =
 
 type t
 (** Analysis results for one grammar. Each table (nullability, FIRST
-    sets, statefulness, unit values, reachability, recursion) is
-    computed when a query first needs it and kept for later queries, so
-    a caller pays only for the facts it asks about. *)
+    sets, statefulness, unit values, reachability, recursion) and the
+    {!check} report is computed when a query first needs it and kept
+    for later queries, so a caller pays only for the facts it asks
+    about.
+
+    A [t] holds no closure: marshalled in one value with its grammar,
+    it comes back with every fact it had, and its identity-keyed table
+    ({!Expr.Phys}, whose hash is structural) still finds the grammar's
+    nodes. The built-in snapshot ships each grammar this way. A [t] is
+    not safe to query from two domains at once. *)
 
 val analyze : Grammar.t -> t
 (** Requires a closed grammar (no dangling references); dangling
@@ -29,6 +36,12 @@ val analyze : Grammar.t -> t
     until queried. *)
 
 val grammar : t -> Grammar.t
+
+val computed : t -> int
+(** How many facts this analysis has computed so far: one for each
+    table, one for a {!check} run, and one for each expression whose
+    FIRST set {!expr_first} walked rather than found. Instrumentation
+    for tests proving that carried facts are complete. *)
 
 (** {1 Nullability} *)
 
@@ -127,4 +140,5 @@ val check : t -> Diagnostic.t list
 (** Full well-formedness report: left recursion, repetition over a
     nullable body ([e* ] where [e] may match ε), unreachable {e public}
     productions are {e not} errors, but dangling refs are. Empty list
-    means the grammar is safe for packrat parsing. *)
+    means the grammar is safe for packrat parsing. Computed once and
+    kept, like the tables. *)

@@ -17,6 +17,6 @@ let lower t set =
   | None ->
       let bm = Bytes.make 256 '\000' in
       Charset.iter (fun c -> Bytes.unsafe_set bm (Char.code c) '\001') set;
-      let l = (bm, Expected.fresh t.names (Charset.to_string set)) in
+      let l = (bm, Expected.fresh_set t.names set) in
       Tbl.add t.sets set l;
       l

@@ -17,6 +17,7 @@ val create : Expected.names -> t
 
 val lower : t -> Charset.t -> Bytes.t * int
 (** [lower t set] is [set]'s bitmap (byte [c] is non-zero iff [c] is in
-    [set]) and the id of its description, {!Charset.to_string}, taken
-    once per distinct set — the set lookup is the interning. The bitmap
+    [set]) and the id of its description ({!Expected.fresh_set}, printed
+    only when an error reports it), taken once per distinct set — the
+    set lookup is the interning. The bitmap
     is shared between callers and must not be mutated. *)

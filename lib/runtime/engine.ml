@@ -43,24 +43,6 @@ type fn = st -> int -> int
 (* Returns the new position, or -1 on failure. Value-building matchers
    additionally set [st.value]. *)
 
-type t = {
-  cfg : Config.t;
-  gram : Grammar.t;
-  ids : (string, int) Hashtbl.t;
-  full : fn array;  (* per-production value-building matchers *)
-  recs : fn array;  (* per-production recognizers *)
-  nslots : int;
-  nvslots : int;  (* memo slots that carry a value *)
-  vmap : int array;  (* memo slot -> arena value slot; -1 = value-free *)
-  pool : Memo_store.t option Atomic.t;
-      (* store-less runs' memo store, parked (without values) between
-         runs and taken with [Atomic.exchange]: never shared by two *)
-  names : Expected.names;  (* every description a matcher can record *)
-  trace_pool : Expected.t option Atomic.t;
-      (* farthest-failure tracker parked between runs, like [pool] *)
-  obs : Observe.t option;  (* observation sink, [Config.observe] enabled only *)
-}
-
 (* Failures inside a predicate body never reach the farthest-failure
    trace: a body failure is not a parse failure (for [!x] it means the
    predicate succeeds), and recording there would let a doomed
@@ -104,23 +86,52 @@ let bitmap_mem bm c = Bytes.unsafe_get bm (Char.code c) <> '\000'
    MiniC run. *)
 module Phys = Expr.Phys
 
+(* Everything compiling a body reads or writes. Bodies compile on
+   first call, possibly while other domains run the parser, so every
+   field that changes after [prepare] (the names, the charmap, the
+   [Phys] tables, [chr_bms], [installed], the slots of [full] and
+   [recs], and the analysis's tables) is touched only under [lock]. *)
 type compile_ctx = {
-  parser : t;
   analysis : Analysis.t;
   config : Config.t;
+  prods : Production.t array;
+  ids : (string, int) Hashtbl.t;
+  slots : int array;  (* production -> memo slot; -1 = none *)
+  vmap : int array;  (* memo slot -> arena value slot; -1 = value-free *)
+  full : fn array;  (* per-production value-building matchers *)
+  recs : fn array;  (* per-production recognizers *)
+  installed : Bytes.t;
+      (* [2i]: [full.(i)] is compiled; [2i + 1]: [recs.(i)] is *)
+  names : Expected.names;  (* every description a matcher can record *)
+  lock : Mutex.t;  (* [Expected.lock names]: one per parser *)
+  hook : (string -> fn -> fn) option;  (* around each value-building call *)
   charsets : Charmap.t;
       (* one lowering per distinct set, shared by the full and the
          recognizer compilation of every body *)
   obs : Observe.t option;
       (* when set, choice compilation marks alternative coverage and
          pushes backtrack events; call instrumentation lives in the
-         per-production wrappers of [prepare_hooked] instead *)
+         per-production wrappers of [production_fn] instead *)
   preds : int Phys.t;  (* predicate node -> id of its description *)
   full_fns : fn Phys.t;  (* composite node -> its value-building matcher *)
   lean_fns : fn Phys.t;  (* composite node -> its recognizer *)
   chr_bms : Bytes.t array;
       (* byte -> the one-byte test's bitmap of a [Chr] of it, made on
          first use; [no_bitmap] until then *)
+}
+
+type t = {
+  cfg : Config.t;
+  gram : Grammar.t;
+  nslots : int;
+  nvslots : int;  (* memo slots that carry a value *)
+  pool : Memo_store.t option Atomic.t;
+      (* store-less runs' memo store, parked (without values) between
+         runs and taken with [Atomic.exchange]: never shared by two *)
+  trace_pool : Expected.t option Atomic.t;
+      (* farthest-failure tracker parked between runs, like [pool] *)
+  obs : Observe.t option;  (* observation sink, [Config.observe] enabled only *)
+  ctx : compile_ctx;
 }
 
 let no_bitmap = Bytes.empty
@@ -291,24 +302,13 @@ let[@inline] probe st { bm; _ } pos =
 (* Every byte, for [.]'s test. *)
 let all_bytes = Bytes.make 256 '\001'
 
-(* Expected-set description of a predicate body: a one-byte body is
-   described as its matcher is. *)
-let pred_body_desc (x : Expr.t) =
-  match x.it with
-  | Expr.Chr c -> Pretty.quote_char c
-  | Expr.Cls set -> Charset.to_string set
-  | Expr.Any -> "any character"
-  | _ -> Pretty.describe x
-
-(* The id of a predicate's description, printed once per predicate
-   node: the full and the recognizer compilation of a body share its
-   nodes, and printing the body is most of what compiling a predicate
-   costs. *)
-let pred_desc_id ctx (e : Expr.t) describe =
+(* The id of a predicate's description, one per predicate node: the
+   full and the recognizer compilation of a body share its nodes. *)
+let pred_desc_id ctx (e : Expr.t) ~positive body =
   match Phys.find_opt ctx.preds e with
   | Some id -> id
   | None ->
-      let id = Expected.intern ctx.parser.names (describe ()) in
+      let id = Expected.fresh_pred ctx.names ~positive body in
       Phys.add ctx.preds e id;
       id
 
@@ -337,9 +337,9 @@ let rec byte_test ctx (e : Expr.t) =
           ctx.chr_bms.(b) <- bm;
           bm
       in
-      Some { bm; id = Expected.intern_char ctx.parser.names c }
+      Some { bm; id = Expected.intern_char ctx.names c }
   | Expr.Any ->
-      let id = Expected.intern ctx.parser.names "any character" in
+      let id = Expected.intern ctx.names "any character" in
       Some { bm = all_bytes; id }
   | Expr.Drop x | Expr.Token x | Expr.Bind (_, x) | Expr.Node (_, x) ->
       byte_test ctx x
@@ -374,12 +374,12 @@ and compile_expr ctx ~lean (e : Expr.t) : fn =
         st.value <- Value.Unit;
         pos
   | Expr.Fail msg ->
-      let id = Expected.intern ctx.parser.names msg in
+      let id = Expected.intern ctx.names msg in
       fun st pos ->
         record st pos id;
         -1
   | Expr.Any ->
-      let id = Expected.intern ctx.parser.names "any character" in
+      let id = Expected.intern ctx.names "any character" in
       if lean then
         fun st pos ->
           look st pos;
@@ -397,7 +397,7 @@ and compile_expr ctx ~lean (e : Expr.t) : fn =
             record st pos id;
             -1)
   | Expr.Chr c ->
-      let id = Expected.intern_char ctx.parser.names c in
+      let id = Expected.intern_char ctx.names c in
       let set_unit = not lean in
       fun st pos ->
         look st pos;
@@ -409,7 +409,7 @@ and compile_expr ctx ~lean (e : Expr.t) : fn =
           -1)
   | Expr.Str s ->
       let n = String.length s in
-      let id = Expected.intern_literal ctx.parser.names s in
+      let id = Expected.intern_literal ctx.names s in
       let set_unit = not lean in
       fun st pos ->
         (* Record failures at the first mismatching byte, so the farthest
@@ -447,11 +447,14 @@ and compile_expr ctx ~lean (e : Expr.t) : fn =
             -1)
   | Expr.Ref name ->
       let id =
-        match Hashtbl.find_opt ctx.parser.ids name with
+        match Hashtbl.find_opt ctx.ids name with
         | Some id -> id
-        | None -> Diagnostic.failf "engine: undefined production %S" name
+        | None ->
+            (* unreachable: prepare's [Analysis.check] rejects a
+               reference to an undefined production *)
+            Diagnostic.failf "engine: undefined production %S" name
       in
-      let fns = if lean then ctx.parser.recs else ctx.parser.full in
+      let fns = if lean then ctx.recs else ctx.full in
       fun st pos -> fns.(id) st pos
   | Expr.Seq es -> compile_seq ctx ~lean es
   | Expr.Alt alts -> compile_alt ctx ~lean alts
@@ -510,13 +513,9 @@ and compile_expr ctx ~lean (e : Expr.t) : fn =
          succeeds where the body does, [!x] where it fails. A one-byte
          body is one probe. *)
       let positive = match e.it with Expr.And _ -> true | _ -> false in
-      let desc () =
-        if positive then "&" ^ pred_body_desc x
-        else "not " ^ Pretty.describe x
-      in
       match byte_test ctx x with
       | Some t ->
-          let id = pred_desc_id ctx e desc in
+          let id = pred_desc_id ctx e ~positive x in
           fun st pos ->
             if probe st t pos <> positive then (
               record st pos id;
@@ -528,7 +527,7 @@ and compile_expr ctx ~lean (e : Expr.t) : fn =
           let fx =
             compile ctx ~lean:(lean || ctx.config.Config.lean_values) x
           in
-          let id = pred_desc_id ctx e desc in
+          let id = pred_desc_id ctx e ~positive x in
           fun st pos ->
             let saved = st.tables in
             st.quiet <- st.quiet + 1;
@@ -602,7 +601,7 @@ and compile_expr ctx ~lean (e : Expr.t) : fn =
   | Expr.Member (table, positive, x) ->
       let fx = compile ctx ~lean x in
       let id =
-        Expected.intern ctx.parser.names
+        Expected.intern ctx.names
           (if positive then Printf.sprintf "a name recorded in %s" table
            else Printf.sprintf "a name not recorded in %s" table)
       in
@@ -982,11 +981,119 @@ let assign_slots cfg prods =
   in
   (slots, !next)
 
-let prepare_hooked ?hook ?(config = Config.optimized) gram =
-  let analysis = Analysis.analyze gram in
+(* Observation wrapper, around both the value-building and the
+   recognizer entry. A call was a memo hit exactly when the inner call
+   bumped [memo_hits] without running a body — detected as a counter
+   delta so the memo protocol stays untouched. The enter event precedes
+   the inner call's fuel charge, so a fuel trip leaves the doomed
+   invocation visible in the ring; its open profile frame is closed by
+   [Observe.finalize] at the run epilogue. *)
+let wrap_obs o i (fn : fn) : fn =
+ fun st pos ->
+  Observe.enter o i pos;
+  let stats = st.stats in
+  let inv0 = stats.Stats.invocations and hit0 = stats.Stats.memo_hits in
+  let p' = fn st pos in
+  if stats.Stats.memo_hits = hit0 + 1 && stats.Stats.invocations = inv0 + 1
+  then Observe.memo_hit o i pos ~stop:p'
+  else Observe.exit o i pos ~stop:p';
+  p'
+
+(* Production [i]'s matcher in one mode: its body compiled and wrapped
+   in the memo protocol its slot calls for, the observation and, for
+   the value-building entry, the hook. *)
+let production_fn ctx ~lean i : fn =
+  let config = ctx.config and p = ctx.prods.(i) in
+  let kind = p.attrs.Attr.kind in
+  let slot = ctx.slots.(i) in
+  let vslot = if slot >= 0 then ctx.vmap.(slot) else -1 in
+  (* Memo entries of stateful productions are only valid at the state
+     version they were computed at. A hit can therefore never hide a
+     state change: any run that mutated the tables bumped the version
+     past its own entry stamp. *)
+  let stateful = Analysis.stateful ctx.analysis p.name in
+  let memo = if slot < 0 then Config.No_memo else config.Config.memo in
+  let fn : fn =
+    if lean then
+      let body_rec = compile ctx ~lean:true p.expr in
+      match memo with
+      | Config.No_memo -> fun st pos -> plain_call ~value:false kind body_rec st pos
+      | Config.Hashtable ->
+          fun st pos ->
+            memo_call ~table:true ~mode:Read_only ~slot ~vslot ~stateful kind
+              body_rec st pos
+      | Config.Chunked when vslot < 0 ->
+          (* A value-free slot stores nothing but the result, so a
+             recognizer's entry is indistinguishable from a
+             value-building one's: recognizer calls get the whole
+             protocol, chunk claims and stores included. *)
+          fun st pos ->
+            memo_call ~table:false ~mode:Value_free ~slot ~vslot ~stateful kind
+              body_rec st pos
+      | Config.Chunked ->
+          fun st pos ->
+            memo_call ~table:false ~mode:Read_only ~slot ~vslot ~stateful kind
+              body_rec st pos
+    else
+      let body_full =
+        if kind = Attr.Generic then compile_node ctx p.name p.expr
+        else
+          compile ctx
+            ~lean:(config.Config.lean_values && (kind = Attr.Text || kind = Attr.Void))
+            p.expr
+      in
+      match memo with
+      | Config.No_memo -> fun st pos -> plain_call ~value:true kind body_full st pos
+      | Config.Hashtable ->
+          fun st pos ->
+            memo_call ~table:true ~mode:Value ~slot ~vslot ~stateful kind body_full
+              st pos
+      | Config.Chunked ->
+          fun st pos ->
+            memo_call ~table:false ~mode:Value ~slot ~vslot ~stateful kind body_full
+              st pos
+  in
+  let fn = match ctx.obs with None -> fn | Some o -> wrap_obs o i fn in
+  match ctx.hook with
+  | Some h when not lean -> h p.Production.name fn
+  | _ -> fn
+
+(* Production [i]'s matcher in one mode, compiled and stored in its
+   slot by the first caller; a later or concurrent caller gets the
+   stored one. The slot store is the last write of the critical
+   section (docs/INTERNALS.md, "Compile on first call"). A profiled
+   engine leaves the compile span off its clock, so the open frames of
+   the callers are not charged for it. *)
+let install ctx ~lean i =
+  Mutex.protect ctx.lock @@ fun () ->
+  let fns = if lean then ctx.recs else ctx.full in
+  let flag = (2 * i) + Bool.to_int lean in
+  if Bytes.get ctx.installed flag <> '\000' then fns.(i)
+  else
+    let fn =
+      match Option.bind ctx.obs Observe.profile with
+      | None -> production_fn ctx ~lean i
+      | Some prof ->
+          let since = Profile.now_ns () in
+          let fn = production_fn ctx ~lean i in
+          Profile.exclude prof ~since;
+          fn
+    in
+    Bytes.set ctx.installed flag '\001';
+    fns.(i) <- fn;
+    fn
+
+(* What a slot holds until its first call: compile, store, call. *)
+let stub ctx ~lean i : fn = fun st pos -> (install ctx ~lean i) st pos
+
+(* Nothing is compiled here: [Analysis.check]'s [Grammar.check_closed]
+   rules out the one error compiling could raise (an undefined
+   production), and each body compiles on its first call ([stub]). *)
+let prepare_hooked ?hook ?(config = Config.optimized) analysis =
   match Analysis.check analysis with
   | _ :: _ as ds -> Error ds
   | [] ->
+      let gram = Analysis.grammar analysis in
       let prods = Array.of_list (Grammar.productions gram) in
       let nprods = Array.length prods in
       let ids = Hashtbl.create (nprods * 2) in
@@ -1014,27 +1121,20 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
           Some (Observe.create config.Config.observe (Provenance.of_grammar gram))
         else None
       in
-      let parser =
-        {
-          cfg = config;
-          gram;
-          ids;
-          full = Array.make nprods dummy;
-          recs = Array.make nprods dummy;
-          nslots;
-          nvslots;
-          vmap;
-          pool = Atomic.make None;
-          names;
-          trace_pool = Atomic.make None;
-          obs;
-        }
-      in
       let ctx =
         {
-          parser;
           analysis;
           config;
+          prods;
+          ids;
+          slots;
+          vmap;
+          full = Array.make nprods dummy;
+          recs = Array.make nprods dummy;
+          installed = Bytes.make (2 * nprods) '\000';
+          names;
+          lock = Expected.lock names;
+          hook;
           charsets = Charmap.create names;
           obs;
           preds = Phys.create 64;
@@ -1043,103 +1143,40 @@ let prepare_hooked ?hook ?(config = Config.optimized) gram =
           chr_bms = Array.make 256 no_bitmap;
         }
       in
-      (try
-         Array.iteri
-           (fun i (p : Production.t) ->
-             let kind = p.attrs.Attr.kind in
-             let body_full =
-               if kind = Attr.Generic then compile_node ctx p.name p.expr
-               else
-                 compile ctx
-                   ~lean:
-                     (config.Config.lean_values
-                     && (kind = Attr.Text || kind = Attr.Void))
-                   p.expr
-             in
-             let body_rec = compile ctx ~lean:true p.expr in
-             let slot = slots.(i) in
-             let vslot = if slot >= 0 then vmap.(slot) else -1 in
-             (* Memo entries of stateful productions are only valid at the
-                state version they were computed at. A hit can therefore
-                never hide a state change: any run that mutated the tables
-                bumped the version past its own entry stamp. *)
-             let stateful = Analysis.stateful analysis p.name in
-             let memo =
-               if slot < 0 then Config.No_memo else config.Config.memo
-             in
-             let full_fn : fn =
-               match memo with
-               | Config.No_memo ->
-                   fun st pos -> plain_call ~value:true kind body_full st pos
-               | Config.Hashtable ->
-                   fun st pos ->
-                     memo_call ~table:true ~mode:Value ~slot ~vslot ~stateful
-                       kind body_full st pos
-               | Config.Chunked ->
-                   fun st pos ->
-                     memo_call ~table:false ~mode:Value ~slot ~vslot ~stateful
-                       kind body_full st pos
-             in
-             let rec_fn : fn =
-               match memo with
-               | Config.No_memo ->
-                   fun st pos -> plain_call ~value:false kind body_rec st pos
-               | Config.Hashtable ->
-                   fun st pos ->
-                     memo_call ~table:true ~mode:Read_only ~slot ~vslot
-                       ~stateful kind body_rec st pos
-               | Config.Chunked when vslot < 0 ->
-                   (* A value-free slot stores nothing but the result, so
-                      a recognizer's entry is indistinguishable from a
-                      value-building one's: recognizer calls get the
-                      whole protocol, chunk claims and stores included. *)
-                   fun st pos ->
-                     memo_call ~table:false ~mode:Value_free ~slot ~vslot
-                       ~stateful kind body_rec st pos
-               | Config.Chunked ->
-                   fun st pos ->
-                     memo_call ~table:false ~mode:Read_only ~slot ~vslot
-                       ~stateful kind body_rec st pos
-             in
-             (* Observation wrapper, around both the value-building and
-                the recognizer entry. A call was a memo hit exactly when
-                the inner call bumped [memo_hits] without running a body
-                — detected as a counter delta so the memo protocol stays
-                untouched. The enter event precedes the inner call's fuel
-                charge, so a fuel trip leaves the doomed invocation
-                visible in the ring; its open profile frame is closed by
-                [Observe.finalize] at the run epilogue. *)
-             let wrap_obs o i (fn : fn) : fn =
-              fun st pos ->
-               Observe.enter o i pos;
-               let stats = st.stats in
-               let inv0 = stats.Stats.invocations
-               and hit0 = stats.Stats.memo_hits in
-               let p' = fn st pos in
-               if
-                 stats.Stats.memo_hits = hit0 + 1
-                 && stats.Stats.invocations = inv0 + 1
-               then Observe.memo_hit o i pos ~stop:p'
-               else Observe.exit o i pos ~stop:p';
-               p'
-             in
-             let full_fn, rec_fn =
-               match obs with
-               | None -> (full_fn, rec_fn)
-               | Some o -> (wrap_obs o i full_fn, wrap_obs o i rec_fn)
-             in
-             let full_fn =
-               match hook with
-               | None -> full_fn
-               | Some h -> h p.Production.name full_fn
-             in
-             parser.full.(i) <- full_fn;
-             parser.recs.(i) <- rec_fn)
-           prods;
-         Ok parser
-       with Diagnostic.Fail d -> Error [ d ])
+      for i = 0 to nprods - 1 do
+        ctx.full.(i) <- stub ctx ~lean:false i;
+        ctx.recs.(i) <- stub ctx ~lean:true i
+      done;
+      Ok
+        {
+          cfg = config;
+          gram;
+          nslots;
+          nvslots;
+          pool = Atomic.make None;
+          trace_pool = Atomic.make None;
+          obs;
+          ctx;
+        }
 
-let prepare ?config gram = prepare_hooked ?config gram
+let compile_all t =
+  for i = 0 to Array.length t.ctx.prods - 1 do
+    let (_ : fn) = install t.ctx ~lean:false i in
+    let (_ : fn) = install t.ctx ~lean:true i in
+    ()
+  done
+
+let compiled_bodies t =
+  Mutex.protect t.ctx.lock @@ fun () ->
+  let full = ref 0 and recs = ref 0 in
+  Bytes.iteri
+    (fun flag c ->
+      if c <> '\000' then if flag land 1 = 0 then incr full else incr recs)
+    t.ctx.installed;
+  (!full, !recs)
+
+let prepare_analysis ?config analysis = prepare_hooked ?config analysis
+let prepare ?config gram = prepare_analysis ?config (Analysis.analyze gram)
 
 let prepare_exn ?config gram =
   match prepare ?config gram with
@@ -1183,13 +1220,13 @@ let exhausted which ~at =
 type store = Memo_store.t
 
 let new_store t =
-  Memo_store.create t.cfg.Config.memo ~nslots:t.nslots ~vmap:t.vmap
+  Memo_store.create t.cfg.Config.memo ~nslots:t.nslots ~vmap:t.ctx.vmap
 let edit_store _ = Memo_store.edit
 
 let run_with t ?store ?start ~require_eof input =
   let start_id =
     let name = Option.value start ~default:(Grammar.start t.gram) in
-    match Hashtbl.find_opt t.ids name with
+    match Hashtbl.find_opt t.ctx.ids name with
     | Some id -> id
     | None -> Diagnostic.failf "no production named %S" name
   in
@@ -1218,7 +1255,7 @@ let run_with t ?store ?start ~require_eof input =
       | Some tr ->
           Expected.reset tr;
           tr
-      | None -> Expected.create t.names
+      | None -> Expected.create t.ctx.names
     in
     let st =
       {
@@ -1242,7 +1279,7 @@ let run_with t ?store ?start ~require_eof input =
       }
     in
     let p =
-      try t.full.(start_id) st 0 with
+      try t.ctx.full.(start_id) st 0 with
       | Exhausted -> -1
       | Stack_overflow ->
           (* last-resort backstop: an ungoverned (or under-governed) run
@@ -1340,6 +1377,6 @@ let trace ?config ?start ?require_eof ~on_event gram input =
     on_event { prod = name; at = pos; depth = !depth; outcome = Some p };
     p
   in
-  match prepare_hooked ~hook ?config gram with
+  match prepare_hooked ~hook ?config (Analysis.analyze gram) with
   | Error ds -> Error ds
   | Ok eng -> Ok (run eng ?start ?require_eof input)

@@ -1,10 +1,13 @@
 (** The packrat parsing engine.
 
-    {!prepare} compiles a closed, well-formed grammar into a network of
+    {!prepare} turns a closed, well-formed grammar into a network of
     closures — one recognizer and one value-building matcher per
     production — with memoization wrappers, choice-dispatch tables and
-    state-transaction handling chosen by the {!Config.t}. {!run} then
-    parses an input string.
+    state-transaction handling chosen by the {!Config.t}. Each matcher
+    is compiled on its production's first call in its mode, so a run
+    pays only for what its input reaches; {!compile_all} compiles the
+    rest. {!run} then parses an input string. An unobserved engine may
+    be run from several domains at once, first calls included.
 
     The engine rejects grammars that fail {!Rats_peg.Analysis.check}
     (left recursion, vacuous repetition, dangling references), exactly as
@@ -23,9 +26,29 @@ open Rats_peg
 type t
 
 val prepare : ?config:Config.t -> Grammar.t -> (t, Diagnostic.t list) result
-(** Default config is {!Config.optimized}. *)
+(** Default config is {!Config.optimized}. [prepare ?config g] is
+    {!prepare_analysis} of [Analysis.analyze g]: a grammar without facts. *)
+
+val prepare_analysis :
+  ?config:Config.t -> Analysis.t -> (t, Diagnostic.t list) result
+(** Prepare the analysis's grammar, starting from the facts it already
+    holds: a grammar loaded with its facts (the built-in snapshot)
+    recomputes none of them. The engine owns the analysis from here on
+    and fills in the facts its compilation reads, under its own lock;
+    no other engine, and no other caller, may use it meanwhile. *)
+
+val compile_all : t -> unit
+(** Compile every production's value-building and recognizer matcher
+    now rather than on first call. Afterwards the engine's analysis
+    holds every fact compiling reads, whatever the configuration:
+    [gen.exe] ships the facts in this state. *)
 
 val prepare_exn : ?config:Config.t -> Grammar.t -> t
+val compiled_bodies : t -> int * int
+(** How many productions have their value-building matcher compiled,
+    and how many their recognizer: what the runs so far called, or
+    every production after {!compile_all}. *)
+
 val config : t -> Config.t
 
 val with_limits : t -> Limits.t -> t

@@ -31,7 +31,8 @@ type t = {
   mutable ev_ts : int array;
   mutable ev_n : int;
   mutable ev_truncated : bool;
-  t_start : int;
+  mutable t_start : int;
+      (* the clock's origin; moved forward past every excluded span *)
 }
 
 let create ~names =
@@ -114,6 +115,10 @@ let exit t prod ~ok ~hit =
   assert (popped = prod);
   if hit then t.hits.(prod) <- t.hits.(prod) + 1;
   if not ok then t.fails.(prod) <- t.fails.(prod) + 1
+
+(* Moving the origin forward by the span leaves it out of every frame
+   open across it and of every later timestamp. *)
+let exclude t ~since = t.t_start <- t.t_start + (now () - since)
 
 let finalize t =
   let ts = now () - t.t_start in

@@ -36,6 +36,13 @@ val exit : t -> int -> ok:bool -> hit:bool -> unit
     elapsed time to self/total, counts memo hits and failures, logs a
     close event. *)
 
+val exclude : t -> since:int -> unit
+(** [exclude t ~since] leaves the span from the {!now_ns} reading
+    [since] until now off the profile's clock: no frame open across it
+    (nor its callers) is charged for it, and later timestamps shift back
+    by it. The engine excludes each body it compiles on first call, so
+    a production's time is what its matcher runs. *)
+
 val finalize : t -> unit
 (** Close every activation still open — the run was aborted by a
     resource trip or an exception. Keeps the event log balanced so

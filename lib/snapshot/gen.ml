@@ -1,12 +1,22 @@
 (* Print blobs.ml: [all], one [(name, raw, optimized)] triple per
-   built-in, each grammar marshalled with its sharing intact. *)
+   built-in. Each is a grammar's analysis marshalled in one value with
+   its grammar, sharing intact, after preparing the grammar and
+   compiling every body: the facts a run's prepare and compile read
+   travel with the grammar. *)
 
 let blob optimize name =
-  match Rats.Run.grammar_of { Rats.Run.default with builtin = Some name; optimize } with
-  | Ok (g : Rats.Grammar.t) -> Marshal.to_string g []
-  | Error ds ->
-      List.iter (fun d -> prerr_endline (Rats.Diagnostic.to_string d)) ds;
-      exit 1
+  let fail ds =
+    List.iter (fun d -> prerr_endline (Rats.Diagnostic.to_string d)) ds;
+    exit 1
+  in
+  match Rats.Run.analysis_of { Rats.Run.default with builtin = Some name; optimize } with
+  | Error ds -> fail ds
+  | Ok a -> (
+      match Rats.Engine.prepare_analysis a with
+      | Error ds -> fail ds
+      | Ok eng ->
+          Rats.Engine.compile_all eng;
+          Marshal.to_string (a : Rats.Analysis.t) [])
 
 let () =
   print_endline "(* Generated by gen.exe at build time; do not edit. *)";

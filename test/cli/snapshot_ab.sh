@@ -3,8 +3,12 @@
 # it composes the built-in at run time. Naming the built-in's own root
 # module with --root forces run-time composition, so every run is made
 # twice, without and with it, and stdout, stderr and the exit code must
-# match: `rml compose` raw and -O, and on the built-in's demo document
-# `rml parse -O`, `rml parse -O --recognize --stats` and `rml coverage -O`.
+# match: `rml compose` raw and -O; on the built-in's demo document
+# `rml parse -O`, `rml parse -O --recognize --stats`, `rml coverage -O`
+# and `rml profile -O` (time columns blanked and rows sorted, as
+# compare.sh does); and `rml parse -O` of a failing document, the demo
+# cut to two thirds and ended by a control byte, whose error prints the
+# descriptions the snapshot's engine and the run-time one each intern.
 #
 #   test/cli/snapshot_ab.sh RML [WORK_DIR]
 #
@@ -17,14 +21,19 @@ mkdir -p "$work"
 
 runs=0
 diffs=0
-# ab ROOT ARGS...: the snapshot run, then the run with --root ROOT
-ab() {
-  local root=$1 what
-  shift
-  "$rml" "$@" < /dev/null > "$work/a.out" 2> "$work/a.err"
-  echo $? > "$work/a.code"
-  "$rml" "$@" --root "$root" < /dev/null > "$work/b.out" 2> "$work/b.err"
-  echo $? > "$work/b.code"
+# A profile table with its self ms, total ms and self% blanked, sorted.
+strip_profile() {
+  sed -E 's/ +[0-9]+\.[0-9]+ +[0-9]+\.[0-9]+ +[0-9]+\.[0-9]+%$/ _/' | sort
+}
+# ab_with FILTER ROOT ARGS...: the snapshot run, then the run with
+# --root ROOT, stdout through FILTER
+ab_with() {
+  local filter=$1 root=$2 what
+  shift 2
+  "$rml" "$@" < /dev/null 2> "$work/a.err" | $filter > "$work/a.out"
+  echo "${PIPESTATUS[0]}" > "$work/a.code"
+  "$rml" "$@" --root "$root" < /dev/null 2> "$work/b.err" | $filter > "$work/b.out"
+  echo "${PIPESTATUS[0]}" > "$work/b.code"
   runs=$((runs + 1))
   for what in out err code; do
     if ! cmp -s "$work/a.$what" "$work/b.$what"; then
@@ -34,6 +43,7 @@ ab() {
     fi
   done
 }
+ab() { ab_with cat "$@"; }
 
 # each built-in, its root module and its demo document; test_integration
 # reads this table back and checks it against Run.builtins
@@ -43,6 +53,10 @@ while read -r name root demo; do
   ab "$root" parse -O -b "$name" -i "$demo"
   ab "$root" parse -O --recognize --stats -b "$name" -i "$demo"
   ab "$root" coverage -O -b "$name" -i "$demo"
+  ab_with strip_profile "$root" profile -O -b "$name" -i "$demo" --top 100000
+  bad="$work/bad.$name"
+  { head -c $(($(wc -c < "$demo") * 2 / 3)) "$demo"; printf '\001'; } > "$bad"
+  ab "$root" parse -O -b "$name" -i "$bad"
 done <<EOF
 calc calc.Main test/data/demo.calc
 json json.Main test/data/demo.json

@@ -209,12 +209,13 @@ let sharing g =
   (total, Expr.Phys.length seen)
 
 (* What a run prints of one document: the tree or the error, the
-   counters, and the coverage report of an observed engine. *)
-let run_report g text =
-  let out = Engine.run (Engine.prepare_exn ~config:Config.optimized g) text in
+   counters, and the coverage report of an observed engine. Each engine
+   is prepared from its own [analysis ()]. *)
+let run_report analysis text =
+  let out = Engine.run (ok (Engine.prepare_analysis ~config:Config.optimized (analysis ()))) text in
   let coverage =
     let cfg = Config.with_observe { Observe.off with coverage = true } Config.optimized in
-    let eng = Engine.prepare_exn ~config:cfg g in
+    let eng = ok (Engine.prepare_analysis ~config:cfg (analysis ())) in
     ignore (Engine.run eng text);
     Format.asprintf "%a" Observe.pp_coverage (Option.get (Engine.observation eng))
   in
@@ -229,7 +230,7 @@ let snapshot_tests =
   let asked = ref [] in
   let fake name ~optimized =
     asked := (name, optimized) :: !asked;
-    Some sentinel
+    Some (Analysis.analyze sentinel)
   in
   let picks gs =
     asked := [];
@@ -283,13 +284,73 @@ let snapshot_tests =
                   (Pretty.grammar_to_string composed) (Pretty.grammar_to_string loaded);
                 check Alcotest.(pair int int) (label ^ ": sharing") (sharing composed)
                   (sharing loaded);
-                let tree, stats, coverage = run_report composed text in
-                let tree', stats', coverage' = run_report loaded text in
+                let facts snapshot () = ok (Run.analysis_of ?snapshot gs) in
+                let tree, stats, coverage = run_report (facts None) text in
+                let tree', stats', coverage' =
+                  run_report (facts (Some Rats_snapshot.find)) text
+                in
                 check Alcotest.string (label ^ ": output") tree tree';
                 check Alcotest.string (label ^ ": counters") stats stats';
                 check Alcotest.string (label ^ ": coverage") coverage coverage')
               [ (false, false); (false, true); (true, false); (true, true) ])
           (snapshot_ab_table ()));
+    test "a run compiles the bodies it calls, no others" (fun () ->
+        (* value-building and recognizer bodies compiled by one parse -O
+           of each demo document, out of the grammar's productions *)
+        List.iter
+          (fun (name, demo, want) ->
+            let a = ok (Run.analysis_of ~snapshot:Rats_snapshot.find
+                          { Run.default with builtin = Some name; optimize = true }) in
+            let eng = ok (Engine.prepare_analysis a) in
+            let prods = Grammar.length (Analysis.grammar a) in
+            check Alcotest.(pair int int) (name ^ ": prepared") (0, 0)
+              (Engine.compiled_bodies eng);
+            let text = In_channel.with_open_bin demo In_channel.input_all in
+            ignore (Engine.run eng text);
+            check Alcotest.(triple int int int) (name ^ ": called, of")
+              want
+              (let full, recs = Engine.compiled_bodies eng in
+               (full, recs, prods));
+            Engine.compile_all eng;
+            check Alcotest.(pair int int) (name ^ ": all") (prods, prods)
+              (Engine.compiled_bodies eng))
+          [
+            ("calc", "../test/data/demo.calc", (7, 0, 7));
+            ("json", "../test/data/demo.json", (5, 0, 5));
+            ("minic", "../test/data/demo.c", (35, 1, 43));
+            ("minijava", "../test/data/demo.java", (29, 4, 35));
+          ]);
+    test "a snapshot's facts are complete: prepare and compile compute none" (fun () ->
+        (* gen.exe ships each grammar's analysis after compiling every
+           body, so no configuration's prepare or compile of it derives
+           a fact again, [Analysis.check] included; the same grammar
+           without its facts derives them *)
+        let configs =
+          [
+            ("optimized", Config.optimized);
+            ("packrat", Config.packrat);
+            ("observed", Config.with_observe (Observe.all ()) Config.optimized);
+          ]
+        in
+        List.iter
+          (fun (name, _) ->
+            List.iter
+              (fun optimized ->
+                List.iter
+                  (fun (cname, config) ->
+                    let label = Printf.sprintf "%s optimized=%b %s" name optimized cname in
+                    let a = Option.get (Rats_snapshot.find name ~optimized) in
+                    let before = Analysis.computed a in
+                    Engine.compile_all (ok (Engine.prepare_analysis ~config a));
+                    check Alcotest.int (label ^ ": facts computed") before
+                      (Analysis.computed a);
+                    let bare = Analysis.analyze (Analysis.grammar a) in
+                    ignore (Analysis.check bare);
+                    check Alcotest.bool (label ^ ": a bare analysis checks") true
+                      (Analysis.computed bare > 0))
+                  configs)
+              [ false; true ])
+          Run.builtins);
   ]
 
 let slow name f = Alcotest.test_case name `Slow f
@@ -368,6 +429,63 @@ let parallel_tests =
         in
         let bad = List.fold_left (fun n d -> n + Domain.join d) 0 domains in
         check Alcotest.int "results that differ from a sequential parse" 0 bad);
+    test "four domains race the first calls of a freshly prepared engine" (fun () ->
+        (* Every body compiles on its first call, so domains that start
+           together on an engine nobody has run compile its bodies
+           concurrently. MiniC is stateful and has predicates; a share
+           of the documents of both grammars is truncated, so errors
+           are built while other domains still compile. *)
+        let truncate i doc =
+          if i mod 3 = 2 then String.sub doc 0 (String.length doc * 2 / 3) else doc
+        in
+        let minic =
+          ( "MiniC",
+            Pipeline.optimize (Grammars.Minic.grammar ()),
+            Array.init 12 (fun i ->
+                truncate i (Grammars.Corpus.minic (Rng.create (300 + i)) ~functions:2)) )
+        and json =
+          ( "JSON",
+            Pipeline.optimize (Grammars.Json.grammar ()),
+            Array.init 12 (fun i ->
+                truncate i (Grammars.Corpus.json (Rng.create (400 + i)) ~size:300)) )
+        in
+        let render (o : Engine.outcome) =
+          ( (match o.result with
+            | Ok v -> Value.to_string v
+            | Error e -> "error: " ^ Parse_error.to_string e),
+            Stats.to_json o.stats )
+        in
+        List.iter
+          (fun (name, g, docs) ->
+            let reference = Engine.prepare_exn ~config:Config.optimized g in
+            let want = Array.map (fun doc -> render (Engine.run reference doc)) docs in
+            let n = Array.length docs in
+            for round = 0 to 7 do
+              let eng = Engine.prepare_exn ~config:Config.optimized g in
+              let ready = Atomic.make 0 in
+              let domains =
+                List.init 4 (fun d ->
+                    Domain.spawn (fun () ->
+                        Atomic.incr ready;
+                        while Atomic.get ready < 4 do
+                          Domain.cpu_relax ()
+                        done;
+                        (* each domain its own order, so first calls
+                           reach different bodies at once *)
+                        List.filter
+                          (fun k ->
+                            let i = ((k * (2 * d + 1)) + round + d) mod n in
+                            render (Engine.run eng docs.(i)) <> want.(i))
+                          (List.init n Fun.id)
+                        |> List.length))
+              in
+              let bad = List.fold_left (fun k d -> k + Domain.join d) 0 domains in
+              check Alcotest.int
+                (Printf.sprintf "%s round %d: runs that differ from a sequential engine"
+                   name round)
+                0 bad
+            done)
+          [ minic; json ]);
   ]
 
 (* --- the run spec: budgets per run, one slice loop, the mode rule ------- *)

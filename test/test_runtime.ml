@@ -723,6 +723,37 @@ let expected_tests =
         check
           (Alcotest.list Alcotest.string)
           "reset" [ "fresh" ] (Expected.descriptions t));
+    test "a trace records and reports ids interned after it was made" (fun () ->
+        (* Bodies compile on first call, so a run's trace meets ids
+           interned after the trace was sized: it grows to hold them,
+           keeps what it recorded before, and prints each description
+           from its source when the error is built. *)
+        let names = Expected.names () in
+        let early = Expected.intern names "early" in
+        let t = Expected.create names in
+        Expected.record t 3 early;
+        let late =
+          [
+            Expected.intern_literal names "while";
+            Expected.intern_char names 'x';
+            Expected.fresh_set names (Charset.range 'a' 'c');
+            Expected.fresh_pred names ~positive:false (Expr.str "//");
+          ]
+          @ List.init 20 (fun i -> Expected.fresh names (Printf.sprintf "late%03d" i))
+        in
+        List.iter (fun id -> Expected.record t 3 id) late;
+        Expected.record t 3 early;
+        let descs = Expected.descriptions t in
+        check Alcotest.int "every id, once" 25 (List.length descs);
+        List.iter
+          (fun d -> check Alcotest.bool (d ^ " reported") true (List.mem d descs))
+          [ "early"; "\"while\""; "'x'"; "[a-c]"; "not \"//\""; "late019" ];
+        check Alcotest.string "printed once, reused"
+          (Expected.describe names (List.nth late 2))
+          (Expected.describe names (List.nth late 2));
+        check Alcotest.bool "the same string" true
+          (Expected.describe names (List.nth late 2)
+          == Expected.describe names (List.nth late 2)));
     test "every configuration reports the same expected set past the cap"
       (fun () ->
         (* 40 distinct literal alternatives, all sharing the "kw" prefix
