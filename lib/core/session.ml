@@ -2,7 +2,8 @@ open Rats_support
 open Rats_runtime
 
 type t = {
-  eng : Engine.t;
+  eng : Engine.t;  (* the caller's: cold fallbacks run on it *)
+  warm : Engine.t;  (* [Engine.for_session eng]: the incremental runs *)
   start : string option;
   mutable source : Source.t;  (* buffer + patched line-start index *)
   store : Engine.store;
@@ -13,11 +14,13 @@ type t = {
 }
 
 let create_source ?start eng source =
+  let warm = Engine.for_session eng in
   {
     eng;
+    warm;
     start;
     source;
-    store = Engine.new_store eng;
+    store = Engine.new_store warm;
     relocated = 0;
     survivors = 0;
     stats = Stats.create ();
@@ -37,7 +40,7 @@ let apply_edit t ~start ~old_len ~replacement =
   | exception Invalid_argument _ ->
       invalid_arg "Rats.Session.apply_edit: edit out of bounds");
   let survivors, relocated =
-    Engine.edit_store t.eng t.store ~start ~old_len
+    Engine.edit_store t.warm t.store ~start ~old_len
       ~new_len:(String.length replacement)
   in
   t.survivors <- survivors;
@@ -56,7 +59,7 @@ let reparse t =
   | _ -> ());
   let o =
     Engine.backstopped (fun () ->
-        Engine.run_store_input t.eng t.store ?start:t.start
+        Engine.run_store_input t.warm t.store ?start:t.start
           (Source.input t.source))
   in
   let reused = t.survivors and relocated = t.relocated in

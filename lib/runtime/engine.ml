@@ -868,6 +868,15 @@ let[@inline] miss_body ~mode kind body st pos =
   if mode = Value && p >= 0 then shape st kind pos p;
   p
 
+(* A chunk cell packs an entry's result and examined extent
+   (memo_arena.mli, "A cell is one word"). These repeat
+   [Memo_arena.res], [ext] and [cell] so that they inline into
+   [memo_call]: dune's dev profile compiles with [-opaque], which makes
+   every call into another module an out-of-line one. *)
+let[@inline] cell_res c = (c lsl 31) asr 31
+let[@inline] cell_ext c = c lsr 32
+let[@inline] cell ~res ~ext = (ext lsl 32) lor (res land 0xFFFF_FFFF)
+
 (* The memo protocol, written once. A memoized invocation counts
    itself, charges fuel and looks up its entry; a hit replays the
    entry's examined extent. A miss counts itself, enters, runs the body
@@ -927,11 +936,12 @@ let[@inline] memo_call ~table ~mode ~slot ~vslot ~stateful kind body st pos =
     in
     let base = (c * a.Memo_arena.nslots) + slot
     and vbase = (c * a.Memo_arena.nvslots) + vslot in
-    let r = if c >= 0 then a.Memo_arena.res.{base} else 0 in
+    let x = if c >= 0 then a.Memo_arena.cells.{base} else 0 in
+    let r = cell_res x in
     if r <> 0 && ((not stateful) || a.Memo_arena.vers.{base} = st.version)
     then (
       stats.Stats.memo_hits <- stats.Stats.memo_hits + 1;
-      look st (pos + a.Memo_arena.exts.{base} - 1);
+      look st (pos + cell_ext x - 1);
       if r < 0 then -1
       else (
         if mode = Value then
@@ -945,12 +955,12 @@ let[@inline] memo_call ~table ~mode ~slot ~vslot ~stateful kind body st pos =
       if c < 0 then
         stats.Stats.memo_degraded <- stats.Stats.memo_degraded + 1
       else if st.quiet = 0 then (
-        a.Memo_arena.res.{base} <- (if p >= 0 then p - pos + 1 else -1);
+        let ext = st.examined - pos + 1 in
+        a.Memo_arena.cells.{base} <-
+          cell ~res:(if p >= 0 then p - pos + 1 else -1) ~ext;
         if mode = Value && vslot >= 0 && p >= 0 then
           a.Memo_arena.vals.(vbase) <- st.value;
-        a.Memo_arena.vers.{base} <- ver0;
-        let ext = st.examined - pos + 1 in
-        a.Memo_arena.exts.{base} <- ext;
+        if stateful then a.Memo_arena.vers.{base} <- ver0;
         if ext > a.Memo_arena.cmax.{c} then a.Memo_arena.cmax.{c} <- ext;
         stats.Stats.memo_stores <- stats.Stats.memo_stores + 1);
       look st saved;
@@ -958,7 +968,10 @@ let[@inline] memo_call ~table ~mode ~slot ~vslot ~stateful kind body st pos =
 
 (* --- preparation -------------------------------------------------------- *)
 
-let assign_slots cfg prods =
+(* A production gets a memo slot unless the configuration memoizes
+   nothing or it is transient and transients are honoured; [extra]
+   names the transient productions that get one anyway. *)
+let assign_slots ?(extra = fun _ -> false) cfg prods =
   let next = ref 0 in
   let slots =
     Array.map
@@ -969,7 +982,7 @@ let assign_slots cfg prods =
           | Config.Hashtable | Config.Chunked -> (
               match p.attrs.Attr.memo with
               | Attr.Memo_always -> true
-              | Attr.Memo_never -> not cfg.Config.honor_transient
+              | Attr.Memo_never -> (not cfg.Config.honor_transient) || extra p
               | Attr.Memo_auto -> true)
         in
         if memoizable then (
@@ -980,6 +993,21 @@ let assign_slots cfg prods =
       prods
   in
   (slots, !next)
+
+(* Value slots: a memoized production whose stored value is statically
+   [Value.Unit] gets none — hits restore Unit instead of reading the
+   arena. *)
+let value_slots analysis prods slots nslots =
+  let vmap = Array.make nslots (-1) in
+  let nvslots = ref 0 in
+  Array.iteri
+    (fun i (p : Production.t) ->
+      let s = slots.(i) in
+      if s >= 0 && not (Analysis.stores_no_value analysis p) then (
+        vmap.(s) <- !nvslots;
+        incr nvslots))
+    prods;
+  (vmap, !nvslots)
 
 (* Observation wrapper, around both the value-building and the
    recognizer entry. A call was a memo hit exactly when the inner call
@@ -1086,6 +1114,31 @@ let install ctx ~lean i =
 (* What a slot holds until its first call: compile, store, call. *)
 let stub ctx ~lean i : fn = fun st pos -> (install ctx ~lean i) st pos
 
+(* [ctx] under the memo slots [slots], with no body compiled: fresh
+   matcher arrays of stubs that compile on first call, and fresh
+   composite tables, since a compiled reference reads its own
+   context's matcher array. *)
+let uncompiled ctx ~slots ~vmap =
+  let n = Array.length ctx.prods in
+  let dummy : fn = fun _ _ -> -1 in
+  let ctx =
+    {
+      ctx with
+      slots;
+      vmap;
+      full = Array.make n dummy;
+      recs = Array.make n dummy;
+      installed = Bytes.make (2 * n) '\000';
+      full_fns = Phys.create 256;
+      lean_fns = Phys.create 256;
+    }
+  in
+  for i = 0 to n - 1 do
+    ctx.full.(i) <- stub ctx ~lean:false i;
+    ctx.recs.(i) <- stub ctx ~lean:true i
+  done;
+  ctx
+
 (* Nothing is compiled here: [Analysis.check]'s [Grammar.check_closed]
    rules out the one error compiling could raise (an undefined
    production), and each body compiles on its first call ([stub]). *)
@@ -1101,52 +1154,36 @@ let prepare_hooked ?hook ?(config = Config.optimized) analysis =
         (fun i (p : Production.t) -> Hashtbl.replace ids p.name i)
         prods;
       let slots, nslots = assign_slots config prods in
-      (* Value slots: a memoized production whose stored value is
-         statically [Value.Unit] gets none — hits restore Unit instead
-         of reading the arena. *)
-      let vmap = Array.make nslots (-1) in
-      let nvslots = ref 0 in
-      Array.iteri
-        (fun i (p : Production.t) ->
-          let s = slots.(i) in
-          if s >= 0 && not (Analysis.stores_no_value analysis p) then (
-            vmap.(s) <- !nvslots;
-            incr nvslots))
-        prods;
-      let nvslots = !nvslots in
-      let dummy : fn = fun _ _ -> -1 in
+      let vmap, nvslots = value_slots analysis prods slots nslots in
       let names = Expected.names () in
       let obs =
         if Observe.enabled config.Config.observe then
           Some (Observe.create config.Config.observe (Provenance.of_grammar gram))
         else None
       in
+      (* the slots and matchers are [uncompiled]'s to fill in *)
       let ctx =
         {
           analysis;
           config;
           prods;
           ids;
-          slots;
-          vmap;
-          full = Array.make nprods dummy;
-          recs = Array.make nprods dummy;
-          installed = Bytes.make (2 * nprods) '\000';
+          slots = [||];
+          vmap = [||];
+          full = [||];
+          recs = [||];
+          installed = Bytes.empty;
           names;
           lock = Expected.lock names;
           hook;
           charsets = Charmap.create names;
           obs;
           preds = Phys.create 64;
-          full_fns = Phys.create 256;
-          lean_fns = Phys.create 256;
+          full_fns = Phys.create 1;
+          lean_fns = Phys.create 1;
           chr_bms = Array.make 256 no_bitmap;
         }
       in
-      for i = 0 to nprods - 1 do
-        ctx.full.(i) <- stub ctx ~lean:false i;
-        ctx.recs.(i) <- stub ctx ~lean:true i
-      done;
       Ok
         {
           cfg = config;
@@ -1156,7 +1193,7 @@ let prepare_hooked ?hook ?(config = Config.optimized) analysis =
           pool = Atomic.make None;
           trace_pool = Atomic.make None;
           obs;
-          ctx;
+          ctx = uncompiled ctx ~slots ~vmap;
         }
 
 let compile_all t =
@@ -1174,6 +1211,44 @@ let compiled_bodies t =
       if c <> '\000' then if flag land 1 = 0 then incr full else incr recs)
     t.ctx.installed;
   (!full, !recs)
+
+(* The session slot rule: a transient production that is not a
+   terminal, on no reference cycle, not stateful and not the start
+   production gets a slot too. One parse calls such a production at
+   most once per position, which is why transient marking dropped its
+   slot; a session calls it again at the same, possibly relocated,
+   position on every reparse, so the entry pays from the second run
+   on. Memoizing more is always sound (the entry protocol is the same
+   for every slot); a stateful entry would never hit across runs (its
+   stamp is stale by construction), so it gets none. *)
+let for_session t =
+  let ctx = t.ctx and cfg = t.cfg in
+  if cfg.Config.memo = Config.No_memo || not cfg.Config.honor_transient then t
+  else
+    let slots, nslots, vmap, nvslots =
+      Mutex.protect ctx.lock @@ fun () ->
+      let a = ctx.analysis and start = Grammar.start t.gram in
+      let terminals = Analysis_ctx.terminals (Analysis_ctx.create ()) t.gram in
+      let cyclic = Analysis.recursive a in
+      let extra (p : Production.t) =
+        (not (String.equal p.name start))
+        && (not (Analysis.StringSet.mem p.name terminals))
+        && (not (Analysis.StringSet.mem p.name cyclic))
+        && not (Analysis.stateful a p.name)
+      in
+      let slots, nslots = assign_slots ~extra cfg ctx.prods in
+      let vmap, nvslots = value_slots a ctx.prods slots nslots in
+      (slots, nslots, vmap, nvslots)
+    in
+    if nslots = t.nslots then t
+    else
+      {
+        t with
+        nslots;
+        nvslots;
+        pool = Atomic.make None;
+        ctx = uncompiled ctx ~slots ~vmap;
+      }
 
 let prepare_analysis ?config analysis = prepare_hooked ?config analysis
 let prepare ?config gram = prepare_analysis ?config (Analysis.analyze gram)
@@ -1219,8 +1294,23 @@ let exhausted which ~at =
 
 type store = Memo_store.t
 
+(* An arena carries a version row only when some memoized production
+   is stateful. Asked when a store is made, not at prepare, so that a
+   run-time grammar derives the statefulness fact where it did before,
+   on its first run; under the lock, since that derives it. *)
 let new_store t =
-  Memo_store.create t.cfg.Config.memo ~nslots:t.nslots ~vmap:t.ctx.vmap
+  let ctx = t.ctx in
+  let versioned =
+    Mutex.protect ctx.lock @@ fun () ->
+    let v = ref false in
+    Array.iteri
+      (fun i (p : Production.t) ->
+        if ctx.slots.(i) >= 0 && Analysis.stateful ctx.analysis p.name then
+          v := true)
+      ctx.prods;
+    !v
+  in
+  Memo_store.create t.cfg.Config.memo ~nslots:t.nslots ~vmap:ctx.vmap ~versioned
 let edit_store _ = Memo_store.edit
 
 let run_with t ?store ?start ~require_eof input =
@@ -1272,7 +1362,7 @@ let run_with t ?store ?start ~require_eof input =
         examined = -1;
         fuel = limits.Limits.fuel;
         depth = 0;
-        memo_limit = limits.Limits.max_memo_bytes;
+        memo_limit = Memo_store.budget memo ~len limits.Limits.max_memo_bytes;
         max_depth = limits.Limits.max_depth;
         tripped = None;
         quiet = 0;

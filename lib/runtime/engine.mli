@@ -121,6 +121,18 @@ val edit_store : t -> store -> start:int -> old_len:int -> new_len:int -> int * 
 (** [edit_store t s] is {!Memo_store.edit}[ s]: it adjusts the store for
     a splice and returns the [(surviving, relocated)] entry counts. *)
 
+val for_session : t -> t
+(** The engine a session's incremental runs use: [t] itself, unless [t]
+    honours transient hints under a memo strategy and some transient
+    production is not a terminal ({!Rats_peg.Analysis_ctx.terminals}),
+    on no reference cycle ({!Rats_peg.Analysis.recursive}), not
+    stateful and not the start production. Such a production is
+    called at most once per position in one parse, but at the same
+    (possibly relocated) position again on every reparse, so the
+    session engine gives it a memo slot as well. It shares [t]'s
+    configuration, limits, observation sink and expected-set names,
+    and compiles its own bodies on first call; [t] is unchanged. *)
+
 val run_store : t -> store -> ?start:string -> ?require_eof:bool -> string -> outcome
 (** Parse reading and refilling the store, in one untraced pass. On
     success the result is identical to a cold {!run} (values compare

@@ -16,21 +16,26 @@ type t = {
   mutable version : int;
 }
 
-let create strategy ~nslots ~vmap =
+let create strategy ~nslots ~vmap ~versioned =
   let mem, cost =
     match (strategy : Config.memo_strategy) with
     | No_memo -> (Nothing, 0)
     | Hashtable -> (Table (Hashtbl.create 1024), Limits.table_entry_cost)
     | Chunked ->
-        let a = Memo_arena.create ~nslots ~vmap in
+        let a = Memo_arena.create ~nslots ~vmap ~versioned in
         (Chunks a, Limits.chunk_cost ~value_slots:a.Memo_arena.nvslots nslots)
   in
   { mem; cost; nslots; bytes = 0; len = -1; version = 0 }
 
+let fits s ~len =
+  match s.mem with Chunks _ -> Memo_arena.fits ~len | Nothing | Table _ -> true
+
+let budget s ~len max_memo_bytes = if fits s ~len then max_memo_bytes else -1
+
 (* An arena's [idx_len] is always [len + 1] while [len >= 0]: [sync]
    resets both, [edit] moves both by the same delta. *)
 let sync s ~len =
-  if s.len <> len then (
+  if s.len <> len || not (fits s ~len) then (
     (match s.mem with
     | Nothing -> ()
     | Chunks a -> Memo_arena.reset a ~len

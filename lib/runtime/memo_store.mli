@@ -30,14 +30,23 @@ type t = {
   mutable version : int;  (** the last run's final state version *)
 }
 
-val create : Config.memo_strategy -> nslots:int -> vmap:int array -> t
+val create :
+  Config.memo_strategy -> nslots:int -> vmap:int array -> versioned:bool -> t
 (** An empty store for [nslots] memo slots; [vmap] maps each slot to its
-    value slot as in {!Memo_arena.create}. *)
+    value slot and [versioned] says whether any slot's production is
+    stateful, as in {!Memo_arena.create}. *)
+
+val budget : t -> len:int -> int -> int
+(** [budget s ~len max_memo_bytes] is the memo budget of a run over
+    [len] bytes: [max_memo_bytes], or [-1] — room for no chunk, so
+    every miss degrades — when the store is a chunk arena whose cells
+    cannot hold the input's positions ({!Memo_arena.fits}). *)
 
 val sync : t -> len:int -> unit
 (** Ready the store for a run over [len] bytes: entries carry over only
-    when it was edited to exactly this length (a session does that); any
-    mismatch empties it rather than risk stale hits. *)
+    when it was edited to exactly this length (a session does that) and
+    the length {!Memo_arena.fits} a chunk arena's cells; otherwise the
+    store is emptied rather than risk stale hits. *)
 
 val park : t -> unit
 (** Drop every parse result but keep the capacity, so a store parked on

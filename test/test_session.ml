@@ -466,12 +466,140 @@ let recycle_props =
   List.map (fun c -> twin_stats_prop c 60) recycle_configs
   @ List.map (fun c -> recycled_vs_fresh_prop c 60) recycle_configs
 
+(* MiniC typedef edit scripts (ROADMAP item 5's property). MiniC's
+   typedef table is parser state: a typedef [%record]s its name and a
+   type name must be a [%member] of the table, so adding, removing or
+   renaming one changes how text far after it parses. Each script
+   edits a seeded program and the session must equal a cold parse
+   after every batch. The session slot rule skips stateful
+   productions, so the skeleton productions it would add for MiniC
+   (FunctionDef and StructDef, both stateful) keep no entry; the
+   stateful productions that have one-shot slots are covered by
+   version stamps (docs/INTERNALS.md, "State versioning"). *)
+
+type typedef_op =
+  | Add of int * string * string  (* before the k-th top-level line *)
+  | Remove of int  (* the k-th typedef line *)
+  | Rename of int * string  (* the k-th typedef's new name *)
+  | Use of int * string  (* a declaration at the top of the k-th body *)
+
+let typedef_names = [| "myint_t"; "handle_t"; "T1"; "T2"; "point_t" |]
+let typedef_types = [| "int"; "unsigned int"; "myint_t"; "double"; "struct point" |]
+
+let gen_typedef_case =
+  let open Gen in
+  let name = oneofa typedef_names in
+  let op =
+    let* k = int_bound 20 in
+    frequency
+      [
+        (3, map2 (fun n t -> Add (k, n, t)) name (oneofa typedef_types));
+        (2, return (Remove k));
+        (3, map (fun n -> Rename (k, n)) name);
+        (2, map (fun n -> Use (k, n)) name);
+      ]
+  in
+  let* seed = int_bound 1000 in
+  let* batches = list_size (int_range 1 4) (list_size (int_range 1 2) op) in
+  return (seed, batches)
+
+let print_typedef_op = function
+  | Add (k, n, t) -> Printf.sprintf "add@%d typedef %s %s" k t n
+  | Remove k -> Printf.sprintf "remove@%d" k
+  | Rename (k, n) -> Printf.sprintf "rename@%d %s" k n
+  | Use (k, n) -> Printf.sprintf "use@%d %s" k n
+
+let print_typedef_case (seed, batches) =
+  Printf.sprintf "seed %d: %s" seed
+    (String.concat " | "
+       (List.map (fun b -> String.concat ", " (List.map print_typedef_op b)) batches))
+
+(* Line starts of [text] whose line satisfies [keep]. *)
+let line_starts text keep =
+  let rec go i acc =
+    if i >= String.length text then List.rev acc
+    else
+      let j = try String.index_from text i '\n' with Not_found -> String.length text in
+      let acc = if keep (String.sub text i (j - i)) then i :: acc else acc in
+      go (j + 1) acc
+  in
+  Array.of_list (go 0 [])
+
+(* The op as an edit of [text], or [None] when it has nowhere to go. *)
+let typedef_edit text op =
+  let pick a k = if Array.length a = 0 then None else Some a.(k mod Array.length a) in
+  let typedefs = line_starts text (String.starts_with ~prefix:"typedef ") in
+  match op with
+  | Add (k, n, t) ->
+      Option.map
+        (fun at -> { start = at; old_len = 0; replacement = Printf.sprintf "typedef %s %s;\n" t n })
+        (pick
+           (line_starts text (fun l -> l <> "" && l.[0] <> ' ' && l.[0] <> '}' && l.[0] <> '/'))
+           k)
+  | Remove k ->
+      Option.map
+        (fun at ->
+          { start = at; old_len = String.index_from text at '\n' + 1 - at; replacement = "" })
+        (pick typedefs k)
+  | Rename (k, n) ->
+      Option.bind (pick typedefs k) (fun at ->
+          let semi = String.index_from text at ';' in
+          let rec back i =
+            match text.[i - 1] with
+            | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> back (i - 1)
+            | _ -> i
+          in
+          let from = back semi in
+          Some { start = from; old_len = semi - from; replacement = n })
+  | Use (k, n) ->
+      Option.map
+        (fun at ->
+          let body = String.index_from text at '\n' + 1 in
+          { start = body; old_len = 0; replacement = Printf.sprintf "  %s td_local;\n" n })
+        (pick (line_starts text (fun l -> String.ends_with ~suffix:") {" l)) k)
+
+let typedef_prop (label, cfg) count =
+  let eng = lazy (Engine.prepare_exn ~config:cfg (Pipeline.optimize (Grammars.Minic.grammar ()))) in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "MiniC typedef edits: reparse = cold parse (%s)" label)
+    ~count
+    (QCheck.make ~print:print_typedef_case gen_typedef_case)
+    (fun (seed, batches) ->
+      let eng = Lazy.force eng in
+      let text = Grammars.Corpus.minic (Rng.create seed) ~functions:3 in
+      let session = Session.create eng text in
+      let check tag =
+        let warm = obs_of (Session.reparse session) in
+        let cold = obs_of (parse eng (Session.text session)) in
+        if not (obs_equal warm cold) then
+          QCheck.Test.fail_reportf "%s: session %s, cold %s (buffer %S)" tag
+            (obs_print warm) (obs_print cold) (Session.text session)
+      in
+      check "initial";
+      List.iteri
+        (fun i batch ->
+          List.iter
+            (fun op ->
+              match typedef_edit (Session.text session) op with
+              | Some e ->
+                  Session.apply_edit session ~start:e.start ~old_len:e.old_len
+                    ~replacement:e.replacement
+              | None -> ())
+            batch;
+          check (Printf.sprintf "batch %d" i))
+        batches;
+      true)
+
+let typedef_props =
+  [ typedef_prop ("optimized", Config.optimized) 100; typedef_prop ("packrat", Config.packrat) 60 ]
+
 let () =
   let to_alco = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "session"
     [
       ("session-equivalence", to_alco session_props);
       ("arena-recycling", to_alco recycle_props);
+      ("minic-typedefs", to_alco typedef_props);
       ("error-determinism", to_alco determinism_props);
       ("session-unit", unit_tests);
     ]

@@ -439,7 +439,7 @@ let source_edit_tests =
 
 (* --- Memo_arena ------------------------------------------------------------- *)
 
-(* Low-level checks of the flat chunk store both engines sit on; the
+(* Low-level checks of the flat chunk store the engine sits on; the
    end-to-end invariants (identical parses across recycling) live in
    test_session.ml. *)
 
@@ -454,7 +454,7 @@ let source_edit_tests =
 let check_edit_survivors ~fresh ~start ~old_len ~new_len =
   let open Memo_arena in
   let len = 40 in
-  let a = create ~nslots:2 ~vmap:[| 0; -1 |] in
+  let a = create ~nslots:2 ~vmap:[| 0; -1 |] ~versioned:false in
   if not fresh then reset a ~len:100;
   reset a ~len;
   let claimed =
@@ -462,8 +462,7 @@ let check_edit_survivors ~fresh ~start ~old_len ~new_len =
         let p = i * 3 in
         let c = alloc a p in
         let ext = (p mod 5) + 1 in
-        a.res.{c * 2} <- 1;
-        a.exts.{c * 2} <- ext;
+        a.cells.{c * 2} <- cell ~res:1 ~ext;
         a.cmax.{c} <- ext;
         (p, c, ext))
   in
@@ -497,23 +496,34 @@ let memo_arena_tests =
   let open Memo_arena in
   let make () =
     (* two memo slots, slot 0 carries a value, slot 1 is lean *)
-    create ~nslots:2 ~vmap:[| 0; -1 |]
+    create ~nslots:2 ~vmap:[| 0; -1 |] ~versioned:false
   in
   [
     test "create starts cold" (fun () ->
         let a = make () in
         check Alcotest.int "idx_len" (-1) a.idx_len;
         check Alcotest.int "used" 0 a.used);
-    test "alloc assigns and indexes chunks" (fun () ->
+    test "alloc assigns, anchors and indexes chunks" (fun () ->
         let a = make () in
         reset a ~len:10;
         let c0 = alloc a 3 and c1 = alloc a 7 in
         check Alcotest.bool "distinct" true (c0 <> c1);
         check Alcotest.int "idx 3" c0 a.idx.{3};
         check Alcotest.int "idx 7" c1 a.idx.{7};
-        check Alcotest.int "unset res" 0 a.res.{(c0 * 2) + 1});
+        check Alcotest.int "anchor 3" 3 a.anchor.{c0};
+        check Alcotest.int "anchor 7" 7 a.anchor.{c1};
+        check Alcotest.int "unset cell" 0 a.cells.{(c0 * 2) + 1});
+    test "a stateless arena has no version row" (fun () ->
+        let a = make () and v = create ~nslots:2 ~vmap:[| 0; -1 |] ~versioned:true in
+        reset a ~len:10;
+        reset v ~len:10;
+        ignore (alloc a 1);
+        ignore (alloc v 1);
+        check Alcotest.int "no vers" 0 (Bigarray.Array1.dim a.vers);
+        check Alcotest.int "vers" (Bigarray.Array1.dim v.cells)
+          (Bigarray.Array1.dim v.vers));
     test "growth preserves rows" (fun () ->
-        let a = make () in
+        let a = create ~nslots:2 ~vmap:[| 0; -1 |] ~versioned:true in
         reset a ~len:1000;
         (* 300 claims grow the rows from 64 to 128, 256 and 512 chunks;
            each chunk's cells are written as soon as it is claimed *)
@@ -521,10 +531,9 @@ let memo_arena_tests =
           List.init 300 (fun i ->
               let p = (i * 3) + 1 in
               let c = alloc a p in
-              a.res.{c * 2} <- i + 1;
-              a.res.{(c * 2) + 1} <- -1;
+              a.cells.{c * 2} <- cell ~res:(i + 1) ~ext:i;
+              a.cells.{(c * 2) + 1} <- cell ~res:(-1) ~ext:(i + 2);
               a.vers.{c * 2} <- 7 * i;
-              a.exts.{(c * 2) + 1} <- i + 2;
               a.cmax.{c} <- i + 2;
               a.vals.(c) <- Value.Str (string_of_int i);
               (i, p, c))
@@ -534,10 +543,12 @@ let memo_arena_tests =
           (fun (i, p, c) ->
             let at what = Printf.sprintf "%s of chunk %d" what i in
             check Alcotest.int (at "idx") c a.idx.{p};
-            check Alcotest.int (at "res") (i + 1) a.res.{c * 2};
-            check Alcotest.int (at "res 1") (-1) a.res.{(c * 2) + 1};
+            check Alcotest.int (at "anchor") p a.anchor.{c};
+            check Alcotest.int (at "res") (i + 1) (res a.cells.{c * 2});
+            check Alcotest.int (at "ext") i (ext a.cells.{c * 2});
+            check Alcotest.int (at "res 1") (-1) (res a.cells.{(c * 2) + 1});
+            check Alcotest.int (at "ext 1") (i + 2) (ext a.cells.{(c * 2) + 1});
             check Alcotest.int (at "vers") (7 * i) a.vers.{c * 2};
-            check Alcotest.int (at "exts") (i + 2) a.exts.{(c * 2) + 1};
             check Alcotest.int (at "cmax") (i + 2) a.cmax.{c};
             check Alcotest.bool (at "val") true
               (Value.equal a.vals.(c) (Value.Str (string_of_int i))))
@@ -550,10 +561,11 @@ let memo_arena_tests =
         free_chunk a c;
         check Alcotest.bool "value cleared" true
           (Value.equal a.vals.(c) Value.Unit);
+        check Alcotest.int "anchor cleared" (-1) a.anchor.{c};
         let c' = alloc a 4 in
         check Alcotest.int "id reused" c c');
     test "release_values empties and marks cold" (fun () ->
-        let a = create ~nslots:3 ~vmap:[| 0; -1; 1 |] in
+        let a = create ~nslots:3 ~vmap:[| 0; -1; 1 |] ~versioned:false in
         reset a ~len:500;
         for p = 0 to 199 do
           let c = alloc a p in
@@ -573,14 +585,13 @@ let memo_arena_tests =
         reset a ~len:20;
         (* chunk at 0 examined 2 bytes: safely before the splice *)
         let c0 = alloc a 0 in
-        a.res.{c0 * 2} <- 1;
-        a.exts.{c0 * 2} <- 2;
+        a.cells.{c0 * 2} <- cell ~res:1 ~ext:2;
         a.cmax.{c0} <- 2;
         (* chunk at 6: inside the replaced window, must die *)
         ignore (alloc a 6);
         (* chunk at 12: past the window, relocates by the delta *)
         let c2 = alloc a 12 in
-        a.res.{c2 * 2} <- 3;
+        a.cells.{c2 * 2} <- cell ~res:3 ~ext:1;
         a.cmax.{c2} <- 1;
         (* replace 4 bytes at 5 with 2 bytes: delta -2 *)
         let reused, relocated = edit a ~start:5 ~old_len:4 ~new_len:2 in
@@ -588,6 +599,8 @@ let memo_arena_tests =
         check Alcotest.int "relocated" 1 relocated;
         check Alcotest.int "kept at 0" c0 a.idx.{0};
         check Alcotest.int "moved to 10" c2 a.idx.{10};
+        check Alcotest.int "anchor moved" 10 a.anchor.{c2};
+        check Alcotest.int "cell unchanged" 3 (res a.cells.{c2 * 2});
         check Alcotest.int "old home cleared" (-1) a.idx.{12};
         check Alcotest.int "window cleared" (-1) a.idx.{6};
         check Alcotest.int "new len" 19 a.idx_len);
@@ -597,15 +610,13 @@ let memo_arena_tests =
         (* chunk at 2 whose slot-0 entry examined far past the splice
            and whose slot-1 entry stopped short of it *)
         let c = alloc a 2 in
-        a.res.{c * 2} <- 1;
-        a.exts.{c * 2} <- 10;
-        a.res.{(c * 2) + 1} <- -1;
-        a.exts.{(c * 2) + 1} <- 1;
+        a.cells.{c * 2} <- cell ~res:1 ~ext:10;
+        a.cells.{(c * 2) + 1} <- cell ~res:(-1) ~ext:1;
         a.cmax.{c} <- 10;
         let reused, _ = edit a ~start:4 ~old_len:2 ~new_len:2 in
         check Alcotest.int "chunk survives" 1 reused;
-        check Alcotest.int "far entry dropped" 0 a.res.{c * 2};
-        check Alcotest.int "near entry kept" (-1) a.res.{(c * 2) + 1};
+        check Alcotest.int "far entry dropped" 0 a.cells.{c * 2};
+        check Alcotest.int "near entry kept" (-1) (res a.cells.{(c * 2) + 1});
         check Alcotest.int "cmax tightened" 1 a.cmax.{c});
     test "edit shifts right, keeping exactly the survivors" (fun () ->
         (* the first arena's idx is exactly len + 1 long, so the shift
@@ -617,7 +628,220 @@ let memo_arena_tests =
         check_edit_survivors ~fresh:true ~start:10 ~old_len:9 ~new_len:3;
         check_edit_survivors ~fresh:true ~start:5 ~old_len:30 ~new_len:0;
         check_edit_survivors ~fresh:true ~start:39 ~old_len:1 ~new_len:0);
+    test "cells round-trip at the ends of their range" (fun () ->
+        let top = max_len + 1 in
+        List.iter
+          (fun r ->
+            List.iter
+              (fun e ->
+                let x = cell ~res:r ~ext:e in
+                let what = Printf.sprintf "res %d ext %d" r e in
+                check Alcotest.int (what ^ ": res") r (res x);
+                check Alcotest.int (what ^ ": ext") e (ext x))
+              [ 0; 1; 2; top - 1; top ])
+          [ -1; 1; 2; top - 1; top ];
+        check Alcotest.int "empty" 0 (res (cell ~res:0 ~ext:0)));
+    test "inputs past max_len claim no chunk" (fun () ->
+        (* pure: no arena is sized for these lengths *)
+        check Alcotest.int "max_len" ((1 lsl 31) - 2) max_len;
+        check Alcotest.bool "max_len fits" true (fits ~len:max_len);
+        check Alcotest.bool "one more does not" false (fits ~len:(max_len + 1));
+        check Alcotest.bool "2 GiB does not" false (fits ~len:(1 lsl 31));
+        let chunked =
+          Rats_runtime.Memo_store.create Config.Chunked ~nslots:1 ~vmap:[| 0 |]
+            ~versioned:false
+        and table =
+          Rats_runtime.Memo_store.create Config.Hashtable ~nslots:1 ~vmap:[| 0 |]
+            ~versioned:false
+        in
+        let budget = Rats_runtime.Memo_store.budget in
+        check Alcotest.int "chunked, fits" 4096 (budget chunked ~len:max_len 4096);
+        check Alcotest.int "chunked, too long" (-1)
+          (budget chunked ~len:(max_len + 1) 4096);
+        check Alcotest.int "table, too long" 4096
+          (budget table ~len:(max_len + 1) 4096));
   ]
+
+(* The randomized edit property: an arena driven through claims, frees
+   and re-claims (so chunk ids are out of position order) and then a
+   few edits, against a direct model — position -> (chunk id, cells) —
+   of the survival rule: before [start] an entry survives iff
+   [p + ext <= start], and a chunk iff it had no entry or keeps one;
+   inside the replaced text nothing survives; after it a chunk moves by
+   the delta, cells untouched. After every edit the whole [idx] row,
+   every cell and value of every chunk, [cmax] and the returned
+   [(reused, relocated)] must match. *)
+
+type arena_case = {
+  nslots : int;
+  vmap : int array;
+  len0 : int;
+  ops : [ `Claim of int * (int * int) array | `Free of int ] list;
+  edits : (int * int * int) list;  (* start, old_len, new_len *)
+}
+
+let gen_arena_case =
+  let open QCheck.Gen in
+  let* nslots = int_range 1 4 in
+  let* vmap_bits = list_repeat nslots bool in
+  let vmap =
+    let next = ref 0 in
+    Array.of_list
+      (List.map
+         (fun b ->
+           if b then (
+             incr next;
+             !next - 1)
+           else -1)
+         vmap_bits)
+  in
+  let* len0 = int_range 0 60 in
+  (* cells for a chunk at [p]: empty, a failure or a success, with an
+     extent of at most what is left of the input *)
+  let gen_cells p =
+    array_repeat nslots
+      (let left = len0 - p + 1 in
+       let* kind = int_bound 2 in
+       let* e = int_bound left in
+       let* r = int_range 1 left in
+       return (match kind with 0 -> (0, 0) | 1 -> (-1, e) | _ -> (r, e)))
+  in
+  let* nops = int_range 0 40 in
+  let* ops =
+    list_repeat nops
+      (let* claim = frequency [ (3, return true); (1, return false) ] in
+       let* p = int_bound len0 in
+       if claim then
+         let* cells = gen_cells p in
+         return (`Claim (p, cells))
+       else return (`Free p))
+  in
+  let* nedits = int_range 1 3 in
+  let rec edits len k =
+    if k = 0 then return []
+    else
+      let* start = int_bound len in
+      let* old_len = int_bound (len - start) in
+      let* new_len = int_bound 12 in
+      let* rest = edits (len - old_len + new_len) (k - 1) in
+      return ((start, old_len, new_len) :: rest)
+  in
+  let* edits = edits len0 nedits in
+  return { nslots; vmap; len0; ops; edits }
+
+let print_arena_case c =
+  Printf.sprintf "nslots %d vmap [%s] len %d\nops: %s\nedits: %s" c.nslots
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.vmap)))
+    c.len0
+    (String.concat " "
+       (List.map
+          (function
+            | `Free p -> Printf.sprintf "free@%d" p
+            | `Claim (p, cells) ->
+                Printf.sprintf "claim@%d[%s]" p
+                  (String.concat ","
+                     (Array.to_list
+                        (Array.map (fun (r, e) -> Printf.sprintf "%d/%d" r e) cells))))
+          c.ops))
+    (String.concat " "
+       (List.map (fun (s, o, n) -> Printf.sprintf "@%d -%d +%d" s o n) c.edits))
+
+let arena_edit_prop =
+  QCheck.Test.make ~name:"edit = the survival rule, cell by cell" ~count:1000
+    (QCheck.make ~print:print_arena_case gen_arena_case)
+    (fun c ->
+      let open Memo_arena in
+      let a = create ~nslots:c.nslots ~vmap:c.vmap ~versioned:false in
+      reset a ~len:c.len0;
+      (* the model: position -> chunk id and (res, ext) per slot *)
+      let model = Hashtbl.create 16 in
+      let value c sl = Value.Str (Printf.sprintf "%d.%d" c sl) in
+      List.iter
+        (function
+          | `Free p -> (
+              match Hashtbl.find_opt model p with
+              | None -> ()
+              | Some (id, _) ->
+                  free_chunk a id;
+                  a.idx.{p} <- -1;
+                  Hashtbl.remove model p)
+          | `Claim (p, cells) ->
+              if not (Hashtbl.mem model p) then (
+                let id = alloc a p in
+                Array.iteri
+                  (fun sl (r, e) ->
+                    if r <> 0 then (
+                      a.cells.{(id * c.nslots) + sl} <- cell ~res:r ~ext:e;
+                      if e > a.cmax.{id} then a.cmax.{id} <- e;
+                      let v = c.vmap.(sl) in
+                      if v >= 0 then a.vals.((id * a.nvslots) + v) <- value id sl))
+                  cells;
+                Hashtbl.replace model p (id, Array.copy cells)))
+        c.ops;
+      let len = ref c.len0 in
+      List.iteri
+        (fun k (start, old_len, new_len) ->
+          let delta = new_len - old_len in
+          let reused = ref 0 and relocated = ref 0 in
+          let next = Hashtbl.create 16 in
+          Hashtbl.iter
+            (fun p (id, cells) ->
+              if p < start then (
+                let had = Array.exists (fun (r, _) -> r <> 0) cells in
+                let kept =
+                  Array.map
+                    (fun (r, e) -> if r <> 0 && p + e > start then (0, 0) else (r, e))
+                    cells
+                in
+                if (not had) || Array.exists (fun (r, _) -> r <> 0) kept then (
+                  incr reused;
+                  Hashtbl.replace next p (id, kept)))
+              else if p >= start + old_len then (
+                incr reused;
+                if delta <> 0 then incr relocated;
+                Hashtbl.replace next (p + delta) (id, cells)))
+            model;
+          let got = edit a ~start ~old_len ~new_len in
+          let what = Printf.sprintf "edit %d" k in
+          if got <> (!reused, !relocated) then
+            QCheck.Test.fail_reportf "%s: (reused, relocated) = (%d, %d), model (%d, %d)"
+              what (fst got) (snd got) !reused !relocated;
+          let n = !len + 1 and n' = !len + 1 + delta in
+          if a.idx_len <> n' then
+            QCheck.Test.fail_reportf "%s: idx_len %d, want %d" what a.idx_len n';
+          for p = 0 to max n n' - 1 do
+            let want = match Hashtbl.find_opt next p with Some (id, _) -> id | None -> -1 in
+            if a.idx.{p} <> want then
+              QCheck.Test.fail_reportf "%s: idx %d = %d, want %d" what p a.idx.{p} want
+          done;
+          Hashtbl.iter
+            (fun p (id, cells) ->
+              if a.anchor.{id} <> p then
+                QCheck.Test.fail_reportf "%s: anchor of %d = %d, want %d" what id
+                  a.anchor.{id} p;
+              let cmax = ref 0 in
+              Array.iteri
+                (fun sl (r, e) ->
+                  let x = a.cells.{(id * c.nslots) + sl} in
+                  if res x <> r || (r <> 0 && ext x <> e) then
+                    QCheck.Test.fail_reportf "%s: cell %d.%d = %d/%d, want %d/%d" what
+                      id sl (res x) (ext x) r e;
+                  if r <> 0 && e > !cmax then cmax := e;
+                  let v = c.vmap.(sl) in
+                  if v >= 0 then
+                    let want = if r <> 0 then value id sl else Value.Unit in
+                    if not (Value.equal a.vals.((id * a.nvslots) + v) want) then
+                      QCheck.Test.fail_reportf "%s: value %d.%d" what id sl)
+                cells;
+              if a.cmax.{id} <> !cmax then
+                QCheck.Test.fail_reportf "%s: cmax of %d = %d, want %d" what id
+                  a.cmax.{id} !cmax)
+            next;
+          Hashtbl.reset model;
+          Hashtbl.iter (Hashtbl.replace model) next;
+          len := !len + delta)
+        c.edits;
+      true)
 
 (* --- Json ------------------------------------------------------------------ *)
 
@@ -680,7 +904,7 @@ let () =
       ("input", input_tests);
       ("source-mapped", mapped_source_tests);
       ("source-edit", source_edit_tests @ to_alco source_edit_props);
-      ("memo-arena", memo_arena_tests);
+      ("memo-arena", memo_arena_tests @ to_alco [ arena_edit_prop ]);
       ("diagnostic", diagnostic_tests);
       ("rng", rng_tests);
       ("json", json_tests);
