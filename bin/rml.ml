@@ -88,9 +88,11 @@ let grammar_term =
   let grammar gs optimize config = { gs with Rats.Run.optimize; config } in
   Term.(const grammar $ source_term $ optimize_arg $ config_arg)
 
-let with_grammar ?snapshot gs k =
+let with_analysis ?snapshot gs k =
   guarded @@ fun () ->
-  match Rats.Run.grammar_of ?snapshot gs with Error ds -> print_errors ds | Ok g -> k g
+  match Rats.Run.analysis_of ?snapshot gs with Error ds -> print_errors ds | Ok a -> k a
+
+let with_grammar ?snapshot gs k = with_analysis ?snapshot gs (fun a -> k (Rats.Analysis.grammar a))
 
 (* --- subcommands ------------------------------------------------------------ *)
 
@@ -320,8 +322,8 @@ let fmt_cmd =
 
 let analyze_cmd =
   let run gs =
-    with_grammar ~snapshot gs @@ fun g ->
-    let a = Rats.Analysis.analyze g in
+    with_analysis ~snapshot gs @@ fun a ->
+    let g = Rats.Analysis.grammar a in
     let issues = Rats.Analysis.check a in
     Fmt.pr "productions:      %d@." (Rats.Grammar.length g);
     Fmt.pr "grammar size:     %d IR nodes@." (Rats.Grammar.size g);
@@ -329,7 +331,7 @@ let analyze_cmd =
     let reach = Rats.Analysis.reachable a in
     Fmt.pr "reachable:        %d@."
       (Rats.Analysis.StringSet.cardinal reach);
-    let terminals = Rats.Passes.terminal_set g in
+    let terminals = Rats.Analysis.terminals a in
     Fmt.pr "terminal-level:   %d@."
       (Rats.Analysis.StringSet.cardinal terminals);
     let stateful =
@@ -339,7 +341,7 @@ let analyze_cmd =
            (Rats.Grammar.productions g))
     in
     Fmt.pr "stateful:         %d@." stateful;
-    let lints = Rats.Lint.check g in
+    let lints = Rats.Lint.check a in
     Fmt.pr "lint warnings:    %d@." (List.length lints);
     List.iter (fun d -> Fmt.pr "%s@." (Rats.Diagnostic.to_string d)) lints;
     if issues = [] then (

@@ -350,13 +350,13 @@ let print_trace_event shown (e : Engine.trace_event) =
       (match e.outcome with Some p when p >= 0 -> Printf.sprintf " -> %d" p | _ -> "")
   else if !shown = 501 then Format.printf "... (trace truncated)@."
 
-let document (gs : grammar) g ~input ~observe ~show eng =
+let document (gs : grammar) a ~input ~observe ~show eng =
   let source = read ~cap:gs.limits.Limits.max_input_bytes input in
   let finish (out : Engine.outcome) = report ~show ~observe ~source eng out.stats out.result in
   match observe with
   | Enter_exit -> (
       let on_event = print_trace_event (ref 0) in
-      match Engine.trace ~config:(Engine.config eng) ~on_event g (Source.text source) with
+      match Engine.trace ~config:(Engine.config eng) ~on_event a (Source.text source) with
       | Error ds -> print_errors ds
       | Ok out -> finish out)
   | Watch { timeout = Some seconds; _ } ->
@@ -540,13 +540,12 @@ let exec ?snapshot { grammar = gs; mode } =
   match analysis_of ?snapshot gs with
   | Error ds -> print_errors ds
   | Ok a -> (
-      let g = Analysis.grammar a in
       match mode with
       | Document { input; observe; show } ->
-          with_engine gs (want observe) a (document gs g ~input ~observe ~show)
+          with_engine gs (want observe) a (document gs a ~input ~observe ~show)
       | Edits { input; script; profile; ring; show } ->
           let observe = Watch { profile; ring; timeout = None } in
           with_engine gs (want observe) a (edits gs ~input ~script ~observe ~show)
-      | Batch b -> batch gs b g
+      | Batch b -> batch gs b (Analysis.grammar a)
       | Corpus { paths; strict } ->
           with_engine gs { Observe.off with Observe.coverage = true } a (corpus ~paths ~strict))

@@ -91,7 +91,7 @@ let run ?(gate = true) ?(verify = false) ?dump_after passes g =
         let a = Analysis_ctx.analysis ctx g in
         match List.filter Diagnostic.is_error (Analysis.check a) with
         | _ :: _ as hard -> raise (Abort hard)
-        | [] -> Lint.check ~analysis:a g
+        | [] -> Lint.check a
     in
     let g = List.fold_left exec g passes in
     Ok { grammar = g; rows = List.rev !rows; warnings }

@@ -4,25 +4,24 @@ module SSet = Analysis.StringSet
 (* --- pruning ------------------------------------------------------------ *)
 
 let prune ?(ctx = Analysis_ctx.create ()) g =
-  let keep = Analysis_ctx.reachable ctx g in
+  let keep = Analysis.reachable (Analysis_ctx.analysis ctx g) in
   Grammar.restrict g ~keep:(fun n -> SSet.mem n keep)
 
 (* --- transient marking --------------------------------------------------- *)
 
 let mark_transients ?(ctx = Analysis_ctx.create ()) g =
+  let a = Analysis_ctx.analysis ctx g in
   Grammar.map
     (fun (p : Production.t) ->
-      if p.attrs.Attr.memo = Attr.Memo_auto && Analysis_ctx.ref_count ctx g p.name <= 1
+      if p.attrs.Attr.memo = Attr.Memo_auto && Analysis.ref_count a p.name <= 1
       then Production.with_attrs p { p.attrs with Attr.memo = Attr.Memo_never }
       else p)
     g
 
 (* --- terminal detection --------------------------------------------------- *)
 
-let terminal_set ?(ctx = Analysis_ctx.create ()) g = Analysis_ctx.terminals ctx g
-
-let mark_terminals ?ctx g =
-  let terminals = terminal_set ?ctx g in
+let mark_terminals ?(ctx = Analysis_ctx.create ()) g =
+  let terminals = Analysis.terminals (Analysis_ctx.analysis ctx g) in
   Grammar.map
     (fun (p : Production.t) ->
       if p.attrs.Attr.memo = Attr.Memo_auto && SSet.mem p.name terminals then

@@ -4,12 +4,14 @@
     [Splice] construct, so it too is value-safe) preserve semantic values
     bit for bit. Each pass is idempotent.
 
-    Every analysis-consuming pass takes an optional [?ctx]: the shared
-    {!Rats_peg.Analysis_ctx.t} the optimizer driver threads through a
-    pipeline, so a fact about a grammar is computed once however many
-    passes ask for it. The cache answers for the grammar a pass is
-    given and nothing else; called without it, a pass analyzes its
-    input in a fresh one — identical results, possibly more work. *)
+    Every analysis-consuming pass reads its facts off the
+    {!Rats_peg.Analysis} of its input and takes an optional [?ctx]: the
+    shared {!Rats_peg.Analysis_ctx.t} the optimizer driver threads
+    through a pipeline, so a fact about a grammar is computed once
+    however many passes ask for it. The context answers for the grammar
+    a pass is given and nothing else; called without it, a pass
+    analyzes its input afresh — identical results, possibly more
+    work. *)
 
 open Rats_peg
 
@@ -30,11 +32,8 @@ val mark_terminals : ?ctx:Analysis_ctx.t -> Grammar.t -> Grammar.t
     machinery, build no syntax-tree nodes and touch no parser state —
     are marked [Memo_never] (and thereby also run leanly when the engine
     has [lean_values]). This is where spacing, identifiers and literals
-    stop paying packrat overhead. *)
-
-val terminal_set : ?ctx:Analysis_ctx.t -> Grammar.t -> Analysis.StringSet.t
-(** The productions {!mark_terminals} would mark (exposed for tests and
-    statistics). *)
+    stop paying packrat overhead. The set is
+    {!Rats_peg.Analysis.terminals}. *)
 
 val inline_pass : ?threshold:int -> ?ctx:Analysis_ctx.t -> Grammar.t -> Grammar.t
 (** Cost-based nonterminal inlining: replace references to small

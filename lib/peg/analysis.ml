@@ -16,6 +16,8 @@ type t = {
          expansion among all of its sites *)
   mutable stateful_memo : (string, bool) Hashtbl.t option;
   mutable unit_memo : (string, bool) Hashtbl.t option;
+  mutable terminals_memo : StringSet.t option;
+  mutable ref_count_memo : (string, int) Hashtbl.t option;
   mutable reachable_memo : StringSet.t option;
   mutable recursive_memo : StringSet.t option;
   mutable check_memo : Diagnostic.t list option;
@@ -33,6 +35,35 @@ let grammar a = a.grammar
    one pass: MiniC's FIRST sets settle in 4 sweeps this way, against 15
    in list order. *)
 let sweep_order g = List.rev (Grammar.productions g)
+
+let find tbl absent n = try Hashtbl.find tbl n with Not_found -> absent
+
+(* The one fixpoint loop: every production starts at [init p], and
+   sweeps set it to [step lookup p] until one changes nothing; [lookup]
+   reads the table as it stands, [absent] for an undefined name. A
+   boolean step short-circuits on a settled entry: [lookup p.name ||]
+   for a least fixpoint, [lookup p.name &&] for a greatest one. *)
+let fixpoint g ~init ~absent ~equal step =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (p : Production.t) -> Hashtbl.replace tbl p.name (init p))
+    (Grammar.productions g);
+  let lookup n = find tbl absent n in
+  let changed = ref true and sweep = sweep_order g in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (p : Production.t) ->
+        let v = step lookup p in
+        if not (equal v (Hashtbl.find tbl p.name)) then (
+          Hashtbl.replace tbl p.name v;
+          changed := true))
+      sweep
+  done;
+  tbl
+
+let bool_fixpoint g ~init step =
+  fixpoint g ~init ~absent:false ~equal:Bool.equal step
 
 (* --- nullability ------------------------------------------------------- *)
 
@@ -52,23 +83,9 @@ let rec expr_nullable_env lookup (e : Expr.t) =
       expr_nullable_env lookup x
 
 let compute_nullable g =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Production.t) -> Hashtbl.replace tbl p.name false)
-    (Grammar.productions g);
-  let lookup n = try Hashtbl.find tbl n with Not_found -> false in
-  let changed = ref true and sweep = sweep_order g in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (p : Production.t) ->
-        let v = expr_nullable_env lookup p.expr in
-        if v && not (Hashtbl.find tbl p.name) then (
-          Hashtbl.replace tbl p.name true;
-          changed := true))
-      sweep
-  done;
-  tbl
+  bool_fixpoint g
+    ~init:(fun _ -> false)
+    (fun lookup p -> lookup p.name || expr_nullable_env lookup p.expr)
 
 (* --- FIRST sets -------------------------------------------------------- *)
 
@@ -142,47 +159,18 @@ let expr_first_env ?memo ~first ~nullable (e : Expr.t) =
   (s, !eps)
 
 let compute_first g nullable_tbl =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Production.t) -> Hashtbl.replace tbl p.name Charset.empty)
-    (Grammar.productions g);
-  let first n = try Hashtbl.find tbl n with Not_found -> Charset.empty in
-  let nullable n = try Hashtbl.find nullable_tbl n with Not_found -> false in
-  let changed = ref true and sweep = sweep_order g in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (p : Production.t) ->
-        let s, _ = expr_first_env ~first ~nullable p.expr in
-        if not (Charset.equal s (first p.name)) then (
-          Hashtbl.replace tbl p.name s;
-          changed := true))
-      sweep
-  done;
-  tbl
+  let nullable n = find nullable_tbl false n in
+  fixpoint g
+    ~init:(fun _ -> Charset.empty)
+    ~absent:Charset.empty ~equal:Charset.equal
+    (fun first p -> fst (expr_first_env ~first ~nullable p.expr))
 
 (* --- statefulness ------------------------------------------------------ *)
 
 let compute_stateful g =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Production.t) ->
-      Hashtbl.replace tbl p.name (Expr.is_stateful p.expr))
-    (Grammar.productions g);
-  let lookup n = try Hashtbl.find tbl n with Not_found -> false in
-  let changed = ref true and sweep = sweep_order g in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (p : Production.t) ->
-        if not (Hashtbl.find tbl p.name) then
-          let v = List.exists lookup (Expr.refs p.expr) in
-          if v then (
-            Hashtbl.replace tbl p.name true;
-            changed := true))
-      sweep
-  done;
-  tbl
+  bool_fixpoint g
+    ~init:(fun p -> Expr.is_stateful p.expr)
+    (fun lookup p -> lookup p.name || List.exists lookup (Expr.refs p.expr))
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -200,31 +188,58 @@ let rec expr_unit_env lookup (e : Expr.t) =
   | Star x | Plus x | Opt x -> expr_unit_env lookup x
   | Splice x | Record (_, x) | Member (_, _, x) -> expr_unit_env lookup x
 
+(* Optimistic start: Plain and Void productions assumed unit; only a
+   Plain production's body can knock it out. *)
 let compute_unit g =
+  bool_fixpoint g
+    ~init:(fun p ->
+      match p.attrs.Attr.kind with
+      | Attr.Void | Attr.Plain -> true
+      | Attr.Text | Attr.Generic -> false)
+    (fun lookup p ->
+      lookup p.name
+      && (p.attrs.Attr.kind <> Attr.Plain || expr_unit_env lookup p.expr))
+
+(* --- terminal level ---------------------------------------------------- *)
+
+(* A production is terminal when it never builds a tree node and only
+   references other terminal productions: character-level machinery.
+   Computed as a greatest fixed point (start optimistic, knock out). *)
+let compute_terminals g =
+  let locally_ok (p : Production.t) =
+    (match p.attrs.Attr.kind with
+    | Attr.Generic -> false
+    | Attr.Plain | Attr.Text | Attr.Void -> true)
+    && Expr.fold
+         (fun acc (e : Expr.t) ->
+           acc
+           &&
+           match e.it with
+           | Expr.Node _ | Expr.Record _ | Expr.Member _ -> false
+           | _ -> true)
+         true p.expr
+  in
+  let tbl =
+    bool_fixpoint g ~init:locally_ok (fun lookup p ->
+        lookup p.name && List.for_all lookup (Expr.refs p.expr))
+  in
+  Hashtbl.fold (fun n ok acc -> if ok then StringSet.add n acc else acc) tbl
+    StringSet.empty
+
+(* --- reference counts -------------------------------------------------- *)
+
+(* Reference sites per production, in one sweep; the start symbol counts
+   one more. *)
+let compute_ref_counts g =
   let tbl = Hashtbl.create 64 in
-  (* Optimistic start: Plain and Void productions assumed unit. *)
+  let bump n = Hashtbl.replace tbl n (1 + find tbl 0 n) in
   List.iter
     (fun (p : Production.t) ->
-      let init =
-        match p.attrs.Attr.kind with
-        | Attr.Void -> true
-        | Attr.Plain -> true
-        | Attr.Text | Attr.Generic -> false
-      in
-      Hashtbl.replace tbl p.name init)
+      Expr.fold
+        (fun () (e : Expr.t) -> match e.it with Expr.Ref n -> bump n | _ -> ())
+        () p.expr)
     (Grammar.productions g);
-  let lookup n = try Hashtbl.find tbl n with Not_found -> false in
-  let changed = ref true and sweep = sweep_order g in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (p : Production.t) ->
-        if Hashtbl.find tbl p.name && p.attrs.Attr.kind = Attr.Plain then
-          if not (expr_unit_env lookup p.expr) then (
-            Hashtbl.replace tbl p.name false;
-            changed := true))
-      sweep
-  done;
+  bump (Grammar.start g);
   tbl
 
 let analyze g =
@@ -235,6 +250,8 @@ let analyze g =
     expr_first_memo = None;
     stateful_memo = None;
     unit_memo = None;
+    terminals_memo = None;
+    ref_count_memo = None;
     reachable_memo = None;
     recursive_memo = None;
     check_memo = None;
@@ -243,51 +260,41 @@ let analyze g =
 
 let computed a = a.computed
 
-(* [compute ()], counted as one fact computed *)
-let counted a compute =
-  a.computed <- a.computed + 1;
-  compute ()
+(* The table [get a] holds, or [compute a] kept with [set] and counted
+   as one fact computed. The closures capture nothing, so a query
+   allocates none. *)
+let memo a get set compute =
+  match get a with
+  | Some v -> v
+  | None ->
+      a.computed <- a.computed + 1;
+      let v = compute a in
+      set a v;
+      v
 
 let nullable_tbl a =
-  match a.nullable_memo with
-  | Some t -> t
-  | None ->
-      let t = counted a (fun () -> compute_nullable a.grammar) in
-      a.nullable_memo <- Some t;
-      t
+  memo a (fun a -> a.nullable_memo) (fun a t -> a.nullable_memo <- Some t)
+    (fun a -> compute_nullable a.grammar)
 
 let first_tbl a =
-  match a.first_memo with
-  | Some t -> t
-  | None ->
-      let nullable = nullable_tbl a in
-      let t = counted a (fun () -> compute_first a.grammar nullable) in
-      a.first_memo <- Some t;
-      t
+  memo a (fun a -> a.first_memo) (fun a t -> a.first_memo <- Some t)
+    (fun a -> compute_first a.grammar (nullable_tbl a))
 
 let stateful_tbl a =
-  match a.stateful_memo with
-  | Some t -> t
-  | None ->
-      let t = counted a (fun () -> compute_stateful a.grammar) in
-      a.stateful_memo <- Some t;
-      t
+  memo a (fun a -> a.stateful_memo) (fun a t -> a.stateful_memo <- Some t)
+    (fun a -> compute_stateful a.grammar)
 
 let unit_tbl a =
-  match a.unit_memo with
-  | Some t -> t
-  | None ->
-      let t = counted a (fun () -> compute_unit a.grammar) in
-      a.unit_memo <- Some t;
-      t
+  memo a (fun a -> a.unit_memo) (fun a t -> a.unit_memo <- Some t)
+    (fun a -> compute_unit a.grammar)
 
-let nullable a n = try Hashtbl.find (nullable_tbl a) n with Not_found -> false
+let nullable a n = find (nullable_tbl a) false n
 
 let expr_nullable a e =
   let tbl = nullable_tbl a in
-  expr_nullable_env (fun n -> try Hashtbl.find tbl n with Not_found -> false) e
+  expr_nullable_env (fun n -> find tbl false n) e
 
-let first a n = try Hashtbl.find (first_tbl a) n with Not_found -> Charset.empty
+let first a n = find (first_tbl a) Charset.empty n
 
 let expr_first a e =
   let firsts = first_tbl a and nulls = nullable_tbl a in
@@ -302,18 +309,18 @@ let expr_first a e =
   let known = Expr.Phys.length memo in
   let r =
     expr_first_env ~memo
-      ~first:(fun n -> try Hashtbl.find firsts n with Not_found -> Charset.empty)
-      ~nullable:(fun n -> try Hashtbl.find nulls n with Not_found -> false)
+      ~first:(fun n -> find firsts Charset.empty n)
+      ~nullable:(fun n -> find nulls false n)
       e
   in
   a.computed <- a.computed + Expr.Phys.length memo - known;
   r
 
-let stateful a n = try Hashtbl.find (stateful_tbl a) n with Not_found -> false
+let stateful a n = find (stateful_tbl a) false n
 
 let expr_yields_unit a e =
   let tbl = unit_tbl a in
-  expr_unit_env (fun n -> try Hashtbl.find tbl n with Not_found -> false) e
+  expr_unit_env (fun n -> find tbl false n) e
 
 (* A production's memo slot never needs a value when every successful
    full-mode run of its body leaves [Value.Unit] in the register: Void
@@ -400,88 +407,75 @@ let reachable_from a roots =
   Hashtbl.fold (fun n () acc -> StringSet.add n acc) seen StringSet.empty
 
 let reachable a =
-  match a.reachable_memo with
-  | Some s -> s
-  | None ->
-      let roots =
-        Grammar.start a.grammar
+  memo a (fun a -> a.reachable_memo) (fun a s -> a.reachable_memo <- Some s)
+    (fun a ->
+      reachable_from a
+        (Grammar.start a.grammar
         :: List.filter_map
              (fun (p : Production.t) ->
                if Production.is_public p then Some p.name else None)
-             (Grammar.productions a.grammar)
-      in
-      let s = counted a (fun () -> reachable_from a roots) in
-      a.reachable_memo <- Some s;
-      s
+             (Grammar.productions a.grammar)))
 
 (* Productions on a reference cycle (a self-reference included): the
    strongly connected components of the reference graph, found in one
    Tarjan pass. References to undefined names lead nowhere. *)
-let recursive a =
-  match a.recursive_memo with
-  | Some s -> s
-  | None ->
-      let index = Hashtbl.create 64 and low = Hashtbl.create 64 in
-      let on_stack = Hashtbl.create 64 in
-      let stack = ref [] and next = ref 0 and acc = ref StringSet.empty in
-      let rec visit n (p : Production.t) =
-        Hashtbl.replace index n !next;
-        Hashtbl.replace low n !next;
-        incr next;
-        stack := n :: !stack;
-        Hashtbl.replace on_stack n ();
-        let self = ref false in
-        List.iter
-          (fun m ->
-            if String.equal m n then self := true;
-            match Grammar.find a.grammar m with
-            | None -> ()
-            | Some q ->
-                if not (Hashtbl.mem index m) then (
-                  visit m q;
-                  Hashtbl.replace low n
-                    (min (Hashtbl.find low n) (Hashtbl.find low m)))
-                else if Hashtbl.mem on_stack m then
-                  Hashtbl.replace low n
-                    (min (Hashtbl.find low n) (Hashtbl.find index m)))
-          (Expr.refs p.expr);
-        if Hashtbl.find low n = Hashtbl.find index n then (
-          let rec pop members =
-            match !stack with
-            | m :: rest ->
-                stack := rest;
-                Hashtbl.remove on_stack m;
-                if String.equal m n then m :: members else pop (m :: members)
-            | [] -> members
-          in
-          match pop [] with
-          | [ _ ] when not !self -> ()
-          | members -> List.iter (fun m -> acc := StringSet.add m !acc) members)
+let compute_recursive g =
+  let index = Hashtbl.create 64 and low = Hashtbl.create 64 in
+  let on_stack = Hashtbl.create 64 in
+  let stack = ref [] and next = ref 0 and acc = ref StringSet.empty in
+  let rec visit n (p : Production.t) =
+    Hashtbl.replace index n !next;
+    Hashtbl.replace low n !next;
+    incr next;
+    stack := n :: !stack;
+    Hashtbl.replace on_stack n ();
+    let self = ref false in
+    List.iter
+      (fun m ->
+        if String.equal m n then self := true;
+        match Grammar.find g m with
+        | None -> ()
+        | Some q ->
+            if not (Hashtbl.mem index m) then (
+              visit m q;
+              Hashtbl.replace low n
+                (min (Hashtbl.find low n) (Hashtbl.find low m)))
+            else if Hashtbl.mem on_stack m then
+              Hashtbl.replace low n
+                (min (Hashtbl.find low n) (Hashtbl.find index m)))
+      (Expr.refs p.expr);
+    if Hashtbl.find low n = Hashtbl.find index n then (
+      let rec pop members =
+        match !stack with
+        | m :: rest ->
+            stack := rest;
+            Hashtbl.remove on_stack m;
+            if String.equal m n then m :: members else pop (m :: members)
+        | [] -> members
       in
-      a.computed <- a.computed + 1;
-      List.iter
-        (fun (p : Production.t) ->
-          if not (Hashtbl.mem index p.name) then visit p.name p)
-        (Grammar.productions a.grammar);
-      a.recursive_memo <- Some !acc;
-      !acc
+      match pop [] with
+      | [ _ ] when not !self -> ()
+      | members -> List.iter (fun m -> acc := StringSet.add m !acc) members)
+  in
+  List.iter
+    (fun (p : Production.t) ->
+      if not (Hashtbl.mem index p.name) then visit p.name p)
+    (Grammar.productions g);
+  !acc
 
-let ref_count a name =
-  let count_in (p : Production.t) =
-    Expr.fold
-      (fun acc e ->
-        match e.Expr.it with
-        | Expr.Ref n when String.equal n name -> acc + 1
-        | _ -> acc)
-      0 p.expr
-  in
-  let refs =
-    List.fold_left
-      (fun acc p -> acc + count_in p)
-      0
-      (Grammar.productions a.grammar)
-  in
-  if String.equal (Grammar.start a.grammar) name then refs + 1 else refs
+let recursive a =
+  memo a (fun a -> a.recursive_memo) (fun a s -> a.recursive_memo <- Some s)
+    (fun a -> compute_recursive a.grammar)
+
+let ref_count a n =
+  find
+    (memo a (fun a -> a.ref_count_memo) (fun a t -> a.ref_count_memo <- Some t)
+       (fun a -> compute_ref_counts a.grammar))
+    0 n
+
+let terminals a =
+  memo a (fun a -> a.terminals_memo) (fun a s -> a.terminals_memo <- Some s)
+    (fun a -> compute_terminals a.grammar)
 
 (* --- left recursion ----------------------------------------------------- *)
 
@@ -591,9 +585,4 @@ let compute_check a =
   dangling @ left_rec @ vacuous
 
 let check a =
-  match a.check_memo with
-  | Some ds -> ds
-  | None ->
-      let ds = counted a (fun () -> compute_check a) in
-      a.check_memo <- Some ds;
-      ds
+  memo a (fun a -> a.check_memo) (fun a ds -> a.check_memo <- Some ds) compute_check

@@ -3,8 +3,12 @@
     These power the well-formedness checks Rats! performs before code
     generation (left recursion and vacuous repetition are rejected) and
     feed the optimizer (FIRST sets for choice dispatch and prefix
-    factoring, reachability for pruning, statefulness for memoization
-    safety). All analyses are monotone fixed points over the production
+    factoring, reachability for pruning, reference counts for transient
+    marking, the terminal level for the terminal optimization,
+    recursion for inlining, statefulness for memoization safety). This
+    is the one place a grammar fact is computed and kept; the optimizer
+    driver's {!Analysis_ctx} only hands one [t] from pass to pass. All
+    analyses are monotone fixed points over the production
     set and run in time linear in grammar size times a small number of
     iterations. *)
 
@@ -18,7 +22,8 @@ type nullability =
 
 type t
 (** Analysis results for one grammar. Each table (nullability, FIRST
-    sets, statefulness, unit values, reachability, recursion) and the
+    sets, statefulness, unit values, the terminal level, reference
+    counts, reachability, recursion) and the
     {!check} report is computed when a query first needs it and kept
     for later queries, so a caller pays only for the facts it asks
     about.
@@ -121,7 +126,17 @@ val recursive : t -> StringSet.t
 
 val ref_count : t -> string -> int
 (** Number of reference sites to the production across the grammar
-    (start symbol counts as one extra site). *)
+    (start symbol counts as one extra site). All counts are taken in
+    one sweep on the first query. *)
+
+(** {1 Terminal level} *)
+
+val terminals : t -> StringSet.t
+(** Productions at the lexical level: they never build syntax-tree nodes
+    or touch parser state, and transitively reference only such
+    productions (greatest fixed point). This is the set the terminal
+    optimization unmemoizes and a session engine leaves without a
+    slot. *)
 
 (** {1 State} *)
 

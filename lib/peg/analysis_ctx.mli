@@ -1,41 +1,29 @@
-(** Shared analysis cache for grammar transformation pipelines.
+(** The analysis the optimizer driver hands from pass to pass.
 
-    The optimizer passes all consume the same static facts — FIRST sets,
-    nullability, reachability, reference counts, the terminal level. An
-    [Analysis_ctx.t] caches them for one grammar at a time, so the pass
-    driver can hand one context to every pass and a fact is computed
-    once for as long as passes keep returning the same grammar.
+    Every fact a pass reads — FIRST sets, nullability, reachability,
+    reference counts, the terminal level, recursion — is computed and
+    kept by an {!Analysis.t}. An [Analysis_ctx.t] holds one of them and
+    re-keys it, so the pass driver can hand one context to every pass
+    and a fact is computed once for as long as passes keep returning
+    the same grammar.
 
-    Every query names the grammar it asks about. The cache is keyed on
-    it: a query about the grammar the cached facts were computed for
-    (physically the same value), or about one that differs from it only
-    in memo hints (same start, same production names, kinds and
-    visibilities, physically the same bodies), reuses them; a query
-    about any other grammar drops them and starts over. No fact depends
-    on memo hints, so a pass never sees facts that do not hold for its
-    input, whatever ran before it. *)
+    Every query names the grammar it asks about. The analysis is kept
+    for the grammar it was computed for (physically the same value), and
+    for one that differs from it only in memo hints (same start, same
+    production names, kinds and visibilities, physically the same
+    bodies); a query about any other grammar replaces it with a fresh
+    one. No fact depends on memo hints, so a pass never sees facts that
+    do not hold for its input, whatever ran before it. *)
 
 type t
 
 val create : unit -> t
-(** An empty cache. *)
+(** An empty context. *)
 
 val analysis : t -> Grammar.t -> Analysis.t
-(** The full {!Analysis} record (nullability, FIRST sets, statefulness,
-    reachability) of the grammar; computed on first use. *)
-
-val reachable : t -> Grammar.t -> Analysis.StringSet.t
-
-val ref_count : t -> Grammar.t -> string -> int
-(** Like {!Analysis.ref_count}, but all counts are computed in one sweep
-    over the grammar on first use instead of one sweep per query. *)
-
-val terminals : t -> Grammar.t -> Analysis.StringSet.t
-(** Productions at the lexical level: they never build syntax-tree nodes
-    or touch parser state, and transitively reference only such
-    productions (greatest fixed point). This is the set the terminal
-    optimization unmemoizes. *)
+(** The {!Analysis} of the grammar, or of the one asked about last if it
+    differs from this one in memo hints only. *)
 
 val computations : t -> int
-(** How many full {!Analysis.analyze} runs this context has performed —
+(** How many {!Analysis.analyze} runs this context has performed —
     instrumentation for tests proving that caching actually shares. *)

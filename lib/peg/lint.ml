@@ -104,12 +104,7 @@ let expr_warnings a pname (e : Expr.t) =
   go e;
   List.rev !out
 
-let check ?analysis g =
-  let a =
-    match analysis with
-    | Some a when Analysis.grammar a == g -> a
-    | _ -> Analysis.analyze g
-  in
+let check a =
   let reachable = Analysis.reachable a in
   List.concat_map
     (fun (p : Production.t) ->
@@ -133,4 +128,4 @@ let check ?analysis g =
           ]
       in
       local @ fails @ unreachable)
-    (Grammar.productions g)
+    (Grammar.productions (Analysis.grammar a))

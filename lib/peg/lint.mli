@@ -10,10 +10,11 @@
 
 open Rats_support
 
-val check : ?analysis:Analysis.t -> Grammar.t -> Diagnostic.t list
-(** All warnings, in production order. [analysis] lets a caller that has
-    already analyzed the grammar (the optimizer driver's gate) share the
-    work; it is used only when it was computed for this very grammar.
+val check : Analysis.t -> Diagnostic.t list
+(** All warnings about the analyzed grammar, in production order. The
+    caller's analysis supplies the facts the lints read (nullability,
+    reachability), so a caller that has analyzed the grammar already
+    (the optimizer driver's gate, [rml analyze]) pays for nothing twice.
     Currently detected:
 
     - {b duplicate-alternative}: two structurally equal alternatives in

@@ -109,7 +109,8 @@ type compile_ctx = {
       (* one lowering per distinct set, shared by the full and the
          recognizer compilation of every body *)
   obs : Observe.t option;
-      (* when set, choice compilation marks alternative coverage and
+      (* the engine's observation sink, [Config.observe] enabled only;
+         when set, choice compilation marks alternative coverage and
          pushes backtrack events; call instrumentation lives in the
          per-production wrappers of [production_fn] instead *)
   preds : int Phys.t;  (* predicate node -> id of its description *)
@@ -118,9 +119,12 @@ type compile_ctx = {
   chr_bms : Bytes.t array;
       (* byte -> the one-byte test's bitmap of a [Chr] of it, made on
          first use; [no_bitmap] until then *)
+  mutable session : t option;
+      (* [for_session]'s engine over these bodies, made on its first
+         call *)
 }
 
-type t = {
+and t = {
   cfg : Config.t;
   gram : Grammar.t;
   nslots : int;
@@ -130,7 +134,6 @@ type t = {
          runs and taken with [Atomic.exchange]: never shared by two *)
   trace_pool : Expected.t option Atomic.t;
       (* farthest-failure tracker parked between runs, like [pool] *)
-  obs : Observe.t option;  (* observation sink, [Config.observe] enabled only *)
   ctx : compile_ctx;
 }
 
@@ -1131,6 +1134,7 @@ let uncompiled ctx ~slots ~vmap =
       installed = Bytes.make (2 * n) '\000';
       full_fns = Phys.create 256;
       lean_fns = Phys.create 256;
+      session = None;
     }
   in
   for i = 0 to n - 1 do
@@ -1182,6 +1186,7 @@ let prepare_hooked ?hook ?(config = Config.optimized) analysis =
           full_fns = Phys.create 1;
           lean_fns = Phys.create 1;
           chr_bms = Array.make 256 no_bitmap;
+          session = None;
         }
       in
       Ok
@@ -1192,7 +1197,6 @@ let prepare_hooked ?hook ?(config = Config.optimized) analysis =
           nvslots;
           pool = Atomic.make None;
           trace_pool = Atomic.make None;
-          obs;
           ctx = uncompiled ctx ~slots ~vmap;
         }
 
@@ -1220,35 +1224,45 @@ let compiled_bodies t =
    position on every reparse, so the entry pays from the second run
    on. Memoizing more is always sound (the entry protocol is the same
    for every slot); a stateful entry would never hit across runs (its
-   stamp is stale by construction), so it gets none. *)
+   stamp is stale by construction), so it gets none. The session
+   engine is derived once, under the lock, and kept with [t]'s compile
+   context, so every session of [t] and of its [with_limits] copies
+   shares its slots and its compiled bodies; each caller gets it under
+   its own configuration. *)
 let for_session t =
   let ctx = t.ctx and cfg = t.cfg in
   if cfg.Config.memo = Config.No_memo || not cfg.Config.honor_transient then t
   else
-    let slots, nslots, vmap, nvslots =
+    let s =
       Mutex.protect ctx.lock @@ fun () ->
-      let a = ctx.analysis and start = Grammar.start t.gram in
-      let terminals = Analysis_ctx.terminals (Analysis_ctx.create ()) t.gram in
-      let cyclic = Analysis.recursive a in
-      let extra (p : Production.t) =
-        (not (String.equal p.name start))
-        && (not (Analysis.StringSet.mem p.name terminals))
-        && (not (Analysis.StringSet.mem p.name cyclic))
-        && not (Analysis.stateful a p.name)
-      in
-      let slots, nslots = assign_slots ~extra cfg ctx.prods in
-      let vmap, nvslots = value_slots a ctx.prods slots nslots in
-      (slots, nslots, vmap, nvslots)
+      match ctx.session with
+      | Some s -> s
+      | None ->
+          let a = ctx.analysis and start = Grammar.start t.gram in
+          let terminals = Analysis.terminals a and cyclic = Analysis.recursive a in
+          let extra (p : Production.t) =
+            (not (String.equal p.name start))
+            && (not (Analysis.StringSet.mem p.name terminals))
+            && (not (Analysis.StringSet.mem p.name cyclic))
+            && not (Analysis.stateful a p.name)
+          in
+          let slots, nslots = assign_slots ~extra cfg ctx.prods in
+          let s =
+            if nslots = t.nslots then t
+            else
+              let vmap, nvslots = value_slots a ctx.prods slots nslots in
+              {
+                t with
+                nslots;
+                nvslots;
+                pool = Atomic.make None;
+                ctx = uncompiled ctx ~slots ~vmap;
+              }
+          in
+          ctx.session <- Some s;
+          s
     in
-    if nslots = t.nslots then t
-    else
-      {
-        t with
-        nslots;
-        nvslots;
-        pool = Atomic.make None;
-        ctx = uncompiled ctx ~slots ~vmap;
-      }
+    if s.ctx == ctx then t else if s.cfg == cfg then s else { s with cfg }
 
 let prepare_analysis ?config analysis = prepare_hooked ?config analysis
 let prepare ?config gram = prepare_analysis ?config (Analysis.analyze gram)
@@ -1274,7 +1288,7 @@ let arena_cap t =
   | Some { Memo_store.mem = Chunks a; _ } -> a.Memo_arena.cap
   | _ -> 0
 
-let observation (t : t) = t.obs
+let observation (t : t) = t.ctx.obs
 
 (* --- running ------------------------------------------------------------ *)
 
@@ -1325,7 +1339,7 @@ let run_with t ?store ?start ~require_eof input =
   if len > limits.Limits.max_input_bytes then (
     Option.iter
       (fun o -> Observe.trip o Limits.Input limits.Limits.max_input_bytes)
-      t.obs;
+      t.ctx.obs;
     exhausted Limits.Input ~at:limits.Limits.max_input_bytes)
   else
     (* A store-less run takes the engine's parked store, or builds one
@@ -1395,7 +1409,7 @@ let run_with t ?store ?start ~require_eof input =
     (* The trip event and frame cleanup happen after the run body, off
        any budget: the ring must describe an exhausted run without
        changing where it tripped. *)
-    (match t.obs with
+    (match t.ctx.obs with
     | None -> ()
     | Some o ->
         Option.iter (fun (which, at) -> Observe.trip o which at) st.tripped;
@@ -1456,7 +1470,7 @@ type trace_event = {
   outcome : int option;
 }
 
-let trace ?config ?start ?require_eof ~on_event gram input =
+let trace ?config ?start ?require_eof ~on_event analysis input =
   let depth = ref 0 in
   let hook name fn : fn =
    fun st pos ->
@@ -1467,6 +1481,6 @@ let trace ?config ?start ?require_eof ~on_event gram input =
     on_event { prod = name; at = pos; depth = !depth; outcome = Some p };
     p
   in
-  match prepare_hooked ~hook ?config (Analysis.analyze gram) with
+  match prepare_hooked ~hook ?config analysis with
   | Error ds -> Error ds
   | Ok eng -> Ok (run eng ?start ?require_eof input)

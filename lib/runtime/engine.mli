@@ -124,14 +124,18 @@ val edit_store : t -> store -> start:int -> old_len:int -> new_len:int -> int * 
 val for_session : t -> t
 (** The engine a session's incremental runs use: [t] itself, unless [t]
     honours transient hints under a memo strategy and some transient
-    production is not a terminal ({!Rats_peg.Analysis_ctx.terminals}),
+    production is not a terminal ({!Rats_peg.Analysis.terminals}),
     on no reference cycle ({!Rats_peg.Analysis.recursive}), not
     stateful and not the start production. Such a production is
     called at most once per position in one parse, but at the same
     (possibly relocated) position again on every reparse, so the
     session engine gives it a memo slot as well. It shares [t]'s
     configuration, limits, observation sink and expected-set names,
-    and compiles its own bodies on first call; [t] is unchanged. *)
+    and compiles its own bodies on first call; [t] is unchanged. It is
+    derived on the first call and kept with [t]'s compiled bodies, so
+    later calls on [t] or on its {!with_limits} copies return the same
+    slots and bodies (each under its caller's limits) and a second
+    session compiles nothing the first one did. *)
 
 val run_store : t -> store -> ?start:string -> ?require_eof:bool -> string -> outcome
 (** Parse reading and refilling the store, in one untraced pass. On
@@ -163,8 +167,9 @@ val with_deadline :
 (** {1 Tracing}
 
     Rats!'s verbose mode: watch the parser work, production by
-    production. Tracing prepares its own engine (the normal one carries
-    no per-invocation hooks, so tracing costs nothing when unused). *)
+    production. Tracing prepares its own engine from the caller's
+    analysis (the normal one carries no per-invocation hooks, so
+    tracing costs nothing when unused). *)
 
 type trace_event = {
   prod : string;  (** production being tried *)
@@ -180,12 +185,13 @@ val trace :
   ?start:string ->
   ?require_eof:bool ->
   on_event:(trace_event -> unit) ->
-  Grammar.t ->
+  Analysis.t ->
   string ->
   (outcome, Diagnostic.t list) result
-(** [trace ~on_event g input] parses [input], calling [on_event] once on
-    entry to every value-building production invocation and once on exit
-    (memo hits included — they are invocations; recognizer-mode calls
+(** [trace ~on_event a input] parses [input] with the grammar [a]
+    analyzes, reading the facts [a] holds as {!prepare_analysis} does,
+    and calls [on_event] once on entry to every value-building
+    production invocation and once on exit (memo hits included — they are invocations; recognizer-mode calls
     inside predicates under [lean_values] are not, so a non-lean
     [config] such as {!Config.packrat} gives the most complete view).
     Events of one invocation share [prod], [at] and [depth]. *)

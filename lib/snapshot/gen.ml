@@ -1,8 +1,9 @@
 (* Print blobs.ml: [all], one [(name, raw, optimized)] triple per
    built-in. Each is a grammar's analysis marshalled in one value with
    its grammar, sharing intact, after preparing the grammar and
-   compiling every body: the facts a run's prepare and compile read
-   travel with the grammar. *)
+   compiling every body, of the engine and of its session engine: the
+   facts a run's prepare and compile, and a session's, read travel with
+   the grammar. *)
 
 let blob optimize name =
   let fail ds =
@@ -16,6 +17,7 @@ let blob optimize name =
       | Error ds -> fail ds
       | Ok eng ->
           Rats.Engine.compile_all eng;
+          Rats.Engine.compile_all (Rats.Engine.for_session eng);
           Marshal.to_string (a : Rats.Analysis.t) [])
 
 let () =

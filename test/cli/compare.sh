@@ -6,8 +6,8 @@
 # and without -O; the optimized grammar `rml compose -O` prints for
 # every builtin; `rml passes`, and `rml optimize` of every builtin
 # (summary, --trace, --verify -p, --passes, --dump-after) and of a
-# left-recursive grammar file with -L; then the option names of every
-# subcommand's --help=plain. Wall-clock fields (batch "ms" values, the
+# left-recursive grammar file with -L; `rml analyze` of every builtin;
+# then the option names of every subcommand's --help=plain. Wall-clock fields (batch "ms" values, the
 # stderr summary's latencies, the profile's and the optimizer's time
 # columns) are blanked; the profile lists every production, sorted by
 # name, since its own order is by time.
@@ -129,6 +129,7 @@ compare "compose leftrec.rats -L -O" /dev/null compose $leftrec -L -O
 
 for g in calc json minic minic-ext minijava rats path; do
   compare "compose -b $g -O" /dev/null compose -b "$g" -O
+  compare "analyze -b $g" /dev/null analyze -b "$g"
 done
 
 for g in calc json minic minijava; do

@@ -236,6 +236,25 @@ let session_tests =
         if got <> want then
           Alcotest.failf "warm reparse counters changed (cold parse: %d invocations):@.    %s"
             cold.Stats.invocations (literal got));
+    Alcotest.test_case "a second session compiles no body" `Quick (fun () ->
+        (* The session engine is derived once per engine and shared with
+           its [with_limits] copies, each under its own limits. *)
+        let text = Grammars.Corpus.minijava (Rng.create 7) ~classes:4 in
+        let eng = minijava () in
+        let reparse s =
+          match Session.reparse s with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "reparse: %s" (Parse_error.message e)
+        in
+        reparse (Session.create eng text);
+        let compiled = Engine.compiled_bodies (Engine.for_session eng) in
+        Alcotest.(check bool) "the first session compiled" true (fst compiled > 0);
+        let limited = Engine.with_limits eng Limits.hardened in
+        reparse (Session.create limited text);
+        Alcotest.(check (pair int int)) "bodies compiled" compiled
+          (Engine.compiled_bodies (Engine.for_session eng));
+        Alcotest.(check bool) "the caller's limits" true
+          ((Engine.config (Engine.for_session limited)).Config.limits == Limits.hardened));
   ]
 
 let () =

@@ -322,9 +322,11 @@ let snapshot_tests =
           ]);
     test "a snapshot's facts are complete: prepare and compile compute none" (fun () ->
         (* gen.exe ships each grammar's analysis after compiling every
-           body, so no configuration's prepare or compile of it derives
-           a fact again, [Analysis.check] included; the same grammar
-           without its facts derives them *)
+           body, its session engine's too, so no configuration's
+           prepare or compile of it, nor its session engine's
+           derivation and compile, derives a fact again,
+           [Analysis.check] included; the same grammar without its
+           facts derives them *)
         let configs =
           [
             ("optimized", Config.optimized);
@@ -341,7 +343,9 @@ let snapshot_tests =
                     let label = Printf.sprintf "%s optimized=%b %s" name optimized cname in
                     let a = Option.get (Rats_snapshot.find name ~optimized) in
                     let before = Analysis.computed a in
-                    Engine.compile_all (ok (Engine.prepare_analysis ~config a));
+                    let eng = ok (Engine.prepare_analysis ~config a) in
+                    Engine.compile_all eng;
+                    Engine.compile_all (Engine.for_session eng);
                     check Alcotest.int (label ^ ": facts computed") before
                       (Analysis.computed a);
                     let bare = Analysis.analyze (Analysis.grammar a) in

@@ -100,7 +100,7 @@ let terminal_tests =
               prod ~kind:Attr.Generic "Node" (c '!');
             ]
         in
-        let ts = Passes.terminal_set g in
+        let ts = Analysis.terminals (Analysis.analyze g) in
         check Alcotest.bool "Ident" true (Analysis.StringSet.mem "Ident" ts);
         check Alcotest.bool "Letter" true (Analysis.StringSet.mem "Letter" ts);
         check Alcotest.bool "Node excluded" false
@@ -111,16 +111,16 @@ let terminal_tests =
           Grammar.make_exn ~start:"S" [ prod "S" (node "N" (c 'a')) ]
         in
         check Alcotest.bool "excluded" false
-          (Analysis.StringSet.mem "S" (Passes.terminal_set g)));
+          (Analysis.StringSet.mem "S" (Analysis.terminals (Analysis.analyze g))));
     test "state operators disqualify" (fun () ->
         let g =
           Grammar.make_exn ~start:"S" [ prod "S" (record "T" (c 'a')) ]
         in
         check Alcotest.bool "excluded" false
-          (Analysis.StringSet.mem "S" (Passes.terminal_set g)));
+          (Analysis.StringSet.mem "S" (Analysis.terminals (Analysis.analyze g))));
     test "minic lexical level is terminal" (fun () ->
         let g = Grammars.Minic.grammar () in
-        let ts = Passes.terminal_set g in
+        let ts = Analysis.terminals (Analysis.analyze g) in
         check Alcotest.bool "Word" true (Analysis.StringSet.mem "Word" ts);
         check Alcotest.bool "Spacing" true (Analysis.StringSet.mem "Spacing" ts);
         check Alcotest.bool "Statement excluded" false
@@ -471,10 +471,9 @@ let ctx_tests =
     test "queries share one analysis run" (fun () ->
         let g = two_prods () in
         let ctx = Analysis_ctx.create () in
-        ignore (Analysis_ctx.analysis ctx g);
-        ignore (Analysis_ctx.reachable ctx g);
-        ignore (Analysis_ctx.ref_count ctx g "A");
-        ignore (Analysis_ctx.terminals ctx g);
+        ignore (Analysis.reachable (Analysis_ctx.analysis ctx g));
+        ignore (Analysis.ref_count (Analysis_ctx.analysis ctx g) "A");
+        ignore (Analysis.terminals (Analysis_ctx.analysis ctx g));
         check Alcotest.int "one run" 1 (Analysis_ctx.computations ctx));
     test "the cache is keyed on the grammar asked about" (fun () ->
         let g = two_prods () in
@@ -495,9 +494,8 @@ let ctx_tests =
         let g' = Passes.mark_transients ~ctx g in
         check Alcotest.bool "S marked transient" true
           (Attr.is_transient (Grammar.find_exn g' "S").Production.attrs);
-        ignore (Analysis_ctx.analysis ctx g');
-        ignore (Analysis_ctx.terminals ctx g');
-        ignore (Analysis_ctx.ref_count ctx g' "A");
+        ignore (Analysis.terminals (Analysis_ctx.analysis ctx g'));
+        ignore (Analysis.ref_count (Analysis_ctx.analysis ctx g') "A");
         check Alcotest.int "across mark_transients" 1 (Analysis_ctx.computations ctx);
         (* a kind or a visibility is read by the analysis: a grammar
            that changes one is another grammar *)
@@ -508,20 +506,11 @@ let ctx_tests =
           (Analysis_ctx.analysis ctx
              (with_attrs (fun a -> { a with Attr.visibility = Attr.Public })));
         check Alcotest.int "another visibility" 3 (Analysis_ctx.computations ctx));
-    test "ref counts match Analysis.ref_count" (fun () ->
-        let g = Grammars.Minic.grammar () in
-        let ctx = Analysis_ctx.create () in
-        let a = Analysis.analyze g in
-        List.iter
-          (fun (p : Production.t) ->
-            check Alcotest.int p.name (Analysis.ref_count a p.name)
-              (Analysis_ctx.ref_count ctx g p.name))
-          (Grammar.productions g));
     test "another grammar's cached facts are not trusted" (fun () ->
         let calc = Grammars.Calc.grammar () in
         let g = two_prods () in
         let ctx = Analysis_ctx.create () in
-        ignore (Analysis_ctx.ref_count ctx calc "A");
+        ignore (Analysis.ref_count (Analysis_ctx.analysis ctx calc) "A");
         let g' = Passes.mark_transients ~ctx g in
         check Alcotest.bool "A not transient" false
           (Attr.is_transient (Grammar.find_exn g' "A").Production.attrs));

@@ -686,7 +686,7 @@ let pretty_tests =
 
 let lint_tests =
   let open Builder in
-  let warnings prods = Lint.check (Grammar.make_exn prods) in
+  let warnings prods = Lint.check (Analysis.analyze (Grammar.make_exn prods)) in
   let has sub ws =
     List.exists
       (fun (d : Diagnostic.t) ->
@@ -734,7 +734,7 @@ let lint_tests =
     test "shipped grammars are lint-clean" (fun () ->
         List.iter
           (fun g ->
-            let ws = Lint.check g in
+            let ws = Lint.check (Analysis.analyze g) in
             if ws <> [] then
               Alcotest.failf "unexpected warnings: %s"
                 (String.concat "; "

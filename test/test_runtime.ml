@@ -442,7 +442,7 @@ let trace_tests =
   let collect ?(config = Config.packrat) input =
     let events = ref [] in
     match
-      Engine.trace ~config ~on_event:(fun ev -> events := ev :: !events) g input
+      Engine.trace ~config ~on_event:(fun ev -> events := ev :: !events) (Analysis.analyze g) input
     with
     | Ok out -> (out, List.rev !events)
     | Error _ -> Alcotest.fail "trace prepare failed"
@@ -492,7 +492,7 @@ let trace_tests =
         (match
            Engine.trace ~config:Config.packrat
              ~on_event:(fun _ -> incr events)
-             memo_grammar "abc"
+             (Analysis.analyze memo_grammar) "abc"
          with
         | Ok out ->
             check Alcotest.int "2x invocations"
